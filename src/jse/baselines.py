@@ -183,8 +183,8 @@ def rlace_fit(
 
         # adversary step on the symmetric removal matrix, then truncate back to a
         # hard rank-k projection; the BCE gradient w.r.t. M = U U^T is
-        # -(G + G^T)/2 with G = (X^T r) w^T, and the adversary ascends the loss
-        Xp = Xb - (Xb @ U) @ U.T
+        # -(G + G^T)/2 with G = (X^T r) w^T, and the adversary ascends the loss;
+        # U has not moved since the classifier step, so Xp is still current
         r = (sigmoid(Xp @ w + b) - yb) / len(idx)
         G = np.outer(Xb.T @ r, w)
         M = U @ U.T - cfg.subspace_lr * 0.5 * (G + G.T)

@@ -234,12 +234,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DataFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (DataFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -10,6 +10,21 @@ unconstrained reparameterization: the main-task head predicts with
 ``(I - P) w_mt`` where ``P = w_sp w_sp^T / (w_sp^T w_sp)``, recomputed at
 every step, so the two effective coefficient vectors are orthogonal by
 construction.
+
+Batches: each epoch draws its row order with one RNG call (a permutation in
+uniform mode; ``ceil(n / batch_size) * batch_size`` indices drawn with
+replacement under the sampling probabilities in the balanced modes), gathers
+the training rows in that order once, and slices consecutive batches from
+the gathered copy. The last uniform batch is ragged when ``batch_size`` does
+not divide ``n``.
+
+The step loops are written for few numpy calls per step, but every output is
+bit-identical to the plain per-batch formulation (index batches, a masked
+sigmoid, one allocation per update): any rewrite must keep the same RNG calls
+and the same floating-point operations in the same order. In particular a
+pair of matrix-vector products must not be fused into one matrix-matrix
+product. ``tests/test_sgd.py`` holds that formulation as an oracle and
+checks equality with ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -76,12 +91,13 @@ class LinearModel:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+
+    Both branches share ``e = exp(-|x|)``, so it is computed once for all
+    elements and the branch only picks the numerator.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,20 +121,18 @@ def fit_intercept_only(train: LabeledEmbeddings, target: str) -> LinearModel:
     return LinearModel(np.zeros(train.d), _logit(float(np.mean(y))))
 
 
-def _epoch_batches(
+def _epoch_order(
     rng: np.random.Generator, n: int, batch_size: int, probs: np.ndarray | None
-) -> list[np.ndarray]:
-    """Index batches for one epoch.
+) -> np.ndarray:
+    """Row order of one epoch; batch i is ``order[i * batch_size : (i + 1) * batch_size]``.
 
     Uniform mode shuffles without replacement; balanced modes draw every batch
     with replacement under the given sampling probabilities.
     """
-    n_batches = (n + batch_size - 1) // batch_size
     if probs is None:
-        perm = rng.permutation(n)
-        return [perm[i * batch_size : (i + 1) * batch_size] for i in range(n_batches)]
-    idx = rng.choice(n, size=n_batches * batch_size, replace=True, p=probs)
-    return [idx[i * batch_size : (i + 1) * batch_size] for i in range(n_batches)]
+        return rng.permutation(n)
+    n_batches = (n + batch_size - 1) // batch_size
+    return rng.choice(n, size=n_batches * batch_size, replace=True, p=probs)
 
 
 def _sampling_probs(data: LabeledEmbeddings, target: str, mode: str) -> np.ndarray | None:
@@ -152,6 +166,14 @@ class _EarlyStopper:
         else:
             self.since += 1
         return self.since >= self.patience
+
+    def best(self, trainer: str) -> tuple:
+        """The kept snapshot; FloatingPointError if there is no finite one."""
+        if self.best_state is None:
+            raise FloatingPointError(f"{trainer}: no finite validation score in any epoch")
+        if not all(np.isfinite(part).all() for part in self.best_state):
+            raise FloatingPointError(f"{trainer}: the best snapshot has non-finite parameters")
+        return self.best_state
 
 
 def _val_score(metric: str, p: np.ndarray, y: np.ndarray) -> float:
@@ -190,23 +212,27 @@ def fit_logreg(
     b = 0.0
     vw = np.zeros(train.d)
     vb = 0.0
+    bs = cfg.batch_size
     stopper = _EarlyStopper(cfg.early_stop_patience)
     for _ in range(cfg.max_epochs):
-        for idx in _epoch_batches(rng, train.n, cfg.batch_size, probs):
-            Xb, yb = X[idx], y[idx]
+        order = _epoch_order(rng, train.n, bs, probs)
+        Xo, yo = X[order], y[order]
+        for i in range(0, len(order), bs):
+            Xb, yb = Xo[i : i + bs], yo[i : i + bs]
+            nb = len(yb)
             r = sigmoid(Xb @ w + b) - yb
-            gw = Xb.T @ r / len(idx)
-            gb = float(np.mean(r))
+            gw = Xb.T @ r / nb
             if cfg.weight_decay:
-                gw = gw + cfg.weight_decay * w
-            vw = cfg.momentum * vw + gw
-            vb = cfg.momentum * vb + gb
-            w = w - cfg.learning_rate * vw
-            b = b - cfg.learning_rate * vb
+                gw += cfg.weight_decay * w
+            vw *= cfg.momentum
+            vw += gw
+            vb = cfg.momentum * vb + float(r.sum() / nb)
+            w -= cfg.learning_rate * vw
+            b -= cfg.learning_rate * vb
         score = _val_score(cfg.early_stop_metric, sigmoid(Xval @ w + b), yval)
         if stopper.update(score, (w.copy(), b)):
             break
-    w, b = stopper.best_state  # type: ignore[misc]
+    w, b = stopper.best("fit_logreg")
     return LinearModel(w, b)
 
 
@@ -245,23 +271,26 @@ def fit_1d_logreg(
     gamma, b = 0.0, 0.0
     vg, vb = 0.0, 0.0
     n = len(s)
+    bs = cfg.batch_size
     stopper = _EarlyStopper(cfg.early_stop_patience)
     for _ in range(cfg.max_epochs):
-        for idx in _epoch_batches(rng, n, cfg.batch_size, None):
-            sb, yb = s[idx], y[idx]
+        order = _epoch_order(rng, n, bs, None)
+        so, yo = s[order], y[order]
+        for i in range(0, n, bs):
+            sb, yb = so[i : i + bs], yo[i : i + bs]
+            nb = len(yb)
             r = sigmoid(gamma * sb + b) - yb
-            gg = float(sb @ r / len(idx))
-            gb = float(np.mean(r))
+            gg = float(sb @ r / nb)
             if cfg.weight_decay:
                 gg += cfg.weight_decay * gamma
             vg = cfg.momentum * vg + gg
-            vb = cfg.momentum * vb + gb
+            vb = cfg.momentum * vb + float(r.sum() / nb)
             gamma -= cfg.learning_rate * vg
             b -= cfg.learning_rate * vb
         score = _val_score(cfg.early_stop_metric, sigmoid(gamma * s_val + b), yv)
         if stopper.update(score, (gamma, b)):
             break
-    gamma, b = stopper.best_state  # type: ignore[misc]
+    gamma, b = stopper.best("fit_1d_logreg")
     return Direction(v, gamma, b)
 
 
@@ -345,8 +374,7 @@ def fit_joint_orthogonal(
         if y.min() == y.max():
             raise ValueError(f"target {target!r} has a single class in the training data")
     X = train.Z
-    y_sp = train.y_sp.astype(np.float64)
-    y_mt = train.y_mt.astype(np.float64)
+    Y = np.stack([train.y_sp, train.y_mt]).astype(np.float64)
     if val is None:
         val = train
     Xv = val.Z
@@ -356,59 +384,58 @@ def fit_joint_orthogonal(
     probs = _sampling_probs(train, "mt", cfg.balance_sampling)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     d = train.d
-    # small random init: when the two labels correlate strongly the heads race
-    # for the same directions, and the systematic label-feature asymmetry (not
-    # init noise) should decide near-ties
-    w_sp = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
-    w_mt = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
-    b_sp = 0.0
-    b_mt = 0.0
-    v_wsp = np.zeros(d)
-    v_wmt = np.zeros(d)
-    v_bsp = 0.0
-    v_bmt = 0.0
+    # packed [w_sp (d), w_mt (d), b_sp, b_mt], as in joint_loss_and_grad; the
+    # small random init matters: when the two labels correlate strongly the
+    # heads race for the same directions, and the systematic label-feature
+    # asymmetry (not init noise) should decide near-ties
+    theta = np.zeros(2 * d + 2)
+    theta[:d] = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
+    theta[d : 2 * d] = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
+    w_sp, w_mt, bias = theta[:d], theta[d : 2 * d], theta[2 * d :]
+    vel = np.zeros_like(theta)
+    grad = np.empty_like(theta)
 
-    def val_score() -> float:
-        u = Xv @ w_sp
+    def heads(Xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """u = Xb @ w_sp, (p_sp, p_mt) stacked as rows, and the projection scalars c, s."""
+        u = Xb @ w_sp
         s = float(w_sp @ w_sp) + PROJ_EPS
         c = float(w_sp @ w_mt)
-        p_sp = sigmoid(u + b_sp)
-        p_mt = sigmoid(Xv @ w_mt - u * (c / s) + b_mt)
-        return _val_score(cfg.early_stop_metric, p_sp, yv_sp) + _val_score(
-            cfg.early_stop_metric, p_mt, yv_mt
+        logits = np.empty((2, len(u)))
+        np.add(u, bias[0], out=logits[0])
+        logits[1] = Xb @ w_mt - u * (c / s) + bias[1]
+        return u, sigmoid(logits), c, s
+
+    def val_score() -> float:
+        _, P, _, _ = heads(Xv)
+        return _val_score(cfg.early_stop_metric, P[0], yv_sp) + _val_score(
+            cfg.early_stop_metric, P[1], yv_mt
         )
 
+    bs = cfg.batch_size
     stopper = _EarlyStopper(cfg.early_stop_patience)
     for _ in range(cfg.max_epochs):
-        for idx in _epoch_batches(rng, train.n, cfg.batch_size, probs):
-            Xb = X[idx]
-            nb = len(idx)
-            u = Xb @ w_sp
-            p_sp = sigmoid(u + b_sp)
-            s = float(w_sp @ w_sp) + PROJ_EPS
-            c = float(w_sp @ w_mt)
-            p_mt = sigmoid(Xb @ w_mt - u * (c / s) + b_mt)
-            r_sp = (p_sp - y_sp[idx]) / nb
-            r_mt = (p_mt - y_mt[idx]) / nb
-            Xr_mt = Xb.T @ r_mt
-            ru = float(r_mt @ u)
-            g_wsp = Xb.T @ r_sp - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
-            g_wmt = Xr_mt - (ru / s) * w_sp
+        order = _epoch_order(rng, train.n, bs, probs)
+        Xo, Yo = X[order], Y[:, order]
+        for i in range(0, len(order), bs):
+            Xb = Xo[i : i + bs]
+            nb = len(Xb)
+            u, P, c, s = heads(Xb)
+            R = (P - Yo[:, i : i + bs]) / nb
+            Xr_mt = Xb.T @ R[1]
+            ru = float(R[1] @ u)
+            grad[:d] = Xb.T @ R[0] - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
+            grad[d : 2 * d] = Xr_mt - (ru / s) * w_sp
+            R.sum(axis=1, out=grad[2 * d :])
             if cfg.weight_decay:
-                g_wsp = g_wsp + cfg.weight_decay * w_sp
-                g_wmt = g_wmt + cfg.weight_decay * w_mt
-            v_wsp = cfg.momentum * v_wsp + g_wsp
-            v_wmt = cfg.momentum * v_wmt + g_wmt
-            v_bsp = cfg.momentum * v_bsp + float(np.sum(r_sp))
-            v_bmt = cfg.momentum * v_bmt + float(np.sum(r_mt))
-            w_sp = w_sp - cfg.learning_rate * v_wsp
-            w_mt = w_mt - cfg.learning_rate * v_wmt
-            b_sp = b_sp - cfg.learning_rate * v_bsp
-            b_mt = b_mt - cfg.learning_rate * v_bmt
-        if stopper.update(val_score(), (w_sp.copy(), w_mt.copy(), b_sp, b_mt)):
+                grad[: 2 * d] += cfg.weight_decay * theta[: 2 * d]
+            vel *= cfg.momentum
+            vel += grad
+            theta -= cfg.learning_rate * vel
+        if stopper.update(val_score(), (theta.copy(),)):
             break
 
-    w_sp, w_mt, b_sp, b_mt = stopper.best_state  # type: ignore[misc]
+    (theta,) = stopper.best("fit_joint_orthogonal")
+    w_sp, w_mt, (b_sp, b_mt) = theta[:d], theta[d : 2 * d], theta[2 * d :]
     s = float(w_sp @ w_sp) + PROJ_EPS
     w_mt_eff = w_mt - (float(w_sp @ w_mt) / s) * w_sp
     return LinearModel(w_sp, b_sp), LinearModel(w_mt_eff, b_mt)

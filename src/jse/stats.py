@@ -32,8 +32,6 @@ from .sgd import LinearModel, bce
 
 T_SENTINEL = 1e12  # stand-in for +/- infinity when the variance estimate is zero
 
-TEST_KINDS = ("sp_vs_random", "mt_vs_random", "sp_vs_mt_on_vsp", "sp_vs_mt_on_vmt")
-
 
 class EmptyGroupError(ValueError):
     """A group required by the weighted statistics has fewer than 2 samples."""

@@ -151,6 +151,32 @@ def test_malformed_data_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.fixture(scope="module")
+def nan_train(toy_files, tmp_path_factory):
+    """toy_train.csv with one feature value replaced by nan."""
+    lines = (toy_files / "toy_train.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[3] = "nan"
+    lines[5] = ",".join(fields)
+    path = tmp_path_factory.mktemp("nan") / "train_nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("method,trainer", [
+    ("jse", "fit_joint_orthogonal"),  # bce early stopping: no finite val score
+    ("gw-erm", "fit_logreg"),  # accuracy early stopping: non-finite snapshot
+    ("rlace", "Eigenvalues"),  # LinAlgError from the adversary's eigh
+])
+def test_nan_in_train_exits_4(toy_files, nan_train, tmp_path, capsys, method, trainer):
+    code = run_cli("--seed", "5", "fit", "--method", method, "--train", str(nan_train),
+                   "--val", str(toy_files / "toy_val.csv"),
+                   "--artifact", str(tmp_path / "m.artifact"), "--demean-only")
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical failure:") and trainer in err
+
+
 def test_fit_with_pca(toy_files, tmp_path, capsys):
     art_path = tmp_path / "erm_pca.artifact"
     assert run_cli("--seed", "3", "fit", "--method", "erm",

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jse.data import LabeledEmbeddings
 from jse.sgd import (
     BCE_EPS,
+    PROJ_EPS,
     LinearModel,
     OptimizerConfig,
     _EarlyStopper,
+    _sampling_probs,
     bce,
     fit_1d_logreg,
     fit_intercept_only,
@@ -276,3 +281,257 @@ def test_config_validation():
 def test_linear_model_finite():
     with pytest.raises(ValueError, match="finite"):
         LinearModel(np.array([np.inf]), 0.0)
+
+
+# --- bit-identity oracle -----------------------------------------------------
+# The trainers gather each epoch's rows once, evaluate the two joint heads with
+# one stacked sigmoid and update packed parameters in place. The reference
+# below is the plain formulation they must match bit for bit: index batches,
+# gathers per step, the masked sigmoid and fresh arrays on every update.
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _oracle_batches(rng, n, batch_size, probs):
+    n_batches = (n + batch_size - 1) // batch_size
+    if probs is None:
+        idx = rng.permutation(n)
+    else:
+        idx = rng.choice(n, size=n_batches * batch_size, replace=True, p=probs)
+    return [idx[i * batch_size : (i + 1) * batch_size] for i in range(n_batches)]
+
+
+def _oracle_sgd(cfg, rng, n, probs, params, grad_fn, score_fn):
+    """Momentum SGD with early stopping; returns the best post-epoch params."""
+    vel = [np.zeros_like(p) for p in params]
+    best, best_score, since = None, np.inf, 0
+    for _ in range(cfg.max_epochs):
+        for idx in _oracle_batches(rng, n, cfg.batch_size, probs):
+            grads = grad_fn(params, idx)
+            vel = [cfg.momentum * v + g for v, g in zip(vel, grads)]
+            params = [p - cfg.learning_rate * v for p, v in zip(params, vel)]
+        score = score_fn(params)
+        if score < best_score:
+            best, best_score, since = params, score, 0
+        else:
+            since += 1
+        if since >= cfg.early_stop_patience:
+            break
+    return best
+
+
+def _oracle_score(metric, p, y):
+    if metric == "accuracy":
+        return -float(np.mean((p >= 0.5) == y))
+    return float(np.mean(bce(p, y)))
+
+
+def _oracle_logreg(train, val, cfg):
+    X, y = train.Z, train.y_mt.astype(np.float64)
+    wd = cfg.weight_decay
+
+    def grad(params, idx):
+        w, b = params
+        Xb, yb = X[idx], y[idx]
+        r = _masked_sigmoid(Xb @ w + b) - yb
+        gw = Xb.T @ r / len(idx)
+        return [gw + wd * w if wd else gw, np.float64(np.mean(r))]
+
+    def score(params):
+        w, b = params
+        return _oracle_score(cfg.early_stop_metric, _masked_sigmoid(val.Z @ w + b),
+                             val.y_mt.astype(np.float64))
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    probs = _sampling_probs(train, "mt", cfg.balance_sampling)
+    return _oracle_sgd(cfg, rng, train.n, probs, [np.zeros(train.d), np.float64(0.0)], grad, score)
+
+
+def _oracle_1d(s, y, s_val, y_val, cfg):
+    wd = cfg.weight_decay
+
+    def grad(params, idx):
+        gamma, b = params
+        sb, yb = s[idx], y[idx]
+        r = _masked_sigmoid(gamma * sb + b) - yb
+        gg = sb @ r / len(idx)
+        return [gg + wd * gamma if wd else gg, np.float64(np.mean(r))]
+
+    def score(params):
+        gamma, b = params
+        return _oracle_score(cfg.early_stop_metric, _masked_sigmoid(gamma * s_val + b), y_val)
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    return _oracle_sgd(cfg, rng, len(s), None, [np.float64(0.0)] * 2, grad, score)
+
+
+def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
+    u = X @ w_sp
+    s = float(w_sp @ w_sp) + PROJ_EPS
+    c = float(w_sp @ w_mt)
+    p_sp = _masked_sigmoid(u + b_sp)
+    p_mt = _masked_sigmoid(X @ w_mt - u * (c / s) + b_mt)
+    return u, s, c, p_sp, p_mt
+
+
+def _oracle_joint(train, val, cfg):
+    X = train.Z
+    y_sp, y_mt = train.y_sp.astype(np.float64), train.y_mt.astype(np.float64)
+    wd = cfg.weight_decay
+
+    def grad(params, idx):
+        w_sp, w_mt, b_sp, b_mt = params
+        Xb, nb = X[idx], len(idx)
+        u, s, c, p_sp, p_mt = _oracle_joint_heads(Xb, w_sp, w_mt, b_sp, b_mt)
+        r_sp = (p_sp - y_sp[idx]) / nb
+        r_mt = (p_mt - y_mt[idx]) / nb
+        Xr_mt = Xb.T @ r_mt
+        ru = float(r_mt @ u)
+        g_wsp = Xb.T @ r_sp - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
+        g_wmt = Xr_mt - (ru / s) * w_sp
+        if wd:
+            g_wsp, g_wmt = g_wsp + wd * w_sp, g_wmt + wd * w_mt
+        return [g_wsp, g_wmt, np.float64(np.sum(r_sp)), np.float64(np.sum(r_mt))]
+
+    def score(params):
+        _, _, _, p_sp, p_mt = _oracle_joint_heads(val.Z, *params)
+        return (_oracle_score(cfg.early_stop_metric, p_sp, val.y_sp.astype(np.float64))
+                + _oracle_score(cfg.early_stop_metric, p_mt, val.y_mt.astype(np.float64)))
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    probs = _sampling_probs(train, "mt", cfg.balance_sampling)
+    d = train.d
+    init = [rng.normal(0.0, 0.1 / np.sqrt(d), size=d), rng.normal(0.0, 0.1 / np.sqrt(d), size=d),
+            np.float64(0.0), np.float64(0.0)]
+    w_sp, w_mt, b_sp, b_mt = _oracle_sgd(cfg, rng, train.n, probs, init, grad, score)
+    s = float(w_sp @ w_sp) + PROJ_EPS
+    return w_sp, b_sp, w_mt - (float(w_sp @ w_mt) / s) * w_sp, b_mt
+
+
+@pytest.fixture(scope="module")
+def ragged_toy():
+    # 601 training rows leave a ragged last batch at sizes 128 and 50; d = 7 puts the
+    # packed joint parameters at offsets that are not multiples of 16 bytes
+    cfg = ToyConfig(n=751, d=7, rho=0.7, seed=3)
+    train, val = gen_toy(cfg)
+    assert train.n % 128 and train.n % 50
+    return train, val
+
+
+ORACLE_CASES = [
+    pytest.param(mode, wd, metric, id=f"{mode}-wd{wd}-{metric}")
+    for mode in ("none", "class-balanced", "group-balanced")
+    for wd in (0.0, 1e-3)
+    for metric in ("accuracy", "bce")
+]
+
+
+@pytest.mark.parametrize("mode,wd,metric", ORACLE_CASES)
+def test_fit_logreg_bit_identical_to_oracle(ragged_toy, mode, wd, metric):
+    train, val = ragged_toy
+    cfg = OptimizerConfig(seed=4, balance_sampling=mode, weight_decay=wd, early_stop_metric=metric)
+    m = fit_logreg(train, "mt", val, cfg)
+    w, b = _oracle_logreg(train, val, cfg)
+    assert np.array_equal(m.w, w) and m.b == b
+
+
+@pytest.mark.parametrize("mode,wd,metric", ORACLE_CASES)
+def test_fit_joint_bit_identical_to_oracle(ragged_toy, mode, wd, metric):
+    train, val = ragged_toy
+    cfg = OptimizerConfig(learning_rate=0.05, seed=5, balance_sampling=mode, weight_decay=wd,
+                          early_stop_metric=metric)
+    sp, mt = fit_joint_orthogonal(train, cfg, val)
+    w_sp, b_sp, w_mt, b_mt = _oracle_joint(train, val, cfg)
+    assert np.array_equal(sp.w, w_sp) and sp.b == b_sp
+    assert np.array_equal(mt.w, w_mt) and mt.b == b_mt
+
+
+@pytest.mark.parametrize("wd", [0.0, 1e-3])
+@pytest.mark.parametrize("metric", ["accuracy", "bce"])
+@pytest.mark.parametrize("with_val", [True, False])
+def test_fit_1d_bit_identical_to_oracle(ragged_toy, wd, metric, with_val):
+    train, val = ragged_toy
+    v = np.zeros(train.d)
+    v[:2] = (0.6, 0.8)
+    cfg = OptimizerConfig(batch_size=50, seed=6, weight_decay=wd, early_stop_metric=metric)
+    s, y = train.Z @ v, train.y_sp.astype(np.float64)
+    if with_val:
+        fit = fit_1d_logreg(train.Z, v, train.y_sp, cfg, val.Z, val.y_sp)
+        gamma, b = _oracle_1d(s, y, val.Z @ v, val.y_sp.astype(np.float64), cfg)
+    else:
+        fit = fit_1d_logreg(train.Z, v, train.y_sp, cfg)
+        gamma, b = _oracle_1d(s, y, s, y, cfg)
+    assert fit.gamma == gamma and fit.b == b
+
+
+# --- sigmoid ------------------------------------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 700.0, -700.0, 710.0, -745.5, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=9),
+                  elements=_FLOATS))
+def test_sigmoid_bitwise_equals_masked_formula(x):
+    got = sigmoid(x)
+    want = _masked_sigmoid(x)
+    assert np.shape(got) == x.shape
+    assert np.asarray(got).dtype == np.float64
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_sigmoid_propagates_nan_and_keeps_shape():
+    x = np.array([[np.nan, 0.0, -3.0], [2.0, np.nan, -np.inf]])
+    got = sigmoid(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(x))
+    assert np.isnan(sigmoid(np.array(np.nan)))
+    assert np.shape(sigmoid(np.array(-0.0))) == ()
+    assert sigmoid(np.array(-0.0)) == 0.5
+    assert sigmoid(np.zeros(0)).shape == (0,)
+
+
+# --- non-finite training data ----------------------------------------------
+
+
+def _with_one_nan(data):
+    Z = data.Z.copy()
+    Z[3, 1] = np.nan
+    return data.with_Z(Z)
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "bce"])
+def test_trainers_raise_floating_point_error_on_nan(ragged_toy, metric):
+    train, val = ragged_toy
+    bad = _with_one_nan(train)
+    cfg = OptimizerConfig(seed=1, early_stop_metric=metric, max_epochs=8, early_stop_patience=3)
+    with pytest.raises(FloatingPointError, match="fit_logreg"):
+        fit_logreg(bad, "mt", val, cfg)
+    with pytest.raises(FloatingPointError, match="fit_joint_orthogonal"):
+        fit_joint_orthogonal(bad, cfg, val)
+    v = np.zeros(train.d)
+    v[1] = 1.0
+    with pytest.raises(FloatingPointError, match="fit_1d_logreg"):
+        fit_1d_logreg(bad.Z, v, bad.y_sp, cfg, val.Z, val.y_sp)
+
+
+def test_early_stopper_best_rejects_missing_or_non_finite_state():
+    stop = _EarlyStopper(patience=1)
+    stop.update(np.nan, (np.zeros(2), 0.0))
+    with pytest.raises(FloatingPointError, match="no finite validation score"):
+        stop.best("trainer_x")
+    stop.update(0.5, (np.array([1.0, np.nan]), 0.0))
+    with pytest.raises(FloatingPointError, match="trainer_x.*non-finite"):
+        stop.best("trainer_x")
+    stop.update(0.1, (np.ones(2), 0.0))
+    assert stop.best("trainer_x")[1] == 0.0
