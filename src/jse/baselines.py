@@ -10,6 +10,13 @@ spurious-concept BCE on projected embeddings while a rank-k removal subspace
 takes gradient steps to maximize it, re-orthonormalized after every step by
 eigendecomposition truncation. It stops when a freshly trained probe's
 validation accuracy drops below the target (51% by default).
+
+The adversary's step matrix ``M = U U^T - (lr/2)(g w^T + w g^T)`` lies on
+span[U, g, w], so its top-k eigenspace is solved there: a QR of the d x (k+2)
+matrix ``[U g w]`` and an eigendecomposition of a (k+2)-square matrix replace
+the d x d one. Only when the top k reach M's null space (the k-th eigenvalue
+of the small problem is not positive) is the d x d matrix formed and
+decomposed, which keeps that case exact.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.stats import norm
 
 from .data import LabeledEmbeddings, SubspaceBasis, project_out
@@ -104,6 +112,40 @@ def _top_k_projection(M: np.ndarray, k: int) -> np.ndarray:
     return vecs[:, np.argsort(vals)[::-1][:k]]
 
 
+def _span_solver(k: int, lr: float):
+    """The adversary's truncation, solved on span[U, g, w].
+
+    Returns ``top_k(U, g, w)``: an orthonormal basis of the top-k eigenspace of
+    ``M = U U^T - (lr/2)(g w^T + w g^T)``. With ``A = [U g w] = Q R`` and
+    ``C = blockdiag(I_k, [[0, -lr/2], [-lr/2, 0]])``, ``M = Q (R C R^T) Q^T``:
+    the eigenpairs of the (k+2)-square ``R C R^T`` lift to M through Q, and M
+    is zero on the complement of span(A). If the k-th eigenvalue is not
+    positive (or the small solve fails), the top k reach that null space, so M
+    is formed and handed to the d x d solve. That solve also raises numpy's
+    error on non-finite input. M is also formed when d < k + 2, where
+    ``[U g w]`` would be wide. The QR and the small eigh call LAPACK directly
+    (``dgeqrf``/``dorgqr``, ``dsyevd``): numpy's wrappers cost several times
+    the factorizations at these sizes.
+    """
+    m = k + 2
+    C = np.eye(m)
+    C[k:, k:] = [[0.0, -0.5 * lr], [-0.5 * lr, 0.0]]
+    upper = np.triu(np.ones((m, m)))
+
+    def top_k(U: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        if len(g) >= m:  # below that, [U g w] is wide and M is the smaller problem
+            qr, tau, _, _ = lapack.dgeqrf(np.column_stack((U, g, w)))
+            R = qr[:m] * upper  # dgeqrf keeps its Householder vectors below R's diagonal
+            vals, vecs, info = lapack.dsyevd(R @ C @ R.T, lower=1)
+            if info == 0 and vals[2] > 0:  # ascending, so vals[2] is the k-th largest
+                # columns m-1 down to 2: the top k, largest first
+                return lapack.dorgqr(qr, tau)[0] @ vecs[:, : 1 : -1]
+        G = np.outer(g, w)
+        return _top_k_projection(U @ U.T - lr * 0.5 * (G + G.T), k)
+
+    return top_k
+
+
 def _newton_logreg(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6, max_iter: int = 50):
     """Converged logistic regression by IRLS; the probe for the removal test.
 
@@ -144,11 +186,14 @@ def rlace_fit(
 ) -> RlaceResult:
     """Adversarial rank-k concept removal for the spurious label."""
     d = train.d
+    if cfg.rank >= d:
+        raise ValueError(f"rlace rank {cfg.rank} must be below the embedding dimension d = {d}")
     X, y = train.Z, train.y_sp.astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.optimizer.seed, 7]))
 
     M = 0.1 * rng.standard_normal((d, d))
     U = _top_k_projection(M, cfg.rank)  # removed-subspace basis
+    adversary_top_k = _span_solver(cfg.rank, cfg.subspace_lr)
     w = np.zeros(d)
     b = 0.0
     vw = np.zeros(d)
@@ -169,7 +214,8 @@ def rlace_fit(
         it += 1
         idx = rng.integers(0, train.n, size=opt.batch_size)
         Xb, yb = X[idx], y[idx]
-        Xp = Xb - (Xb @ U) @ U.T
+        # np.dot, not @: for k = 1 the matmul operator takes a slow non-BLAS path
+        Xp = Xb - np.dot(Xb @ U, U.T)
 
         # classifier step: descend the BCE
         r = (sigmoid(Xp @ w + b) - yb) / len(idx)
@@ -177,18 +223,18 @@ def rlace_fit(
         if opt.weight_decay:
             gw = gw + opt.weight_decay * w
         vw = opt.momentum * vw + gw
-        vb = opt.momentum * vb + float(np.sum(r))
+        vb = opt.momentum * vb + float(r.sum())
         w = w - opt.learning_rate * vw
         b = b - opt.learning_rate * vb
 
         # adversary step on the symmetric removal matrix, then truncate back to a
         # hard rank-k projection; the BCE gradient w.r.t. M = U U^T is
-        # -(G + G^T)/2 with G = (X^T r) w^T, and the adversary ascends the loss;
+        # -(g w^T + w g^T)/2 with g = X^T r, and the adversary ascends the loss.
+        # The stepped matrix lies on span[U, g, w], so its top k come from a
+        # (k+2)-square eigenproblem (d x d only if they reach its null space);
         # U has not moved since the classifier step, so Xp is still current
         r = (sigmoid(Xp @ w + b) - yb) / len(idx)
-        G = np.outer(Xb.T @ r, w)
-        M = U @ U.T - cfg.subspace_lr * 0.5 * (G + G.T)
-        U = _top_k_projection(M, cfg.rank)
+        U = adversary_top_k(U, Xb.T @ r, w)
 
         if it % cfg.eval_every == 0:
             acc = probe_accuracy(U)

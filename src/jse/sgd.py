@@ -149,16 +149,28 @@ def _sampling_probs(data: LabeledEmbeddings, target: str, mode: str) -> np.ndarr
 
 
 class _EarlyStopper:
-    """Track the best post-epoch snapshot; ties keep the earliest epoch."""
+    """Track the best post-epoch snapshot; ties keep the earliest epoch.
 
-    def __init__(self, patience: int):
+    Every recorded state must be finite: the first epoch that ends with
+    non-finite parameters raises ``FloatingPointError`` naming the trainer, so
+    a finite earlier snapshot cannot hide a divergence.
+    """
+
+    def __init__(self, patience: int, trainer: str):
         self.patience = patience
+        self.trainer = trainer
         self.best_loss = np.inf
         self.best_state: tuple | None = None
         self.since = 0
+        self.epoch = 0
 
     def update(self, loss: float, state: tuple) -> bool:
         """Record one epoch; returns True when training should stop."""
+        self.epoch += 1
+        if not all(np.isfinite(part).all() for part in state):
+            raise FloatingPointError(
+                f"{self.trainer}: non-finite parameters after epoch {self.epoch}"
+            )
         if loss < self.best_loss:
             self.best_loss = loss
             self.best_state = state
@@ -167,12 +179,10 @@ class _EarlyStopper:
             self.since += 1
         return self.since >= self.patience
 
-    def best(self, trainer: str) -> tuple:
-        """The kept snapshot; FloatingPointError if there is no finite one."""
+    def best(self) -> tuple:
+        """The kept snapshot; FloatingPointError if no epoch scored finite."""
         if self.best_state is None:
-            raise FloatingPointError(f"{trainer}: no finite validation score in any epoch")
-        if not all(np.isfinite(part).all() for part in self.best_state):
-            raise FloatingPointError(f"{trainer}: the best snapshot has non-finite parameters")
+            raise FloatingPointError(f"{self.trainer}: no finite validation score in any epoch")
         return self.best_state
 
 
@@ -213,7 +223,7 @@ def fit_logreg(
     vw = np.zeros(train.d)
     vb = 0.0
     bs = cfg.batch_size
-    stopper = _EarlyStopper(cfg.early_stop_patience)
+    stopper = _EarlyStopper(cfg.early_stop_patience, "fit_logreg")
     for _ in range(cfg.max_epochs):
         order = _epoch_order(rng, train.n, bs, probs)
         Xo, yo = X[order], y[order]
@@ -232,7 +242,7 @@ def fit_logreg(
         score = _val_score(cfg.early_stop_metric, sigmoid(Xval @ w + b), yval)
         if stopper.update(score, (w.copy(), b)):
             break
-    w, b = stopper.best("fit_logreg")
+    w, b = stopper.best()
     return LinearModel(w, b)
 
 
@@ -272,7 +282,7 @@ def fit_1d_logreg(
     vg, vb = 0.0, 0.0
     n = len(s)
     bs = cfg.batch_size
-    stopper = _EarlyStopper(cfg.early_stop_patience)
+    stopper = _EarlyStopper(cfg.early_stop_patience, "fit_1d_logreg")
     for _ in range(cfg.max_epochs):
         order = _epoch_order(rng, n, bs, None)
         so, yo = s[order], y[order]
@@ -290,7 +300,7 @@ def fit_1d_logreg(
         score = _val_score(cfg.early_stop_metric, sigmoid(gamma * s_val + b), yv)
         if stopper.update(score, (gamma, b)):
             break
-    gamma, b = stopper.best("fit_1d_logreg")
+    gamma, b = stopper.best()
     return Direction(v, gamma, b)
 
 
@@ -412,7 +422,7 @@ def fit_joint_orthogonal(
         )
 
     bs = cfg.batch_size
-    stopper = _EarlyStopper(cfg.early_stop_patience)
+    stopper = _EarlyStopper(cfg.early_stop_patience, "fit_joint_orthogonal")
     for _ in range(cfg.max_epochs):
         order = _epoch_order(rng, train.n, bs, probs)
         Xo, Yo = X[order], Y[:, order]
@@ -434,7 +444,7 @@ def fit_joint_orthogonal(
         if stopper.update(val_score(), (theta.copy(),)):
             break
 
-    (theta,) = stopper.best("fit_joint_orthogonal")
+    (theta,) = stopper.best()
     w_sp, w_mt, (b_sp, b_mt) = theta[:d], theta[d : 2 * d], theta[2 * d :]
     s = float(w_sp @ w_sp) + PROJ_EPS
     w_mt_eff = w_mt - (float(w_sp @ w_mt) / s) * w_sp

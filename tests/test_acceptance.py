@@ -19,6 +19,8 @@ from jse.algorithm import JseConfig
 from jse.evaluate import ExperimentConfig, run_experiment, run_sweep
 from jse.toy import ToyConfig
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = int(os.environ.get("JSE_ACCEPT_WORKERS", os.cpu_count() or 1))
 # the gate runs 100 seeds per cell; JSE_ACCEPT_SEEDS trims it for smoke runs
 SEEDS = int(os.environ.get("JSE_ACCEPT_SEEDS", 100))

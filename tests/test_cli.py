@@ -177,6 +177,33 @@ def test_nan_in_train_exits_4(toy_files, nan_train, tmp_path, capsys, method, tr
     assert err.startswith("numerical failure:") and trainer in err
 
 
+@pytest.mark.parametrize("seed", [5, 6])  # seed 6 once kept a finite epoch-1 snapshot, exit 0
+def test_nan_in_train_erm_without_preprocessing_exits_4(toy_files, nan_train, tmp_path, capsys,
+                                                        seed):
+    code = run_cli("--seed", str(seed), "fit", "--method", "erm", "--train", str(nan_train),
+                   "--val", str(toy_files / "toy_val.csv"),
+                   "--artifact", str(tmp_path / "m.artifact"))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical failure: fit_logreg: non-finite parameters")
+
+
+def test_rlace_rank_not_below_d_exits_3(tmp_path, capsys):
+    assert run_cli("--out", str(tmp_path), "gen-toy", "--n", "200", "--d", "6",
+                   "--test-n", "50") == 0
+    cfg = tmp_path / "rank7.cfg"
+    cfg.write_text("[rlace]\nrank = 7\n")
+    capsys.readouterr()
+    code = run_cli("--config", str(cfg), "fit", "--method", "rlace",
+                   "--train", str(tmp_path / "toy_train.csv"),
+                   "--val", str(tmp_path / "toy_val.csv"),
+                   "--artifact", str(tmp_path / "m.artifact"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "rank 7" in err and "d = 6" in err
+    assert not (tmp_path / "m.artifact").exists()
+
+
 def test_fit_with_pca(toy_files, tmp_path, capsys):
     art_path = tmp_path / "erm_pca.artifact"
     assert run_cli("--seed", "3", "fit", "--method", "erm",

@@ -258,12 +258,12 @@ def test_unconstrained_fits_nearly_orthogonal_at_rho0():
 
 
 def test_early_stopper_semantics():
-    stop = _EarlyStopper(patience=2)
-    assert not stop.update(1.0, ("a",))
-    assert not stop.update(0.9, ("b",))
-    assert not stop.update(0.9, ("c",))  # tie: no improvement, keeps earliest
-    assert stop.update(0.95, ("d",))  # second epoch without improvement
-    assert stop.best_state == ("b",)
+    stop = _EarlyStopper(patience=2, trainer="trainer_x")
+    assert not stop.update(1.0, (1.0,))
+    assert not stop.update(0.9, (2.0,))
+    assert not stop.update(0.9, (3.0,))  # tie: no improvement, keeps earliest
+    assert stop.update(0.95, (4.0,))  # second epoch without improvement
+    assert stop.best_state == (2.0,)
     assert stop.best_loss == 0.9
 
 
@@ -526,12 +526,13 @@ def test_trainers_raise_floating_point_error_on_nan(ragged_toy, metric):
 
 
 def test_early_stopper_best_rejects_missing_or_non_finite_state():
-    stop = _EarlyStopper(patience=1)
+    stop = _EarlyStopper(patience=1, trainer="trainer_x")
     stop.update(np.nan, (np.zeros(2), 0.0))
-    with pytest.raises(FloatingPointError, match="no finite validation score"):
-        stop.best("trainer_x")
-    stop.update(0.5, (np.array([1.0, np.nan]), 0.0))
-    with pytest.raises(FloatingPointError, match="trainer_x.*non-finite"):
-        stop.best("trainer_x")
+    with pytest.raises(FloatingPointError, match="trainer_x: no finite validation score"):
+        stop.best()
+    with pytest.raises(FloatingPointError, match="trainer_x: non-finite parameters after epoch 2"):
+        stop.update(0.5, (np.array([1.0, np.nan]), 0.0))
+    with pytest.raises(FloatingPointError, match="non-finite parameters after epoch 3"):
+        stop.update(0.4, (np.ones(2), np.inf))
     stop.update(0.1, (np.ones(2), 0.0))
-    assert stop.best("trainer_x")[1] == 0.0
+    assert stop.best()[1] == 0.0
