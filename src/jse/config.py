@@ -89,7 +89,7 @@ def _apply(obj, section: str, values: dict[str, str]):
             updates[key] = "auto" if raw == "auto" else _coerce(raw, float, key, section)
             continue
         if key == "max_dim" or key == "max_rounds" or key == "test_n":
-            updates[key] = None if raw in ("none", "") else int(raw)
+            updates[key] = None if raw in ("none", "") else _coerce(raw, int, key, section)
             continue
         typ = type(current) if current is not None else str
         if typ not in _FIELD_TYPES:

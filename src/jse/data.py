@@ -169,7 +169,9 @@ def project_out(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     Z, V = _check_projection_args(Z, V)
     if V.shape[1] == 0:
         return Z.copy()
-    return Z - (Z @ V) @ V.T
+    # np.dot, not @: with one basis vector the inner dimension is 1, where
+    # numpy's @ skips BLAS and is ~1.5x slower for the same bits
+    return Z - np.dot(Z @ V, V.T)
 
 
 def project_onto(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -177,4 +179,4 @@ def project_onto(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     Z, V = _check_projection_args(Z, V)
     if V.shape[1] == 0:
         return np.zeros_like(Z)
-    return (Z @ V) @ V.T
+    return np.dot(Z @ V, V.T)  # np.dot for the reason given in project_out

@@ -2,6 +2,10 @@
 
 Embedding CSV: header ``y_mt,y_sp,z_0,...,z_{d-1}``, one sample per line,
 labels as 0/1, coordinates as decimal text with full float64 precision.
+Both directions keep per-token work in C: the writer formats blocks of rows
+with ``repr`` and streams them out; the reader parses the whole body with
+numpy's ``loadtxt`` (each token converts exactly as ``float()`` converts it)
+and only when that fails re-reads the file line by line to name the line.
 
 Artifact files are line-oriented ``key = value`` headers followed by
 bracketed sections holding basis vectors (one vector per line), test-report
@@ -14,7 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -34,13 +41,61 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# rows per writelines call when saving: large enough to amortise the call,
+# small enough that a file's text is never held in memory at once
+_BLOCK_ROWS = 256
+
+
 def save_embeddings(path: str, data: LabeledEmbeddings) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("y_mt,y_sp," + ",".join(f"z_{j}" for j in range(data.d)) + "\n")
-        for i in range(data.n):
-            row = [str(int(data.y_mt[i])), str(int(data.y_sp[i]))]
-            row += [_fmt(v) for v in data.Z[i]]
-            fh.write(",".join(row) + "\n")
+        for start in range(0, data.n, _BLOCK_ROWS):
+            blk = slice(start, start + _BLOCK_ROWS)
+            fh.writelines(
+                f"{a},{b},{','.join(map(repr, z))}\n"
+                for a, b, z in zip(
+                    data.y_mt[blk].tolist(), data.y_sp[blk].tolist(), data.Z[blk].tolist()
+                )
+            )
+
+
+_LABELS = {"0": 0.0, "1": 1.0}
+_LABEL_CONVERTERS = {0: _LABELS.__getitem__, 1: _LABELS.__getitem__}
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """Embedding CSV body lines -> (rows, fields) float64 array, via numpy's C
+    parser: floats convert as ``float()`` does (no ``_`` separators), labels
+    must be the exact text 0 or 1. Raises ValueError on any bad field. The
+    explicit encoding makes numpy hand the converters str, not latin1 bytes
+    (numpy < 2.0 defaults to ``encoding="bytes"``)."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                      converters=_LABEL_CONVERTERS, encoding="utf-8")
+
+
+def _raise_at_bad_line(path: str, d: int, exc: ValueError) -> NoReturn:
+    """Re-read the body line by line to name the first line that does not parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if line.isspace():
+                continue
+            parts = line.split(",")
+            if len(parts) != d + 2:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}"
+                )
+            if parts[0] not in _LABELS or parts[1] not in _LABELS:
+                raise DataFormatError(
+                    f"{path}:{lineno}: labels must be 0 or 1, got {parts[0]!r},{parts[1]!r}"
+                )
+            try:
+                _parse_rows([line])
+            except ValueError as err:
+                # numpy counts rows of the one line it was given; the line is named above
+                msg = re.sub(r" at row \d+,", " at", str(err))
+                raise DataFormatError(f"{path}:{lineno}: {msg}") from err
+    raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_embeddings(path: str) -> LabeledEmbeddings:
@@ -54,31 +109,20 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
         d = len(cols) - 2
         if cols[2:] != [f"z_{j}" for j in range(d)]:
             raise DataFormatError(f"{path}:1: malformed embedding column names")
-        y_mt: list[int] = []
-        y_sp: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}"
-                )
-            if parts[0] not in ("0", "1") or parts[1] not in ("0", "1"):
-                raise DataFormatError(
-                    f"{path}:{lineno}: labels must be 0 or 1, got {parts[0]!r},{parts[1]!r}"
-                )
-            try:
-                rows.append([float(v) for v in parts[2:]])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            y_mt.append(int(parts[0]))
-            y_sp.append(int(parts[1]))
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as "no samples"
+                warnings.simplefilter("ignore", UserWarning)
+                rows = _parse_rows(line for line in fh if not line.isspace())
+        except ValueError as exc:
+            _raise_at_bad_line(path, d, exc)
+    if rows.shape[0] == 0:
         raise DataFormatError(f"{path}: no samples")
-    return LabeledEmbeddings(np.array(rows), np.array(y_mt), np.array(y_sp))
+    if rows.shape[1] != d + 2:
+        _raise_at_bad_line(path, d, ValueError(f"expected {d + 2} fields, got {rows.shape[1]}"))
+    return LabeledEmbeddings(
+        rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    )
 
 
 @dataclass(frozen=True)
@@ -106,6 +150,9 @@ class Artifact:
 
 
 def save_artifact(path: str, art: Artifact) -> None:
+    def vectors(M: np.ndarray) -> str:  # one line per column
+        return "".join(" ".join(map(repr, col)) + "\n" for col in M.T.tolist())
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"schema_version = {SCHEMA_VERSION}\n")
         fh.write(f"method = {art.method}\n")
@@ -115,28 +162,24 @@ def save_artifact(path: str, art: Artifact) -> None:
         fh.write(f"delta = {_fmt(art.delta)}\n")
         if art.pre_mean is not None:
             fh.write("[pre_mean]\n")
-            fh.write(" ".join(_fmt(v) for v in art.pre_mean) + "\n")
+            fh.write(" ".join(map(repr, art.pre_mean.tolist())) + "\n")
         if art.pre_components is not None:
-            fh.write("[pre_components]\n")
-            for j in range(art.pre_components.shape[1]):
-                fh.write(" ".join(_fmt(v) for v in art.pre_components[:, j]) + "\n")
+            fh.write("[pre_components]\n" + vectors(art.pre_components))
         for name, basis in (("sp_basis", art.sp_basis), ("mt_basis", art.mt_basis)):
-            fh.write(f"[{name}]\n")
-            for j in range(basis.shape[1]):
-                fh.write(" ".join(_fmt(v) for v in basis[:, j]) + "\n")
+            fh.write(f"[{name}]\n" + vectors(basis))
         fh.write("[tests]\n")
         for rep in art.tests:
             fh.write(rep.csv_row() + "\n")
         if art.model is not None:
             fh.write("[model]\n")
-            fh.write("w = " + " ".join(_fmt(v) for v in art.model.w) + "\n")
+            fh.write("w = " + " ".join(map(repr, art.model.w.tolist())) + "\n")
             fh.write(f"b = {_fmt(art.model.b)}\n")
 
 
 def load_artifact(path: str) -> Artifact:
     header: dict[str, str] = {}
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
+    sections: dict[str, list[tuple[int, str]]] = {}
+    current: list[tuple[int, str]] | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -150,43 +193,64 @@ def load_artifact(path: str) -> Artifact:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
             else:
-                current.append(line)
+                current.append((lineno, line))
     try:
         d = int(header["d"])
         method = header["method"]
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing header field {exc}") from exc
 
-    def basis(name: str) -> np.ndarray:
+    def floats(lineno: int, fields: list[str], n: int | None = None) -> np.ndarray:
+        if n is not None and len(fields) != n:
+            raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(fields)}")
+        try:
+            return np.array([float(v) for v in fields])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+
+    # the preprocessing acts on the input coordinates: d of them, or with PCA
+    # as many as each component has
+    comps = sections.get("pre_components")
+    n_in = len(comps[0][1].split()) if comps else d
+
+    def basis(name: str, n: int) -> np.ndarray:
         lines = sections.get(name, [])
         if not lines:
             return np.zeros((d, 0))
-        return np.column_stack([np.array([float(v) for v in ln.split()]) for ln in lines])
+        return np.column_stack([floats(lineno, ln.split(), n) for lineno, ln in lines])
 
     tests = []
-    for ln in sections.get("tests", []):
-        kind, t, thr, alpha, delta, dec = ln.split(",")
-        side = "greater" if kind == "sp_vs_mt_on_vmt" else "less"
-        tests.append(
-            TestReport(kind, float(t), float(thr), float(alpha), float(delta),
-                       side, dec == "True")
-        )
+    for lineno, ln in sections.get("tests", []):
+        fields = ln.split(",")
+        if len(fields) != 6:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 6 test-report fields, got {len(fields)}"
+            )
+        t, thr, alpha, delta = floats(lineno, fields[1:5]).tolist()
+        side = "greater" if fields[0] == "sp_vs_mt_on_vmt" else "less"
+        tests.append(TestReport(fields[0], t, thr, alpha, delta, side, fields[5] == "True"))
     model = None
     if "model" in sections:
-        fields = dict(ln.partition("=")[::2] for ln in sections["model"])
-        fields = {k.strip(): v.strip() for k, v in fields.items()}
-        model = LinearModel(
-            np.array([float(v) for v in fields["w"].split()]), float(fields["b"])
-        )
+        entries = {}
+        for lineno, ln in sections["model"]:
+            key, _, value = ln.partition("=")
+            entries[key.strip()] = (lineno, value.split())
+        if "w" not in entries or "b" not in entries:
+            raise DataFormatError(f"{path}: [model] needs a 'w' and a 'b' line")
+        (b,) = floats(*entries["b"], 1)
+        model = LinearModel(floats(*entries["w"], d), float(b))
     pre_mean = None
     if "pre_mean" in sections:
-        pre_mean = np.array([float(v) for v in sections["pre_mean"][0].split()])
-    pre_components = basis("pre_components") if "pre_components" in sections else None
+        if not sections["pre_mean"]:
+            raise DataFormatError(f"{path}: [pre_mean] holds no values")
+        lineno, line = sections["pre_mean"][0]
+        pre_mean = floats(lineno, line.split(), n_in)
+    pre_components = basis("pre_components", n_in) if comps else None
     return Artifact(
         method,
         d,
-        basis("sp_basis"),
-        basis("mt_basis"),
+        basis("sp_basis", d),
+        basis("mt_basis", d),
         tests,
         model,
         header.get("termination", ""),

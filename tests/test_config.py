@@ -106,3 +106,23 @@ def test_max_dim_none():
     assert cfg.jse.max_dim is None
     cfg, _ = build_experiment(parse_config_lines(["[jse]", "max_dim = 3"]))
     assert cfg.jse.max_dim == 3
+
+
+@pytest.mark.parametrize("section,key", [
+    ("jse", "max_dim"), ("inlp", "max_rounds"), ("experiment", "test_n"),
+])
+def test_optional_int_keys_name_section_and_key(section, key):
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: invalid literal for int"):
+        build_experiment(parse_config_lines([f"[{section}]", f"{key} = abc"]))
+    cfg, _ = build_experiment(parse_config_lines([f"[{section}]", f"{key} = none"]))
+    sub = cfg if section == "experiment" else getattr(cfg, section)
+    assert getattr(sub, key) is None
+
+
+def test_bad_optional_int_exits_3(tmp_path, capsys):
+    from jse.cli import main
+
+    path = tmp_path / "bad.cfg"
+    path.write_text("[jse]\nmax_dim = abc\n")
+    assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 3
+    assert "[jse] max_dim:" in capsys.readouterr().err

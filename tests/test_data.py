@@ -94,6 +94,16 @@ def test_projection_properties(seed, d, data):
     assert np.all(np.linalg.norm(out, axis=1) <= np.linalg.norm(Z, axis=1) + 1e-12)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_projections_bitwise_equal_matmul_chain(k):
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((200, 20))
+    V = random_orthonormal(rng, 20, k)
+    on = (Z @ V) @ V.T
+    assert project_onto(Z, V).tobytes() == on.tobytes()
+    assert project_out(Z, V).tobytes() == (Z - on).tobytes()
+
+
 def test_projection_errors():
     Z = np.zeros((2, 3))
     with pytest.raises(ValueError, match="orthonormal"):

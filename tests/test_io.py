@@ -1,6 +1,15 @@
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from jse.cli import main
 from jse.data import LabeledEmbeddings
 from jse.evaluate import EvalSummary, RunRecord
 from jse.io_files import (
@@ -68,6 +77,143 @@ def test_unparsable_value(tmp_path):
         load_embeddings(str(path))
 
 
+# --- embedding CSV codec contract ---------------------------------------------
+
+# save_embeddings' output for this matrix, recorded from the per-element writer
+GOLDEN = (
+    "y_mt,y_sp,z_0,z_1,z_2,z_3\n"
+    "0,1,-0.0,1e-05,1e+16,5e-324\n"
+    "1,0,nan,inf,0.1,-inf\n"
+    "1,1,1.0,-2.5,123456789.125,2.2250738585072014e-308\n"
+)
+
+
+def test_save_embeddings_golden_bytes(tmp_path):
+    Z = np.array([
+        [-0.0, 1e-05, 1e16, 5e-324],
+        [np.nan, np.inf, 0.1, -np.inf],
+        [1.0, -2.5, 123456789.125, 2.2250738585072014e-308],
+    ])
+    path = tmp_path / "g.csv"
+    save_embeddings(str(path), LabeledEmbeddings(Z, np.array([0, 1, 1]), np.array([1, 0, 1])))
+    assert path.read_bytes() == GOLDEN.encode()
+    back = load_embeddings(str(path))
+    assert back.Z.tobytes() == Z.tobytes()
+
+
+def test_loader_accepted_syntax(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(
+        b"y_mt,y_sp,z_0,z_1\r\n\r\n0,1, 0.5 ,nan\r\n   \n\t\n"
+        b"1,0,-inf,\tinf \r\n1,1,+1e-3,-0.0\n\n"
+    )
+    data = load_embeddings(str(path))
+    assert data.y_mt.tolist() == [0, 1, 1] and data.y_sp.tolist() == [1, 0, 1]
+    want = np.array([[0.5, np.nan], [-np.inf, np.inf], [1e-3, -0.0]])
+    assert data.Z.tobytes() == want.tobytes()
+
+
+def test_loader_under_numpy1_bytes_default(tmp_path, monkeypatch):
+    # numpy < 2.0 defaults loadtxt to encoding="bytes", which hands converters
+    # latin1 bytes; the loader must not depend on numpy 2's default
+    real = np.loadtxt
+
+    def loadtxt_numpy1(*args, encoding="bytes", **kwargs):
+        return real(*args, encoding=encoding, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_numpy1)
+    path = tmp_path / "t.csv"
+    path.write_text("y_mt,y_sp,z_0\n0,1,0.5\n1,0,-2.0\n")
+    data = load_embeddings(str(path))
+    assert data.y_mt.tolist() == [0, 1] and data.Z.ravel().tolist() == [0.5, -2.0]
+    path.write_text("y_mt,y_sp,z_0\n0,1,0.5\n1,0,zebra\n")
+    with pytest.raises(DataFormatError, match=":3: .*'zebra'"):
+        load_embeddings(str(path))
+
+
+def _thousand_rows_with(tmp_path, lineno: int, bad: str) -> str:
+    lines = ["y_mt,y_sp,z_0,z_1"] + ["0,1,0.5,-1.25"] * 1000
+    lines[lineno - 1] = bad
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ("2,0,0.5,1.0", "labels must be 0 or 1, got '2','0'"),
+    ("1.0,0,0.5,1.0", "labels must be 0 or 1, got '1.0','0'"),
+    ("0,1,0.5", "expected 4 fields, got 3"),
+    ("0,1,0.5,1.0,", "expected 4 fields, got 5"),
+    ("0,1,0.5,zebra", "'zebra'"),
+    ("0,1,1_0,1.0", "'1_0'"),  # float() accepts digit separators; the codec does not
+])
+def test_bad_line_is_named(tmp_path, bad, msg):
+    path = _thousand_rows_with(tmp_path, 700, bad)
+    with pytest.raises(DataFormatError, match=":700: .*" + re.escape(msg)):
+        load_embeddings(path)
+
+
+def test_every_row_one_field_too_many(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("y_mt,y_sp,z_0\n\n0,1,0.5,1.0\n1,0,0.5,1.0\n")
+    with pytest.raises(DataFormatError, match=":3: expected 3 fields, got 4"):
+        load_embeddings(str(path))
+
+
+@pytest.mark.parametrize("body", ["", "\n  \n\n"])
+def test_empty_body_is_no_samples_without_warning(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("y_mt,y_sp,z_0\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="no samples"):
+            load_embeddings(str(path))
+
+
+def _oracle_save(path, data):
+    """The per-element writer the block-streamed codec replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("y_mt,y_sp," + ",".join(f"z_{j}" for j in range(data.d)) + "\n")
+        for i in range(data.n):
+            row = [str(int(data.y_mt[i])), str(int(data.y_sp[i]))]
+            row += [repr(float(v)) for v in data.Z[i]]
+            fh.write(",".join(row) + "\n")
+
+
+def _oracle_load(path):
+    """The per-element reader the numpy parser replaced (well-formed files only)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    Z = np.array([[float(v) for v in r[2:]] for r in rows])
+    return Z, np.array([int(r[0]) for r in rows]), np.array([int(r[1]) for r in rows])
+
+
+_CODEC_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1e16, 1e-05,
+                     np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_codec_matches_per_element_oracle(data):
+    Z = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 12)),
+                             elements=_CODEC_FLOATS))
+    labels = hnp.arrays(np.int64, Z.shape[0], elements=st.integers(0, 1))
+    emb = LabeledEmbeddings(Z, data.draw(labels), data.draw(labels))
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        save_embeddings(str(new), emb)
+        _oracle_save(str(old), emb)
+        assert new.read_bytes() == old.read_bytes()
+        got = load_embeddings(str(new))
+        Z_want, y_mt, y_sp = _oracle_load(str(new))
+    assert got.Z.tobytes() == Z_want.tobytes()
+    assert got.y_mt.tobytes() == y_mt.tobytes() and got.y_sp.tobytes() == y_sp.tobytes()
+
+
 def test_artifact_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
@@ -95,6 +241,39 @@ def test_artifact_round_trip(tmp_path):
     assert [t.kind for t in back.tests] == [t.kind for t in tests]
     assert [t.statistic for t in back.tests] == [t.statistic for t in tests]
     assert back.tests[1].side == "greater"
+
+
+def _drop_last_value(line: str) -> str:
+    return line.rsplit(" ", 1)[0]
+
+
+@pytest.mark.parametrize("section,edit,msg", [
+    ("sp_basis", _drop_last_value, "{path}:{lineno}: expected 6 values, got 5"),
+    ("pre_mean", _drop_last_value, "{path}:{lineno}: expected 6 values, got 5"),
+    ("pre_mean", lambda line: "", "{path}: [pre_mean] holds no values"),
+    ("tests", lambda line: line.rsplit(",", 1)[0],
+     "{path}:{lineno}: expected 6 test-report fields, got 5"),
+    ("mt_basis", lambda line: "0.5x" + line[line.index(" "):],
+     "{path}:{lineno}: could not convert string to float: '0.5x'"),
+    ("model", lambda line: "v" + line[1:], "{path}: [model] needs a 'w' and a 'b' line"),
+])
+def test_malformed_artifact_exits_3_naming_line(tmp_path, capsys, section, edit, msg):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    tests = [TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, "less", True)]
+    art = Artifact("erm", 6, q[:, :1], q[:, 1:], tests, LinearModel(rng.standard_normal(6), 0.5),
+                   pre_mean=rng.standard_normal(6))
+    path = tmp_path / "m.artifact"
+    save_artifact(str(path), art)
+    lines = path.read_text().split("\n")
+    i = lines.index(f"[{section}]") + 1
+    lines[i] = edit(lines[i])
+    path.write_text("\n".join(lines))
+    data = tmp_path / "test.csv"
+    save_embeddings(str(data), LabeledEmbeddings(rng.standard_normal((8, 6)),
+                                                 np.arange(8) % 2, np.arange(8) // 4))
+    assert main(["eval", "--model", str(path), "--test-file", str(data)]) == 3
+    assert msg.format(path=path, lineno=i + 1) in capsys.readouterr().err
 
 
 def _records():
