@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.stats import norm
 
 from .data import LabeledEmbeddings, SubspaceBasis, project_out
 from .sgd import LinearModel, OptimizerConfig, bce, fit_intercept_only, fit_logreg, sigmoid
+from .stats import critical_value, weighted_diff
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def inlp_fit(
     """Iterative nullspace projection for the spurious concept."""
     d = train.d
     max_rounds = d if cfg.max_rounds is None else min(cfg.max_rounds, d)
-    threshold = float(norm.ppf(1.0 - cfg.alpha))
+    threshold = critical_value(cfg.alpha)
     random_model = fit_intercept_only(train, "sp")
     Ztr, Zval = train.Z, val.Z
     accepted: list[np.ndarray] = []
@@ -80,8 +80,6 @@ def inlp_fit(
         model = fit_logreg(train.with_Z(Ztr), "sp", val.with_Z(Zval), opt)
         d_i = bce(model.predict(Zval), val.y_sp) - bce(random_model.predict(Zval), val.y_sp)
         if cfg.group_weighted_test:
-            from .stats import weighted_diff
-
             wd = weighted_diff(d_i, val.group)
             mean, var = wd.d_bar_w, wd.var_hat
         else:
@@ -271,11 +269,3 @@ def gw_erm_fit(
     if (counts == 0).any():
         raise ValueError("group-weighted ERM needs all four groups in the training data")
     return fit_logreg(train, "mt", val, replace(cfg, balance_sampling="group-balanced"))
-
-
-def group_weights(data: LabeledEmbeddings) -> np.ndarray:
-    """Per-sample inverse group-frequency weights, normalized to mean 1."""
-    counts = np.bincount(data.group, minlength=5)[1:]
-    if (counts == 0).any():
-        raise ValueError("all four groups must be present")
-    return data.n / (4.0 * counts[data.group - 1])

@@ -135,10 +135,6 @@ class SubspaceBasis:
     def d(self) -> int:
         return self.V.shape[0]
 
-    @staticmethod
-    def empty(d: int, kind: str) -> "SubspaceBasis":
-        return SubspaceBasis(np.zeros((d, 0)), kind)
-
 
 def orthonormal_check(V: np.ndarray, tol: float) -> bool:
     """True iff max |V^T V - I| <= tol. An empty basis passes trivially."""

@@ -42,18 +42,9 @@ class EvalSummary:
         }
 
 
-def evaluate(
-    model: LinearModel,
-    test: LabeledEmbeddings,
-    transform: np.ndarray | None = None,
-) -> EvalSummary:
-    """Main-task accuracy at threshold 0.5, per group and overall, in percent.
-
-    ``transform`` is an optional d x d projection applied to the embeddings
-    before prediction.
-    """
-    Z = test.Z if transform is None else test.Z @ transform
-    pred = (model.predict(Z) >= 0.5).astype(np.int64)
+def evaluate(model: LinearModel, test: LabeledEmbeddings) -> EvalSummary:
+    """Main-task accuracy at threshold 0.5, per group and overall, in percent."""
+    pred = (model.predict(test.Z) >= 0.5).astype(np.int64)
     correct = pred == test.y_mt
     group_acc = np.empty(4)
     n_per_group = np.empty(4, dtype=np.int64)

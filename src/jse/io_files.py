@@ -25,7 +25,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .data import LabeledEmbeddings
+from .data import ORTHO_TOL, LabeledEmbeddings, orthonormal_check
 from .evaluate import CellAggregate, EvalSummary, RunRecord
 from .sgd import LinearModel
 from .stats import TestReport
@@ -177,7 +177,7 @@ def save_artifact(path: str, art: Artifact) -> None:
 
 
 def load_artifact(path: str) -> Artifact:
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -191,22 +191,30 @@ def load_artifact(path: str) -> Artifact:
                 if "=" not in line:
                     raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
+                header[key.strip()] = (lineno, value.strip())
             else:
                 current.append((lineno, line))
-    try:
-        d = int(header["d"])
-        method = header["method"]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing header field {exc}") from exc
+    for key in ("d", "method"):
+        if key not in header:
+            raise DataFormatError(f"{path}: missing header field {key!r}")
+
+    def at_line(lineno: int, value, convert):
+        """convert(value), with a ValueError reported as a data error at the line."""
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
 
     def floats(lineno: int, fields: list[str], n: int | None = None) -> np.ndarray:
         if n is not None and len(fields) != n:
             raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(fields)}")
-        try:
-            return np.array([float(v) for v in fields])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        return at_line(lineno, fields, lambda vs: np.array([float(v) for v in vs]))
+
+    method = header["method"][1]
+    d = at_line(*header["d"], int)
+    if d < 1:
+        raise DataFormatError(f"{path}:{header['d'][0]}: d must be positive, got {d}")
+    delta = at_line(*header["delta"], float) if "delta" in header else 0.0
 
     # the preprocessing acts on the input coordinates: d of them, or with PCA
     # as many as each component has
@@ -217,7 +225,11 @@ def load_artifact(path: str) -> Artifact:
         lines = sections.get(name, [])
         if not lines:
             return np.zeros((d, 0))
-        return np.column_stack([floats(lineno, ln.split(), n) for lineno, ln in lines])
+        V = np.column_stack([floats(lineno, ln.split(), n) for lineno, ln in lines])
+        if not orthonormal_check(V, ORTHO_TOL):
+            raise DataFormatError(f"{path}:{lines[0][0]}: [{name}] columns are not "
+                                  f"orthonormal within {ORTHO_TOL}")
+        return V
 
     tests = []
     for lineno, ln in sections.get("tests", []):
@@ -253,8 +265,8 @@ def load_artifact(path: str) -> Artifact:
         basis("mt_basis", d),
         tests,
         model,
-        header.get("termination", ""),
-        float(header.get("delta", "0.0")),
+        header.get("termination", (0, ""))[1],
+        delta,
         pre_mean,
         pre_components,
     )

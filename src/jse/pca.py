@@ -49,7 +49,3 @@ def pca_apply(Z: np.ndarray, model: PcaModel) -> np.ndarray:
     if Z.shape[1] != model.mean.shape[0]:
         raise ValueError("dimension mismatch between Z and the PCA model")
     return (Z - model.mean) @ model.components
-
-
-def demean(Z: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    return np.asarray(Z, dtype=np.float64) - np.asarray(mean, dtype=np.float64)

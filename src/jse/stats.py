@@ -8,7 +8,10 @@ weighted equally across the four (y_mt, y_sp) groups,
 
 with estimated variance ``(1/16) sum_g s_g^2 / n_g`` (``s_g^2`` the unbiased
 within-group variance). The statistic ``t = (d_bar_w - Delta) / sqrt(var)``
-is compared against standard-normal critical values.
+is compared against standard-normal critical values, taken from
+``scipy.special.ndtri``: the same bits as ``scipy.stats.norm.ppf``, whose
+import would cost more CPU than everything else a cold start of the package
+does.
 
 Four test kinds are used by the subspace-estimation loop:
 
@@ -25,12 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import Direction, LabeledEmbeddings
 from .sgd import LinearModel, bce
 
 T_SENTINEL = 1e12  # stand-in for +/- infinity when the variance estimate is zero
+
+
+def critical_value(alpha: float) -> float:
+    """Upper-alpha standard-normal quantile: ``norm.ppf(1 - alpha)`` bit for bit
+    for every non-NaN alpha (``+ 0.0`` turns a -0.0 into 0.0, as ppf's
+    ``* scale + loc`` does)."""
+    return float(ndtri(1.0 - alpha)) + 0.0
 
 
 class EmptyGroupError(ValueError):
@@ -120,7 +130,7 @@ def _report(
     if scale not in ("se", "variance"):
         raise ValueError(f"scale must be 'se' or 'variance', got {scale!r}")
     t = _t_statistic(wd, delta, scale)
-    threshold = float(norm.ppf(1.0 - alpha))
+    threshold = critical_value(alpha)
     if side == "less":
         decision = t < -threshold
     elif side == "greater":

@@ -66,7 +66,7 @@ def test_transform_degenerate_bases():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((5, 4))
     res = SubspaceResult(
-        SubspaceBasis.empty(4, "spurious"),
+        SubspaceBasis(np.zeros((4, 0)), "spurious"),
         SubspaceBasis(np.eye(4), "main-task"),
         [], [], "test-rejected", 0.0,
     )

@@ -5,7 +5,6 @@ from jse.baselines import (
     InlpConfig,
     RlaceConfig,
     erm_fit,
-    group_weights,
     gw_erm_fit,
     inlp_fit,
     rlace_fit,
@@ -103,25 +102,12 @@ def test_gw_erm_matches_erm_without_correlation():
     assert abs(np.mean(diffs)) <= 0.5
 
 
-def test_group_weights_definition():
-    rng = np.random.default_rng(7)
-    data = LabeledEmbeddings(
-        rng.standard_normal((400, 3)), rng.integers(0, 2, 400), rng.integers(0, 2, 400)
-    )
-    w = group_weights(data)
-    counts = np.bincount(data.group, minlength=5)[1:]
-    np.testing.assert_allclose(w, data.n / (4.0 * counts[data.group - 1]))
-    np.testing.assert_allclose(w.mean(), 1.0, rtol=1e-12)
-
-
 def test_gw_erm_requires_all_groups():
     rng = np.random.default_rng(8)
     y = rng.integers(0, 2, 100)
     data = LabeledEmbeddings(rng.standard_normal((100, 3)), y, y)  # groups 2,3 missing
     with pytest.raises(ValueError, match="four groups"):
         gw_erm_fit(data, data, OptimizerConfig(seed=0))
-    with pytest.raises(ValueError, match="four groups"):
-        group_weights(data)
 
 
 def test_rlace_config_validation():

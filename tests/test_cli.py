@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from jse.cli import main
-from jse.io_files import load_artifact, load_embeddings, read_results_csv
+from jse.io_files import Artifact, load_artifact, load_embeddings, read_results_csv, save_artifact
+from jse.sgd import LinearModel
 
 
 def run_cli(*argv):
@@ -218,3 +219,42 @@ def test_fit_with_pca(toy_files, tmp_path, capsys):
                    "--test-file", str(toy_files / "toy_test.csv")) == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["average"] > 60.0
+
+
+def _doubled(line: str) -> str:
+    return " ".join(repr(2.0 * float(v)) for v in line.split())
+
+
+@pytest.mark.parametrize("target,edit,msg", [
+    ("d = ", lambda line: "d = x", "invalid literal for int() with base 10: 'x'"),
+    ("d = ", lambda line: "d = 0", "d must be positive, got 0"),
+    ("delta = ", lambda line: "delta = x", "could not convert string to float: 'x'"),
+    ("[sp_basis]", _doubled, "[sp_basis] columns are not orthonormal within 1e-06"),
+    ("[mt_basis]", _doubled, "[mt_basis] columns are not orthonormal within 1e-06"),
+    ("[pre_components]", _doubled, "[pre_components] columns are not orthonormal within 1e-06"),
+])
+@pytest.mark.parametrize("command", ["transform", "eval"])
+def test_bad_artifact_exits_3_naming_line(toy_files, tmp_path, capsys, command, target, edit,
+                                          msg):
+    """Bad header values and non-orthonormal bases or PCA components are data errors at
+    load time, naming file:line, before either command touches the data."""
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
+    path = tmp_path / "m.artifact"
+    save_artifact(str(path), Artifact("erm", 20, q[:, :1], q[:, 1:], [],
+                                      LinearModel(rng.standard_normal(20), 0.5), delta=0.25,
+                                      pre_mean=np.zeros(20), pre_components=np.eye(20)))
+    val = str(toy_files / "toy_val.csv")
+    argv = (["transform", "--artifact", str(path), "--in", val,
+             "--out-file", str(tmp_path / "out.csv")] if command == "transform" else
+            ["eval", "--model", str(path), "--test-file", val])
+    assert run_cli(*argv) == 0  # the artifact is good before the edit
+    lines = path.read_text().split("\n")
+    i = next(j for j, line in enumerate(lines) if line.startswith(target))
+    if target.startswith("["):
+        i += 1  # the section's first vector
+    lines[i] = edit(lines[i])
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert f"error: {path}:{i + 1}: {msg}" in capsys.readouterr().err

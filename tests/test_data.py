@@ -135,5 +135,5 @@ def test_subspace_basis_validation():
         SubspaceBasis(np.ones((3, 2)), "spurious")
     with pytest.raises(ValueError, match="kind"):
         SubspaceBasis(np.eye(3)[:, :1], "other")
-    b = SubspaceBasis.empty(5, "main-task")
+    b = SubspaceBasis(np.zeros((5, 0)), "main-task")
     assert b.k == 0 and b.d == 5

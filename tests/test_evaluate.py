@@ -68,7 +68,7 @@ def test_transform_argument():
     test = _test_set(5)
     model = LinearModel(np.array([3.0, 0.0, 0.0]), 0.0)
     P = np.zeros((3, 3))  # projecting everything away leaves the intercept
-    s = evaluate(model, test, transform=P)
+    s = evaluate(model, test.with_Z(test.Z @ P))
     np.testing.assert_allclose(s.average, 100.0 * np.mean(test.y_mt))
 
 

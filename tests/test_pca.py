@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jse.pca import PcaModel, demean, pca_apply, pca_fit
+from jse.pca import PcaModel, pca_apply, pca_fit
 
 
 def test_full_rank_reconstruction():
@@ -63,12 +63,6 @@ def test_apply_dimension_check():
 def test_components_orthonormal_enforced():
     with pytest.raises(ValueError, match="orthonormal"):
         PcaModel(np.zeros(3), np.ones((3, 2)), np.ones(2))
-
-
-def test_demean_helper():
-    Z = np.arange(6.0).reshape(2, 3)
-    mu = np.array([1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(demean(Z, mu), Z - mu)
 
 
 def test_deterministic_signs():

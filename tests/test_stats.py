@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
+import jse
 from jse.data import Direction, LabeledEmbeddings
 from jse.sgd import OptimizerConfig, bce, fit_1d_logreg, fit_intercept_only, sigmoid
 from jse.stats import (
     EmptyGroupError,
     T_SENTINEL,
+    critical_value,
     delta_heuristic,
     simple_diff,
     t_relative,
@@ -269,3 +276,36 @@ def test_threshold_is_normal_quantile():
     v = Direction(np.eye(4)[0], 0.5, 0.0)
     rep = t_vs_random(v, val, "sp", fit_intercept_only(val, "sp"), alpha=0.1)
     np.testing.assert_allclose(rep.threshold, norm.ppf(0.9), rtol=1e-12)
+
+
+# the tails, the usual levels, 0.5 (where ndtri returns 0.0) and a fine interior grid
+ALPHAS = [1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12,
+          *np.linspace(1e-4, 1.0 - 1e-4, 400).tolist()]
+
+
+def test_critical_value_is_norm_ppf_bit_for_bit():
+    for alpha in ALPHAS:
+        assert critical_value(alpha) == float(norm.ppf(1.0 - alpha)), alpha
+    assert np.signbit(critical_value(0.5)) == np.signbit(norm.ppf(0.5))
+
+
+def test_reported_thresholds_are_norm_ppf_bit_for_bit():
+    rng = np.random.default_rng(16)
+    val = _val_set(rng, 200)
+    a = Direction(np.eye(4)[0], 0.5, 0.0)
+    b = Direction(np.eye(4)[1], 0.7, -0.2)
+    random_model = fit_intercept_only(val, "sp")
+    for alpha in ALPHAS[::8]:
+        want = float(norm.ppf(1.0 - alpha))
+        assert t_vs_random(a, val, "sp", random_model, alpha=alpha).threshold == want
+        for on in ("v_sp", "v_mt"):
+            assert t_relative(a, b, val, on, alpha=alpha).threshold == want
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs more CPU to import than the rest of a cold start."""
+    env = dict(os.environ, PYTHONPATH=str(Path(jse.__file__).parents[1]))
+    code = "import sys, jse, jse.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
