@@ -5,7 +5,7 @@ statistical stopping tests, removes the spurious one, and benchmarks the
 result against INLP, RLACE, ERM and group-weighted ERM on a synthetic task.
 """
 
-from .algorithm import JseConfig, SubspaceResult, jse_fit, jse_pipeline, jse_transform
+from .algorithm import JseConfig, SubspaceResult, jse_fit
 from .baselines import (
     InlpConfig,
     RlaceConfig,
@@ -25,11 +25,14 @@ from .data import (
     project_out,
 )
 from .evaluate import (
+    Artifact,
     EvalSummary,
     ExperimentConfig,
     RunRecord,
     SweepResult,
     evaluate,
+    fit_and_evaluate,
+    fit_method,
     run_experiment,
     run_single,
     run_sweep,

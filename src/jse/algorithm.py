@@ -1,4 +1,4 @@
-"""Joint subspace estimation: the nested-loop procedure and its transforms.
+"""Joint subspace estimation: the nested-loop procedure.
 
 The outer loop proposes spurious directions, the inner loop proposes
 main-task directions. Each proposal comes from a fresh joint orthogonal fit
@@ -10,9 +10,10 @@ directions are projected out of the inner working copy; accepted spurious
 directions are projected out of everything, and the inner loop restarts.
 Validation embeddings mirror every training projection.
 
-``loop_order='sp-inner'`` swaps the roles of the two concepts. The final
-transform either removes the spurious subspace (default) or keeps only the
-main-task subspace.
+``loop_order='sp-inner'`` swaps the roles of the two concepts. The fitted
+bases are applied by ``evaluate.Artifact.transform``, which either removes the
+spurious subspace (``transform_mode = remove-sp``, the default) or keeps only
+the main-task subspace (``keep-mt``).
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Direction, LabeledEmbeddings, SubspaceBasis, project_onto, project_out
+from .data import Direction, LabeledEmbeddings, SubspaceBasis, project_out
 from .sgd import (
     OptimizerConfig,
     fit_1d_logreg,
     fit_intercept_only,
     fit_joint_orthogonal,
-    fit_logreg,
 )
 from .stats import TestReport, delta_heuristic, t_relative, t_vs_random
 
@@ -61,6 +61,8 @@ class JseConfig:
             raise ValueError("alpha must be in (0, 1)")
         if isinstance(self.delta, str) and self.delta != DELTA_AUTO:
             raise ValueError(f"delta must be a number or {DELTA_AUTO!r}")
+        if self.max_dim is not None and self.max_dim < 1:
+            raise ValueError("max_dim must be >= 1 or none")
         if self.loop_order not in ("mt-inner", "sp-inner"):
             raise ValueError(f"unknown loop_order {self.loop_order!r}")
         if self.transform_mode not in ("remove-sp", "keep-mt"):
@@ -249,46 +251,3 @@ def _unit_or_e1(w: np.ndarray, d: int) -> np.ndarray:
         e1[0] = 1.0
         return e1
     return w / nrm
-
-
-def jse_transform(Z: np.ndarray, result: SubspaceResult, mode: str | None = None) -> np.ndarray:
-    """Apply the estimated subspaces: remove-sp -> Z(I - Vsp Vsp^T),
-    keep-mt -> Z Vmt Vmt^T."""
-    mode = mode or "remove-sp"
-    Z = np.asarray(Z, dtype=np.float64)
-    if mode == "remove-sp":
-        if Z.shape[1] != result.sp_basis.d:
-            raise ValueError("dimension mismatch between Z and the fitted bases")
-        return project_out(Z, result.sp_basis.V)
-    if mode == "keep-mt":
-        if Z.shape[1] != result.mt_basis.d:
-            raise ValueError("dimension mismatch between Z and the fitted bases")
-        return project_onto(Z, result.mt_basis.V)
-    raise ValueError(f"unknown transform mode {mode!r}")
-
-
-def jse_pipeline(
-    train: LabeledEmbeddings,
-    val: LabeledEmbeddings,
-    test: LabeledEmbeddings,
-    cfg: JseConfig,
-    downstream: OptimizerConfig | None = None,
-):
-    """Fit JSE, transform all splits, train the downstream main-task classifier
-    on the transformed training data, and evaluate it on the transformed test set.
-
-    Returns ``(model, summary, result)``.
-    """
-    from .evaluate import evaluate
-
-    if not (train.d == val.d == test.d):
-        raise ValueError("splits must share d")
-    result = jse_fit(train, val, cfg)
-    mode = cfg.transform_mode
-    tr = train.with_Z(jse_transform(train.Z, result, mode))
-    va = val.with_Z(jse_transform(val.Z, result, mode))
-    te = test.with_Z(jse_transform(test.Z, result, mode))
-    if downstream is None:
-        downstream = OptimizerConfig(balance_sampling="class-balanced")
-    model = fit_logreg(tr, "mt", va, downstream)
-    return model, evaluate(model, te), result

@@ -38,6 +38,12 @@ class InlpConfig:
     group_weighted_test: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError("alpha must be in (0, 1)")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1 or none")
+
 
 @dataclass(frozen=True)
 class RlaceConfig:
@@ -51,12 +57,17 @@ class RlaceConfig:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if not (0.0 < self.stop_accuracy <= 1.0):
+            raise ValueError("stop_accuracy must be in (0, 1]")
 
 
 @dataclass(frozen=True)
 class RlaceResult:
-    P: np.ndarray  # d x d orthogonal projection removing the rank-k subspace
-    removed: SubspaceBasis  # the rank-k basis that P annihilates
+    removed: SubspaceBasis  # the rank-k removed subspace; apply with data.project_out
     converged: bool
     iters: int
     val_accuracy: float
@@ -244,8 +255,7 @@ def rlace_fit(
 
     if not converged and best is not None:
         acc, U = best
-    P = np.eye(d) - U @ U.T
-    return RlaceResult(P, SubspaceBasis(U, "spurious"), converged, it, acc)
+    return RlaceResult(SubspaceBasis(U, "spurious"), converged, it, acc)
 
 
 def erm_fit(

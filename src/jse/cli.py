@@ -102,52 +102,17 @@ def _experiment_config(args):
 
 
 def _cmd_fit(args) -> int:
-    from .algorithm import jse_fit
-    from .baselines import erm_fit, gw_erm_fit, inlp_fit, rlace_fit
-    from .io_files import Artifact, load_embeddings, save_artifact
+    from .evaluate import fit_method
+    from .io_files import load_embeddings, save_artifact
 
     train = load_embeddings(args.train)
     val = load_embeddings(args.val)
     cfg, _ = _experiment_config(args)
-    cfg = replace(cfg, method=args.method)
-    from .evaluate import _reseed_all
-
-    cfg = _reseed_all(cfg, args.seed)
-    pre_mean = pre_components = None
-    if args.pca is not None:
-        from .pca import pca_apply, pca_fit
-
-        model_pca = pca_fit(train.Z, args.pca)
-        pre_mean, pre_components = model_pca.mean, model_pca.components
-        train = train.with_Z(pca_apply(train.Z, model_pca))
-        val = val.with_Z(pca_apply(val.Z, model_pca))
-    elif args.demean_only:
-        pre_mean = train.Z.mean(axis=0)
-        train = train.with_Z(train.Z - pre_mean)
-        val = val.with_Z(val.Z - pre_mean)
-    d = train.d
-    zero = np.zeros((d, 0))
-    if args.method == "jse":
-        res = jse_fit(train, val, cfg.jse)
-        tests = [r for pair in res.sp_tests + res.mt_tests for r in pair]
-        art = Artifact("jse", d, res.sp_basis.V, res.mt_basis.V, tests, None,
-                       res.termination, res.delta, pre_mean, pre_components)
-        print(f"d_sp_hat={res.d_sp} d_mt_hat={res.d_mt} termination={res.termination}")
-    elif args.method == "inlp":
-        basis = inlp_fit(train, val, cfg.inlp)
-        art = Artifact("inlp", d, basis.V, zero, [], None, pre_mean=pre_mean,
-                       pre_components=pre_components)
-        print(f"d_sp_hat={basis.k}")
-    elif args.method == "rlace":
-        res = rlace_fit(train, val, cfg.rlace)
-        art = Artifact("rlace", d, res.removed.V, zero, [], None, pre_mean=pre_mean,
-                       pre_components=pre_components)
-        print(f"rank={res.removed.k} converged={res.converged} val_acc={res.val_accuracy:.4f}")
-    else:
-        fit = erm_fit if args.method == "erm" else gw_erm_fit
-        model = fit(train, val, cfg.downstream)
-        art = Artifact(args.method, d, zero, zero, [], model, pre_mean=pre_mean,
-                       pre_components=pre_components)
+    cfg = replace(cfg, method=args.method).with_seed(args.seed)
+    art = fit_method(cfg, train, val, demean=args.demean_only, pca=args.pca)
+    if art.model is None:  # a removal method: report the dimensions it found
+        line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"
+        print(line + (f" termination={art.termination}" if art.termination else ""))
     os.makedirs(args.out, exist_ok=True)
     path = args.artifact or os.path.join(args.out, f"{args.method}.artifact")
     save_artifact(path, art)
@@ -156,19 +121,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    from .data import project_onto, project_out
     from .io_files import load_artifact, load_embeddings, save_embeddings
 
     art = load_artifact(args.artifact)
     data = load_embeddings(args.input)
-    Z = art.preprocess(data.Z)
-    if Z.shape[1] != art.d:
-        raise ValueError(f"artifact d={art.d} does not match data d={Z.shape[1]}")
-    if args.mode == "remove-sp":
-        Z = project_out(Z, art.sp_basis)
-    else:
-        Z = project_onto(Z, art.mt_basis)
-    save_embeddings(args.out_file, data.with_Z(Z))
+    save_embeddings(args.out_file, data.with_Z(art.transform(data.Z, args.mode)))
     print(f"wrote {args.out_file}")
     return EXIT_OK
 

@@ -9,7 +9,8 @@ Grammar (one statement per line):
 
 Values are parsed by the target dataclass field type; lists (sweep methods,
 x values) are comma-separated. Every ToyConfig, JseConfig, InlpConfig,
-RlaceConfig and OptimizerConfig field is addressable.
+RlaceConfig, OptimizerConfig and SweepSpec field is addressable. A value the
+dataclass rejects (its range checks) is a ConfigError naming section and key.
 """
 
 from __future__ import annotations
@@ -29,13 +30,24 @@ class ConfigError(ValueError):
     """Bad configuration file; the message names the line."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     methods: list[str] = field(default_factory=lambda: ["jse"])
     x_name: str = "rho"
     x_values: list[float] = field(default_factory=lambda: [0.0])
     seeds: int = 100
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.methods:
+            raise ValueError("no methods given")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown method {m!r}")
+        if self.x_name not in ("rho", "n", "angle_deg"):
+            raise ValueError("x_name must be rho, n or angle_deg")
+        if self.seeds < 1:
+            raise ValueError("seeds must be >= 1")
 
 
 def parse_config_lines(lines: list[str], path: str = "<config>") -> dict[str, dict[str, str]]:
@@ -73,13 +85,12 @@ def _coerce(value: str, typ: Any, key: str, section: str) -> Any:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-_FIELD_TYPES = {
-    bool: bool, int: int, float: float, str: str,
-}
-
-
 def _apply(obj, section: str, values: dict[str, str]):
-    fields = {f.name: f for f in dataclasses.fields(obj)}
+    """obj with every key replaced by its parsed value in one ``replace``, so
+    fields checked against each other load in any order. A value the dataclass
+    rejects is reported under its own key: the first key that fails when
+    applied alone, else every key of the section."""
+    fields = {f.name for f in dataclasses.fields(obj)}
     updates = {}
     for key, raw in values.items():
         if key not in fields:
@@ -87,15 +98,25 @@ def _apply(obj, section: str, values: dict[str, str]):
         current = getattr(obj, key)
         if key == "delta":
             updates[key] = "auto" if raw == "auto" else _coerce(raw, float, key, section)
-            continue
-        if key == "max_dim" or key == "max_rounds" or key == "test_n":
+        elif key == "max_dim" or key == "max_rounds" or key == "test_n":
             updates[key] = None if raw in ("none", "") else _coerce(raw, int, key, section)
-            continue
-        typ = type(current) if current is not None else str
-        if typ not in _FIELD_TYPES:
-            raise ConfigError(f"[{section}] {key}: unsupported nested assignment")
-        updates[key] = _coerce(raw, typ, key, section)
-    return replace(obj, **updates)
+        elif isinstance(current, list):  # comma-separated, typed like the default's items
+            updates[key] = [_coerce(v.strip(), type(current[0]), key, section)
+                            for v in raw.split(",") if v.strip()]
+        else:
+            typ = type(current) if current is not None else str
+            if typ not in (bool, int, float, str):
+                raise ConfigError(f"[{section}] {key}: unsupported nested assignment")
+            updates[key] = _coerce(raw, typ, key, section)
+    try:
+        return replace(obj, **updates)
+    except ValueError as exc:
+        for key, value in updates.items():
+            try:
+                replace(obj, **{key: value})
+            except ValueError as alone:
+                raise ConfigError(f"[{section}] {key}: {alone}") from exc
+        raise ConfigError(f"[{section}] {', '.join(updates)}: {exc}") from exc
 
 
 def build_experiment(
@@ -135,28 +156,7 @@ def build_experiment(
                 sub = replace(sub, optimizer=_apply(sub.optimizer, section, sections[section]))
                 cfg = replace(cfg, **{name: sub})
 
-    sweep = SweepSpec()
-    if "sweep" in sections:
-        vals = sections["sweep"]
-        if "methods" in vals:
-            methods = [m.strip() for m in vals["methods"].split(",") if m.strip()]
-            for m in methods:
-                if m not in METHODS:
-                    raise ConfigError(f"[sweep] unknown method {m!r}")
-            sweep.methods = methods
-        if "x_name" in vals:
-            if vals["x_name"] not in ("rho", "n", "angle_deg"):
-                raise ConfigError(f"[sweep] x_name must be rho, n or angle_deg")
-            sweep.x_name = vals["x_name"]
-        if "x_values" in vals:
-            try:
-                sweep.x_values = [float(v) for v in vals["x_values"].split(",") if v.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"[sweep] x_values: {exc}") from exc
-        if "seeds" in vals:
-            sweep.seeds = int(vals["seeds"])
-        if "base_seed" in vals:
-            sweep.base_seed = int(vals["base_seed"])
+    sweep = _apply(SweepSpec(), "sweep", sections.get("sweep", {}))
     cfg = replace(cfg, seeds=sweep.seeds, base_seed=sweep.base_seed)
     return cfg, sweep
 

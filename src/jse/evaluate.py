@@ -1,4 +1,8 @@
-"""Accuracy evaluation, single experiments, and seed sweeps.
+"""Method fitting, accuracy evaluation, single experiments, and seed sweeps.
+
+``fit_method`` is the one place a method is chosen; it returns the ``Artifact``
+(preprocessing, removal bases and/or a linear model) that ``run_single`` and
+the CLI apply through ``Artifact.transform``.
 
 A sweep runs a Cartesian grid of (method, x-value) cells. Every cell draws
 its own data: the per-run seeds are derived from (base seed, method, x value,
@@ -15,10 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algorithm import JseConfig, jse_pipeline
+from .algorithm import JseConfig, jse_fit
 from .baselines import InlpConfig, RlaceConfig, erm_fit, gw_erm_fit, inlp_fit, rlace_fit
-from .data import LabeledEmbeddings, project_out
+from .data import LabeledEmbeddings, project_onto, project_out
+from .pca import pca_fit
 from .sgd import LinearModel, OptimizerConfig, fit_logreg
+from .stats import TestReport
 from .toy import ToyConfig, gen_toy, gen_toy_test
 
 METHODS = ("jse", "erm", "gw-erm", "inlp", "rlace")
@@ -84,6 +90,89 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
+    def with_seed(self, seed: int) -> ExperimentConfig:
+        """Every method's optimizer and the downstream fit seeded with ``seed``."""
+        return replace(
+            self,
+            jse=replace(self.jse, optimizer=replace(self.jse.optimizer, seed=seed)),
+            inlp=replace(self.inlp, optimizer=replace(self.inlp.optimizer, seed=seed)),
+            rlace=replace(self.rlace, optimizer=replace(self.rlace.optimizer, seed=seed)),
+            downstream=replace(self.downstream, seed=seed),
+        )
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """Outcome of a fit: preprocessing, removal bases and/or a linear model."""
+
+    method: str
+    d: int
+    sp_basis: np.ndarray  # (d, k); k may be 0
+    mt_basis: np.ndarray
+    tests: list[TestReport]
+    model: LinearModel | None
+    termination: str = ""
+    delta: float = 0.0
+    pre_mean: np.ndarray | None = None  # training mean subtracted before everything else
+    pre_components: np.ndarray | None = None  # PCA projection applied after demeaning
+
+    def preprocess(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z, dtype=np.float64)
+        if self.pre_mean is not None:
+            Z = Z - self.pre_mean
+        if self.pre_components is not None:
+            Z = Z @ self.pre_components
+        return Z
+
+    @classmethod
+    def fit_preprocessing(cls, method: str, train: LabeledEmbeddings, *, demean: bool = False,
+                          pca: int | None = None) -> Artifact:
+        """Preprocessing fitted on train, no bases or model yet: ``pca``
+        components (demeaning included) if set, else the training mean if ``demean``."""
+        pre_mean = pre_components = None
+        if pca is not None:
+            pca_model = pca_fit(train.Z, pca)
+            pre_mean, pre_components = pca_model.mean, pca_model.components
+        elif demean:
+            pre_mean = train.Z.mean(axis=0)
+        d = train.d if pre_components is None else pre_components.shape[1]
+        empty = np.zeros((d, 0))
+        return cls(method, d, empty, empty, [], None,
+                   pre_mean=pre_mean, pre_components=pre_components)
+
+    def transform(self, Z: np.ndarray, mode: str = "remove-sp") -> np.ndarray:
+        """Preprocess, then remove-sp -> Z (I - Vsp Vsp^T), keep-mt -> Z Vmt Vmt^T."""
+        Z = self.preprocess(Z)
+        if Z.shape[1] != self.d:
+            raise ValueError(f"artifact d={self.d} does not match data d={Z.shape[1]}")
+        if mode == "remove-sp":
+            return project_out(Z, self.sp_basis)
+        if mode == "keep-mt":
+            return project_onto(Z, self.mt_basis)
+        raise ValueError(f"unknown transform mode {mode!r}")
+
+
+def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings, *,
+               demean: bool = False, pca: int | None = None) -> Artifact:
+    """Fit ``cfg.method`` on train/val after ``Artifact.fit_preprocessing``.
+    Removal methods return bases, erm and gw-erm a model."""
+    art = Artifact.fit_preprocessing(cfg.method, train, demean=demean, pca=pca)
+    if demean or pca is not None:
+        train, val = (s.with_Z(art.preprocess(s.Z)) for s in (train, val))
+    if cfg.method == "jse":
+        res = jse_fit(train, val, cfg.jse)
+        tests = [r for pair in res.sp_tests + res.mt_tests for r in pair]
+        return replace(art, sp_basis=res.sp_basis.V, mt_basis=res.mt_basis.V, tests=tests,
+                       termination=res.termination, delta=res.delta)
+    if cfg.method == "inlp":
+        return replace(art, sp_basis=inlp_fit(train, val, cfg.inlp).V)
+    if cfg.method == "rlace":
+        res = rlace_fit(train, val, cfg.rlace)
+        return replace(art, sp_basis=res.removed.V,
+                       termination="converged" if res.converged else "max-iterations")
+    fit = erm_fit if cfg.method == "erm" else gw_erm_fit
+    return replace(art, model=fit(train, val, cfg.downstream))
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -105,14 +194,19 @@ def derive_seed(base_seed: int, method: str, x_value: float, seed_index: int) ->
     return int(ss.generate_state(1)[0])
 
 
-def _reseed_all(cfg: ExperimentConfig, run_seed: int) -> ExperimentConfig:
-    return replace(
-        cfg,
-        jse=replace(cfg.jse, optimizer=replace(cfg.jse.optimizer, seed=run_seed)),
-        inlp=replace(cfg.inlp, optimizer=replace(cfg.inlp.optimizer, seed=run_seed)),
-        rlace=replace(cfg.rlace, optimizer=replace(cfg.rlace.optimizer, seed=run_seed)),
-        downstream=replace(cfg.downstream, seed=run_seed),
-    )
+def fit_and_evaluate(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,
+                     test: LabeledEmbeddings) -> tuple[Artifact, LinearModel, EvalSummary]:
+    """Fit ``cfg.method`` on the splits as given (``run_single`` demeans them
+    first) and evaluate its main-task classifier on test: the fitted model of
+    erm/gw-erm, else one trained on the transformed splits (jse by its
+    ``transform_mode``, the baselines by removal)."""
+    art = fit_method(cfg, train, val)
+    if art.model is not None:
+        return art, art.model, evaluate(art.model, test)
+    mode = cfg.jse.transform_mode if cfg.method == "jse" else "remove-sp"
+    tr, va, te = (s.with_Z(art.transform(s.Z, mode)) for s in (train, val, test))
+    model = fit_logreg(tr, "mt", va, cfg.downstream)
+    return art, model, evaluate(model, te)
 
 
 def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: int) -> RunRecord:
@@ -120,46 +214,22 @@ def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: i
     toy = replace(cfg.toy, **{x_name: x_value} if x_name != "none" else {})
     run_seed = derive_seed(cfg.base_seed, cfg.method, x_value, seed_index)
     toy = replace(toy, seed=run_seed, n=int(toy.n))
-    cfg = _reseed_all(cfg, run_seed)
+    cfg = cfg.with_seed(run_seed)
 
     t0 = time.perf_counter()
     try:
         train, val = gen_toy(toy)
         test = gen_toy_test(toy, cfg.test_n)
-        if cfg.demean:
-            mu = train.Z.mean(axis=0)
-            train = train.with_Z(train.Z - mu)
-            val = val.with_Z(val.Z - mu)
-            test = test.with_Z(test.Z - mu)
-        d_sp_hat = d_mt_hat = 0
-        if cfg.method == "jse":
-            model, summary, result = jse_pipeline(train, val, test, cfg.jse, cfg.downstream)
-            d_sp_hat, d_mt_hat = result.d_sp, result.d_mt
-        elif cfg.method == "erm":
-            model = erm_fit(train, val, cfg.downstream)
-            summary = evaluate(model, test)
-        elif cfg.method == "gw-erm":
-            model = gw_erm_fit(train, val, cfg.downstream)
-            summary = evaluate(model, test)
-        elif cfg.method == "inlp":
-            basis = inlp_fit(train, val, cfg.inlp)
-            d_sp_hat = basis.k
-            tr, va, te = (s.with_Z(project_out(s.Z, basis.V)) for s in (train, val, test))
-            model = fit_logreg(tr, "mt", va, cfg.downstream)
-            summary = evaluate(model, te)
-        elif cfg.method == "rlace":
-            res = rlace_fit(train, val, cfg.rlace)
-            d_sp_hat = cfg.rlace.rank
-            tr, va, te = (s.with_Z(s.Z @ res.P) for s in (train, val, test))
-            model = fit_logreg(tr, "mt", va, cfg.downstream)
-            summary = evaluate(model, te)
-        else:  # pragma: no cover - guarded by ExperimentConfig
-            raise ValueError(cfg.method)
+        if cfg.demean:  # rebinding frees the raw splits before the fit
+            pre = Artifact.fit_preprocessing(cfg.method, train, demean=True)
+            train, val, test = (s.with_Z(pre.preprocess(s.Z)) for s in (train, val, test))
+        art, _, summary = fit_and_evaluate(cfg, train, val, test)
     except Exception as exc:  # noqa: BLE001 - per-seed failures are recorded, not fatal
         ms = 1000.0 * (time.perf_counter() - t0)
         return RunRecord(cfg.method, x_name, x_value, seed_index, None, 0, 0, ms, repr(exc))
     ms = 1000.0 * (time.perf_counter() - t0)
-    return RunRecord(cfg.method, x_name, x_value, seed_index, summary, d_sp_hat, d_mt_hat, ms)
+    return RunRecord(cfg.method, x_name, x_value, seed_index, summary,
+                     art.sp_basis.shape[1], art.mt_basis.shape[1], ms)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,12 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
 from .data import ORTHO_TOL, LabeledEmbeddings, orthonormal_check
-from .evaluate import CellAggregate, EvalSummary, RunRecord
+from .evaluate import Artifact, CellAggregate, EvalSummary, RunRecord
 from .sgd import LinearModel
 from .stats import TestReport
 
@@ -123,30 +122,6 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
     return LabeledEmbeddings(
         rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     )
-
-
-@dataclass(frozen=True)
-class Artifact:
-    """Serialized outcome of a `fit`: preprocessing, bases and/or a linear model."""
-
-    method: str
-    d: int
-    sp_basis: np.ndarray  # (d, k); k may be 0
-    mt_basis: np.ndarray
-    tests: list[TestReport]
-    model: LinearModel | None
-    termination: str = ""
-    delta: float = 0.0
-    pre_mean: np.ndarray | None = None  # training mean subtracted before everything else
-    pre_components: np.ndarray | None = None  # PCA projection applied after demeaning
-
-    def preprocess(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=np.float64)
-        if self.pre_mean is not None:
-            Z = Z - self.pre_mean
-        if self.pre_components is not None:
-            Z = Z @ self.pre_components
-        return Z
 
 
 def save_artifact(path: str, art: Artifact) -> None:

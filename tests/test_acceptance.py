@@ -180,7 +180,7 @@ def test_criterion_5_weighted_tests_dimension(jse_sweep_timed):
 def test_criterion_7_file_pipeline_matches_memory(tmp_path):
     """The ingestion path is exact: exporting and reloading a dataset changes
     nothing about the pipeline's result."""
-    from jse.algorithm import jse_pipeline
+    from jse.evaluate import ExperimentConfig, fit_and_evaluate
     from jse.io_files import load_embeddings, save_embeddings
     from jse.sgd import OptimizerConfig
     from jse.toy import gen_toy, gen_toy_test
@@ -194,14 +194,14 @@ def test_criterion_7_file_pipeline_matches_memory(tmp_path):
         name: load_embeddings(str(tmp_path / f"{name}.csv"))
         for name in ("train", "val", "test")
     }
-    cfg = JseConfig()
-    down = OptimizerConfig(balance_sampling="class-balanced", seed=9)
-    m1, s1, r1 = jse_pipeline(train, val, test, cfg, down)
-    m2, s2, r2 = jse_pipeline(loaded["train"], loaded["val"], loaded["test"], cfg, down)
+    cfg = ExperimentConfig("jse", jse=JseConfig(), demean=False,
+                           downstream=OptimizerConfig(balance_sampling="class-balanced", seed=9))
+    r1, m1, s1 = fit_and_evaluate(cfg, train, val, test)
+    r2, m2, s2 = fit_and_evaluate(cfg, loaded["train"], loaded["val"], loaded["test"])
     assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
     np.testing.assert_array_equal(s1.group_acc, s2.group_acc)
     assert s1.average == s2.average
-    assert r1.d_sp == r2.d_sp
+    assert r1.sp_basis.shape[1] == r2.sp_basis.shape[1]
     print("PASS  c7 file-ingested pipeline matches the in-memory pipeline exactly")
 
 

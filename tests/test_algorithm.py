@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from jse.algorithm import JseConfig, jse_fit, jse_pipeline, jse_transform
-from jse.data import LabeledEmbeddings
+from jse.algorithm import JseConfig, jse_fit
+from jse.data import LabeledEmbeddings, project_out
+from jse.evaluate import Artifact, ExperimentConfig, fit_and_evaluate, fit_method
 from jse.sgd import OptimizerConfig, fit_1d_logreg, fit_logreg
 from jse.toy import ToyConfig, gen_toy, gen_toy_test
 
@@ -11,6 +12,13 @@ from jse.toy import ToyConfig, gen_toy, gen_toy_test
 def _cfg(seed=0, **kw):
     opt = OptimizerConfig(learning_rate=0.01, early_stop_metric="bce", seed=seed)
     return JseConfig(optimizer=opt, **kw)
+
+
+def _pipeline(train, val, test, jse_cfg, downstream=None):
+    """jse on the raw splits, then the class-balanced downstream classifier."""
+    downstream = downstream or OptimizerConfig(balance_sampling="class-balanced")
+    cfg = ExperimentConfig("jse", jse=jse_cfg, downstream=downstream, demean=False)
+    return fit_and_evaluate(cfg, train, val, test)
 
 
 def test_single_spurious_vector_at_rho08(toy_rho08):
@@ -46,32 +54,27 @@ def test_null_labels_rarely_accept_anything():
 
 def test_transform_modes(toy_rho08):
     _, train, val, test = toy_rho08
-    res = jse_fit(train, val, _cfg(seed=3))
-    removed = jse_transform(test.Z, res, "remove-sp")
+    art = fit_method(ExperimentConfig("jse", jse=_cfg(seed=3)), train, val)
+    removed = art.transform(test.Z, "remove-sp")
     # idempotence
-    np.testing.assert_allclose(jse_transform(removed, res, "remove-sp"), removed, atol=1e-10)
+    np.testing.assert_allclose(art.transform(removed, "remove-sp"), removed, atol=1e-10)
     # removed rows orthogonal to the spurious basis
-    assert np.max(np.abs(removed @ res.sp_basis.V)) < 1e-6
-    kept = jse_transform(test.Z, res, "keep-mt")
-    if res.d_mt:
-        np.testing.assert_allclose(kept @ res.sp_basis.V, 0.0, atol=1e-8)
+    assert np.max(np.abs(removed @ art.sp_basis)) < 1e-6
+    kept = art.transform(test.Z, "keep-mt")
+    if art.mt_basis.shape[1]:
+        np.testing.assert_allclose(kept @ art.sp_basis, 0.0, atol=1e-8)
     with pytest.raises(ValueError, match="mode"):
-        jse_transform(test.Z, res, "bogus")
+        art.transform(test.Z, "bogus")
 
 
 def test_transform_degenerate_bases():
-    from jse.algorithm import SubspaceResult
-    from jse.data import SubspaceBasis
-
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((5, 4))
-    res = SubspaceResult(
-        SubspaceBasis(np.zeros((4, 0)), "spurious"),
-        SubspaceBasis(np.eye(4), "main-task"),
-        [], [], "test-rejected", 0.0,
-    )
-    np.testing.assert_array_equal(jse_transform(Z, res, "remove-sp"), Z)
-    np.testing.assert_allclose(jse_transform(Z, res, "keep-mt"), Z, atol=1e-12)
+    art = Artifact("jse", 4, np.zeros((4, 0)), np.eye(4), [], None, "test-rejected", 0.0)
+    np.testing.assert_array_equal(art.transform(Z, "remove-sp"), Z)
+    np.testing.assert_allclose(art.transform(Z, "keep-mt"), Z, atol=1e-12)
+    with pytest.raises(ValueError, match="artifact d=4 does not match data d=3"):
+        art.transform(Z[:, :3])
 
 
 def test_removal_oracle(toy_rho08):
@@ -79,8 +82,8 @@ def test_removal_oracle(toy_rho08):
     signal: a 1-d fit on it scores at the majority rate."""
     _, train, val, _ = toy_rho08
     res = jse_fit(train, val, _cfg(seed=4))
-    Ztr = jse_transform(train.Z, res, "remove-sp")
-    Zval = jse_transform(val.Z, res, "remove-sp")
+    Ztr = project_out(train.Z, res.sp_basis.V)
+    Zval = project_out(val.Z, res.sp_basis.V)
     v = res.sp_basis.V[:, 0]
     fit = fit_1d_logreg(Ztr, v, train.y_sp, OptimizerConfig(seed=5), Zval, val.y_sp)
     acc = np.mean((fit.predict(Zval) >= 0.5) == val.y_sp)
@@ -95,11 +98,11 @@ def test_loop_order_robustness():
         train, val = gen_toy(cfg)
         test = gen_toy_test(cfg)
         for order, dsp, accs in (("mt-inner", d_sp_a, acc_a), ("sp-inner", d_sp_b, acc_b)):
-            model, summary, res = jse_pipeline(
+            art, model, summary = _pipeline(
                 train, val, test, _cfg(seed=seed, loop_order=order),
                 OptimizerConfig(seed=seed, balance_sampling="class-balanced"),
             )
-            dsp.append(res.d_sp)
+            dsp.append(art.sp_basis.shape[1])
             accs.append(summary.average)
     agree = np.mean([a == b for a, b in zip(d_sp_a, d_sp_b)])
     assert agree >= 0.8
@@ -118,8 +121,8 @@ def test_monotone_safety():
             before = fit_logreg(train, "mt", val, opt)
             acc_before = np.mean((before.predict(val.Z) >= 0.5) == val.y_mt)
             res = jse_fit(train, val, _cfg(seed=seed))
-            tr = train.with_Z(jse_transform(train.Z, res, "remove-sp"))
-            va = val.with_Z(jse_transform(val.Z, res, "remove-sp"))
+            tr = train.with_Z(project_out(train.Z, res.sp_basis.V))
+            va = val.with_Z(project_out(val.Z, res.sp_basis.V))
             after = fit_logreg(tr, "mt", va, opt)
             acc_after = np.mean((after.predict(va.Z) >= 0.5) == va.y_mt)
             drops.append(100 * (acc_before - acc_after))
@@ -162,10 +165,10 @@ def test_group_weighting_ablation_flag(toy_rho08):
 
 def test_pipeline_shapes(toy_rho08):
     _, train, val, test = toy_rho08
-    model, summary, res = jse_pipeline(train, val, test, _cfg(seed=14))
+    art, model, summary = _pipeline(train, val, test, _cfg(seed=14))
     assert model.w.shape == (train.d,)
     assert summary.average > 75.0
-    assert res.d_sp >= 1
+    assert art.sp_basis.shape[1] >= 1
 
 
 def test_empty_val_group_raises():

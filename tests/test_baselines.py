@@ -56,7 +56,8 @@ def test_inlp_null_calibration():
 def test_rlace_projection_properties(toy_rho08):
     _, train, val, _ = toy_rho08
     res = rlace_fit(train, val, RlaceConfig(optimizer=OptimizerConfig(seed=3)))
-    P = res.P
+    V = res.removed.V
+    P = np.eye(train.d) - V @ V.T
     np.testing.assert_allclose(P @ P, P, atol=1e-6)
     np.testing.assert_allclose(P, P.T, atol=1e-6)
     assert np.linalg.matrix_rank(np.eye(train.d) - P) == 1

@@ -74,6 +74,24 @@ def test_fit_erm_and_eval_jsonl(toy_files, tmp_path, capsys):
     assert len(payload["group_acc"]) == 4
 
 
+@pytest.mark.parametrize("method,first_line,termination", [
+    ("rlace", "d_sp_hat=1 d_mt_hat=0 termination=max-iterations", "max-iterations"),
+    ("inlp", "d_sp_hat=2 d_mt_hat=0", ""),
+    ("erm", None, ""),
+])
+def test_fit_stdout_is_built_from_the_artifact(toy_files, tmp_path, capsys, method, first_line,
+                                               termination):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[rlace]\nmax_iters = 10\neval_every = 5\n")
+    art_path = tmp_path / f"{method}.artifact"
+    assert run_cli("--seed", "3", "--config", str(cfg), "fit", "--method", method,
+                   "--train", str(toy_files / "toy_train.csv"),
+                   "--val", str(toy_files / "toy_val.csv"), "--artifact", str(art_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ([first_line] if first_line else []) + [f"wrote {art_path}"]
+    assert load_artifact(str(art_path)).termination == termination
+
+
 def test_eval_requires_model(toy_files, tmp_path, capsys):
     art_path = tmp_path / "jse2.artifact"
     run_cli("--seed", "5", "fit", "--method", "jse",

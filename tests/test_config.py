@@ -1,6 +1,11 @@
+import os
+
 import pytest
 
 from jse.config import ConfigError, build_experiment, load_config, parse_config_lines
+from jse.evaluate import METHODS
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 GOOD = """
@@ -126,3 +131,90 @@ def test_bad_optional_int_exits_3(tmp_path, capsys):
     path.write_text("[jse]\nmax_dim = abc\n")
     assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 3
     assert "[jse] max_dim:" in capsys.readouterr().err
+
+
+# (section, key, value, subcommand): values out of the field's range or of the
+# wrong type; each must exit 3 naming section and key
+BAD_VALUES = [
+    ("inlp", "alpha", "1.5", "fit"),
+    ("inlp", "alpha", "0", "fit"),
+    ("inlp", "max_rounds", "0", "fit"),
+    ("rlace", "eval_every", "0", "fit"),
+    ("rlace", "max_iters", "0", "fit"),
+    ("rlace", "stop_accuracy", "2", "fit"),
+    ("rlace", "stop_accuracy", "0", "fit"),
+    ("jse", "max_dim", "0", "fit"),
+    ("jse", "max_dim", "-3", "fit"),
+    ("sweep", "seeds", "0", "sweep"),
+    ("sweep", "seeds", "abc", "sweep"),
+    ("sweep", "methods", ",", "sweep"),
+    ("sweep", "x_values", "0.5, high", "sweep"),
+    ("optimizer", "max_epochs", "3", "sweep"),  # below the default patience 5
+]
+
+
+@pytest.fixture(scope="module")
+def small_toy(tmp_path_factory):
+    from jse.cli import main
+
+    out = tmp_path_factory.mktemp("toy")
+    assert main(["--out", str(out), "gen-toy", "--n", "200", "--d", "6", "--rho", "0.8"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("section,key,value,command", BAD_VALUES,
+                         ids=lambda v: str(v) if v != "," else "empty")
+def test_out_of_range_value_exits_3_naming_key(small_toy, tmp_path, capsys, section, key,
+                                               value, command):
+    from jse.cli import main
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), command]
+    if command == "fit":
+        argv += ["--method", section, "--train", str(small_toy / "toy_train.csv"),
+                 "--val", str(small_toy / "toy_val.csv")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: [{section}] {key}: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    ["max_epochs = 3", "early_stop_patience = 2"],
+    ["early_stop_patience = 80", "max_epochs = 100"],
+])
+def test_dependent_keys_load_in_either_order(lines):
+    cfg, _ = build_experiment(parse_config_lines(["[optimizer]", *lines]))
+    expected = dict(line.split(" = ") for line in lines)
+    for opt in (cfg.downstream, cfg.inlp.optimizer, cfg.rlace.optimizer):
+        assert opt.max_epochs == int(expected["max_epochs"])
+        assert opt.early_stop_patience == int(expected["early_stop_patience"])
+
+
+def test_keys_only_bad_together_are_all_named():
+    # each is valid against the defaults (patience 5, max_epochs 50); together 10 > 8
+    lines = ["[optimizer]", "early_stop_patience = 10", "max_epochs = 8"]
+    with pytest.raises(ConfigError, match=r"^\[optimizer\] early_stop_patience, max_epochs: "
+                                          r"early_stop_patience must be <= max_epochs"):
+        build_experiment(parse_config_lines(lines))
+
+
+def test_unknown_sweep_key():
+    with pytest.raises(ConfigError, match=r"^\[sweep\] unknown key 'seed'"):
+        build_experiment(parse_config_lines(["[sweep]", "seed = 3"]))
+
+
+CONFIGS = sorted(
+    os.path.join(CONFIG_DIR, name) for name in os.listdir(CONFIG_DIR) if name.endswith(".cfg")
+)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_configs_load(path):
+    _, sweep = load_config(path)
+    assert sweep.methods and set(sweep.methods) <= set(METHODS)
+    assert sweep.x_values and sweep.seeds >= 1

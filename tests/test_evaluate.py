@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from jse.baselines import RlaceConfig
 from jse.data import LabeledEmbeddings
 from jse.evaluate import (
     ExperimentConfig,
@@ -146,3 +149,47 @@ def test_run_sweep_small_grid():
 def test_method_validation():
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentConfig(method="boosting")
+
+
+# run_single records pinned before the five methods shared one dispatch
+# (fit_method): (method, jse transform_mode, rho, seed index, group accuracies,
+# d_sp_hat, d_mt_hat) at n = 600, d = 6, test_n = 600, rlace max_iters = 500.
+GOLDEN_RUNS = [
+    ('jse', None, 0.0, 0, [83.89261744966443, 81.69934640522875, 83.64779874213836, 76.97841726618705], 1, 1),
+    ('jse', None, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
+    ('jse', None, 0.9, 0, [92.72727272727272, 47.183098591549296, 62.5, 91.2751677852349], 0, 2),
+    ('jse', None, 0.9, 1, [76.0233918128655, 78.343949044586, 84.21052631578947, 87.76978417266187], 1, 0),
+    ('erm', None, 0.0, 0, [84.24657534246576, 77.30061349693251, 87.41258741258741, 84.45945945945947], 0, 0),
+    ('erm', None, 0.0, 1, [79.22077922077922, 84.66666666666667, 82.78145695364239, 80.6896551724138], 0, 0),
+    ('erm', None, 0.9, 0, [90.97744360902256, 62.857142857142854, 50.6578947368421, 88.0], 0, 0),
+    ('erm', None, 0.9, 1, [92.3076923076923, 67.0967741935484, 48.837209302325576, 86.7132867132867], 0, 0),
+    ('gw-erm', None, 0.0, 0, [83.76623376623377, 87.73006134969326, 87.07482993197279, 83.82352941176471], 0, 0),
+    ('gw-erm', None, 0.0, 1, [78.343949044586, 83.97435897435898, 89.47368421052632, 81.81818181818183], 0, 0),
+    ('gw-erm', None, 0.9, 0, [92.76315789473685, 61.53846153846154, 44.52054794520548, 87.67123287671232], 0, 0),
+    ('gw-erm', None, 0.9, 1, [86.875, 66.90647482014388, 64.74358974358975, 91.0344827586207], 0, 0),
+    ('inlp', None, 0.0, 0, [82.48175182481752, 83.75, 88.46153846153845, 78.91156462585033], 1, 0),
+    ('inlp', None, 0.0, 1, [85.81560283687944, 82.6086956521739, 81.45695364238411, 84.35374149659864], 1, 0),
+    ('inlp', None, 0.9, 0, [44.36619718309859, 80.0, 95.30201342281879, 64.77987421383648], 1, 0),
+    ('inlp', None, 0.9, 1, [57.55395683453237, 92.5, 88.88888888888889, 48.64864864864865], 1, 0),
+    ('rlace', None, 0.0, 0, [89.63414634146342, 69.23076923076923, 68.02721088435374, 84.93150684931507], 1, 0),
+    ('rlace', None, 0.0, 1, [80.51948051948052, 89.78102189781022, 83.6734693877551, 77.1604938271605], 1, 0),
+    ('rlace', None, 0.9, 0, [86.0, 55.24475524475524, 61.07382550335571, 93.0379746835443], 1, 0),
+    ('rlace', None, 0.9, 1, [95.8904109589041, 50.931677018633536, 53.383458646616546, 92.5], 1, 0),
+    ('jse', 'keep-mt', 0.0, 0, [84.56375838926175, 83.00653594771242, 84.27672955974843, 77.6978417266187], 1, 1),
+    ('jse', 'keep-mt', 0.0, 1, [84.17266187050359, 83.21678321678321, 85.79881656804734, 82.5503355704698], 1, 1),
+    ('jse', 'keep-mt', 0.9, 0, [89.6969696969697, 50.70422535211267, 70.83333333333334, 90.60402684563759], 0, 2),
+    ('jse', 'keep-mt', 0.9, 1, [0.0, 0.0, 100.0, 100.0], 1, 0),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_RUNS, ids=lambda c: f"{c[0]}-{c[1]}-rho{c[2]}-seed{c[3]}")
+def test_run_single_golden(case):
+    method, mode, rho, seed, group_acc, d_sp_hat, d_mt_hat = case
+    cfg = ExperimentConfig(method=method, toy=ToyConfig(n=600, d=6), test_n=600,
+                           rlace=RlaceConfig(max_iters=500))
+    if mode:
+        cfg = replace(cfg, jse=replace(cfg.jse, transform_mode=mode))
+    rec = run_single(cfg, "rho", rho, seed)
+    assert rec.error == ""
+    assert [float(a) for a in rec.summary.group_acc] == group_acc
+    assert (rec.d_sp_hat, rec.d_mt_hat) == (d_sp_hat, d_mt_hat)

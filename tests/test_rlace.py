@@ -112,7 +112,9 @@ def test_rlace_golden_fits(toy_rho08, toy_rho0, case):
     res = rlace_fit(train, val, cfg)
     assert (res.iters, res.converged, res.val_accuracy) == (iters, converged, val_accuracy)
     U = np.array(U)
-    np.testing.assert_allclose(res.P, np.eye(train.d) - U @ U.T, rtol=0, atol=1e-10)
+    V = res.removed.V
+    np.testing.assert_allclose(np.eye(train.d) - V @ V.T, np.eye(train.d) - U @ U.T,
+                               rtol=0, atol=1e-10)
 
 
 # --- the adversary's span solve ------------------------------------------------
