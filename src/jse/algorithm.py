@@ -18,17 +18,12 @@ the main-task subspace (``keep-mt``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Direction, LabeledEmbeddings, SubspaceBasis, project_out
-from .sgd import (
-    OptimizerConfig,
-    fit_1d_logreg,
-    fit_intercept_only,
-    fit_joint_orthogonal,
-)
+from .sgd import child_seed, fit_1d_logreg, fit_intercept_only, fit_joint_orthogonal
 from .stats import TestReport, delta_heuristic, t_relative, t_vs_random
 
 DELTA_AUTO = "auto"
@@ -50,11 +45,7 @@ class JseConfig:
     # denominator of the relative-test statistic; 'variance' reproduces the
     # reference benchmark behavior, 'se' is the asymptotically N(0,1) form
     relative_test_scale: str = "variance"
-    # the joint fit early-stops on validation BCE: the accuracy metric plateaus
-    # before the two heads finish disentangling correlated directions
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(learning_rate=0.01, early_stop_metric="bce")
-    )
+    seed: int = 0  # seeds the joint fits' random inits
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -100,9 +91,9 @@ def _normalize_against(
 ) -> tuple[np.ndarray, float] | None:
     """Clean w of components along already-removed directions and normalize.
 
-    The SGD iterate can retain a stray initialization component in directions
-    the data no longer spans; predictions on the projected data are invariant
-    to it but the basis must not inherit it. Returns the unit vector and the
+    The joint fit's iterate can retain a stray initialization component in
+    directions the data no longer spans; predictions on the projected data are
+    invariant to it but the basis must not inherit it. Returns the unit vector and the
     cleaned norm (the scale of the 1-d model actually realized on the
     projected data), or None for a numerically vanished vector.
     """
@@ -153,8 +144,8 @@ def jse_fit(
         outer_candidate: tuple[np.ndarray, float, float] | None = None
 
         for j in range(1, max_dim + 1):
-            opt = cfg.optimizer.reseeded(i, j)
-            sp_m, mt_m = fit_joint_orthogonal(train.with_Z(Ztr_in), opt, val.with_Z(Zval_in))
+            sp_m, mt_m = fit_joint_orthogonal(train.with_Z(Ztr_in), child_seed(cfg.seed, i, j))
+            val_in = val.with_Z(Zval_in)
             models = {"sp": sp_m, "mt": mt_m}
             out_m, in_m = models[outer_t], models[inner_t]
 
@@ -172,18 +163,14 @@ def jse_fit(
                     )
                     for t in ("sp", "mt")
                 }
-                delta = delta_heuristic(own["sp"], own["mt"], val.with_Z(Zval_in), gw)
+                delta = delta_heuristic(own["sp"], own["mt"], val_in, gw)
                 delta_fixed = True
 
             if cand_in is None:
                 break
             v_in = cand_in[0]
             in_dir = Direction(v_in, cand_in[1], in_m.b)
-            cross = fit_1d_logreg(
-                Ztr_in, v_in, train.labels(outer_t), opt.reseeded(1),
-                Zval_in, val.labels(outer_t),
-            )
-            val_in = val.with_Z(Zval_in)
+            cross = fit_1d_logreg(Ztr_in, v_in, train.labels(outer_t))
             rep_rnd = t_vs_random(in_dir, val_in, inner_t, random_models[inner_t], cfg.alpha, gw)
             sp_fit, mt_fit = (cross, in_dir) if inner_is_mt else (in_dir, cross)
             rep_rel = t_relative(
@@ -203,11 +190,7 @@ def jse_fit(
             break
         v_out, gamma_out, b_out = outer_candidate
         out_dir = Direction(v_out, gamma_out, b_out)
-        opt = cfg.optimizer.reseeded(i, 0)
-        cross = fit_1d_logreg(
-            Ztr_outer, v_out, train.labels(inner_t), opt.reseeded(2),
-            Zval_outer, val.labels(inner_t),
-        )
+        cross = fit_1d_logreg(Ztr_outer, v_out, train.labels(inner_t))
         val_out = val.with_Z(Zval_outer)
         rep_rnd = t_vs_random(out_dir, val_out, outer_t, random_models[outer_t], cfg.alpha, gw)
         sp_fit, mt_fit = (out_dir, cross) if inner_is_mt else (cross, out_dir)

@@ -27,7 +27,15 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .data import LabeledEmbeddings, SubspaceBasis, project_out
-from .sgd import LinearModel, OptimizerConfig, bce, fit_intercept_only, fit_logreg, sigmoid
+from .sgd import (
+    LinearModel,
+    OptimizerConfig,
+    _newton_logreg,
+    bce,
+    fit_intercept_only,
+    fit_logreg,
+    sigmoid,
+)
 from .stats import critical_value, weighted_diff
 
 
@@ -153,39 +161,6 @@ def _span_solver(k: int, lr: float):
         return _top_k_projection(U @ U.T - lr * 0.5 * (G + G.T), k)
 
     return top_k
-
-
-def _newton_logreg(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6, max_iter: int = 50):
-    """Converged logistic regression by IRLS; the probe for the removal test.
-
-    Unlike the SGD protocol this has no validation-snapshot selection, so its
-    held-out accuracy is an unbiased read on what a classifier can recover.
-    """
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(max_iter):
-        p = sigmoid(X @ w + b)
-        r = p - y
-        g = np.concatenate([X.T @ r / n + ridge * w, [float(np.mean(r))]])
-        s = np.maximum(p * (1 - p), 1e-12)
-        Xs = X * s[:, None]
-        H = np.empty((d + 1, d + 1))
-        H[:d, :d] = X.T @ Xs / n + ridge * np.eye(d)
-        H[:d, d] = H[d, :d] = Xs.mean(axis=0)
-        H[d, d] = float(np.mean(s))
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        nrm = float(np.max(np.abs(step)))
-        if nrm > 10.0:
-            step *= 10.0 / nrm
-        w -= step[:d]
-        b -= float(step[d])
-        if nrm < 1e-9:
-            break
-    return w, b
 
 
 def rlace_fit(

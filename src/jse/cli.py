@@ -88,17 +88,13 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _experiment_config(args):
-    from .config import load_config
+    from .config import build_experiment, load_config
     from .evaluate import ExperimentConfig
 
     base = ExperimentConfig(method="jse", base_seed=args.seed)
     if args.config:
-        cfg, sweep = load_config(args.config, base)
-    else:
-        from .config import SweepSpec
-
-        cfg, sweep = base, SweepSpec(seeds=base.seeds, base_seed=args.seed)
-    return cfg, sweep
+        return load_config(args.config, base)
+    return build_experiment({}, base)
 
 
 def _cmd_fit(args) -> int:

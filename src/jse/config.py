@@ -3,14 +3,15 @@
 Grammar (one statement per line):
 
     # comment                      blank lines and '#' comments are ignored
-    [section]                      toy | jse | inlp | rlace | sweep | optimizer
-    [section.optimizer]            per-method optimizer overrides
+    [section]                      one of SECTIONS
     key = value
 
 Values are parsed by the target dataclass field type; lists (sweep methods,
-x values) are comma-separated. Every ToyConfig, JseConfig, InlpConfig,
-RlaceConfig, OptimizerConfig and SweepSpec field is addressable. A value the
-dataclass rejects (its range checks) is a ConfigError naming section and key.
+x values) are comma-separated. Every ToyConfig, ExperimentConfig, JseConfig,
+InlpConfig, RlaceConfig, OptimizerConfig and SweepSpec field is addressable.
+A value the dataclass rejects (its range checks) is a ConfigError naming
+section and key; an unknown section is one naming the file and line. Keys
+before the first section are ignored.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from .toy import ToyConfig
 
 class ConfigError(ValueError):
     """Bad configuration file; the message names the line."""
+
+
+# [optimizer] is shared by ERM, INLP, RLACE and the downstream fit; the
+# dotted sections override it per method
+SECTIONS = ("toy", "experiment", "jse", "inlp", "rlace", "optimizer", "sweep",
+            "inlp.optimizer", "rlace.optimizer", "downstream.optimizer")
 
 
 @dataclass(frozen=True)
@@ -52,13 +59,16 @@ class SweepSpec:
 
 def parse_config_lines(lines: list[str], path: str = "<config>") -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
-    current = "global"
+    current = "global"  # keys before the first section land here, unused
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in SECTIONS:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]; "
+                                  f"expected one of {', '.join(SECTIONS)}")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -124,8 +134,8 @@ def build_experiment(
 ) -> tuple[ExperimentConfig, SweepSpec]:
     """Assemble an ExperimentConfig plus sweep grid from parsed sections.
 
-    Per-method optimizer defaults follow the synthetic-benchmark tuning:
-    learning rate 1e-2 for the joint fit, 1e-1 elsewhere, weight decay 0.
+    The sweep's ``seeds`` and ``base_seed`` start from the experiment's (the
+    ``base`` config, then ``[experiment]``); ``[sweep]`` overrides them.
     """
     cfg = base or ExperimentConfig(method="jse")
     if "toy" in sections:
@@ -146,7 +156,7 @@ def build_experiment(
             inlp=replace(cfg.inlp, optimizer=opt),
             rlace=replace(cfg.rlace, optimizer=opt),
         )
-    for name in ("jse", "inlp", "rlace", "downstream"):
+    for name in ("inlp", "rlace", "downstream"):
         section = f"{name}.optimizer"
         if section in sections:
             if name == "downstream":
@@ -156,7 +166,8 @@ def build_experiment(
                 sub = replace(sub, optimizer=_apply(sub.optimizer, section, sections[section]))
                 cfg = replace(cfg, **{name: sub})
 
-    sweep = _apply(SweepSpec(), "sweep", sections.get("sweep", {}))
+    sweep = SweepSpec(seeds=cfg.seeds, base_seed=cfg.base_seed)
+    sweep = _apply(sweep, "sweep", sections.get("sweep", {}))
     cfg = replace(cfg, seeds=sweep.seeds, base_seed=sweep.base_seed)
     return cfg, sweep
 

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,7 @@ class LabeledEmbeddings:
     group: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        Z = np.ascontiguousarray(np.asarray(self.Z, dtype=np.float64))
-        if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] < 1:
-            raise ValueError(f"Z must be a nonempty 2-d matrix, got shape {np.shape(self.Z)}")
+        Z = _embedding_matrix(self.Z)
         y_mt = np.asarray(self.y_mt, dtype=np.int64)
         y_sp = np.asarray(self.y_sp, dtype=np.int64)
         if len(y_mt) != Z.shape[0] or len(y_sp) != Z.shape[0]:
@@ -78,8 +77,25 @@ class LabeledEmbeddings:
         raise ValueError(f"target must be 'mt' or 'sp', got {target!r}")
 
     def with_Z(self, Z: np.ndarray) -> "LabeledEmbeddings":
-        """Same labels, different embedding matrix (e.g. after a projection)."""
-        return LabeledEmbeddings(Z, self.y_mt, self.y_sp)
+        """Same labels, different embedding matrix (e.g. after a projection).
+
+        The label arrays are shared with this already-validated instance, not
+        checked again; only ``Z`` is converted and its shape checked.
+        """
+        Z = _embedding_matrix(Z)
+        if Z.shape[0] != self.n:
+            raise ValueError("labels must match the number of rows of Z")
+        new = copy.copy(self)
+        object.__setattr__(new, "Z", Z)
+        return new
+
+
+def _embedding_matrix(Z) -> np.ndarray:
+    """Z as a C-contiguous float64 matrix with at least one row and column."""
+    out = np.ascontiguousarray(np.asarray(Z, dtype=np.float64))
+    if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
+        raise ValueError(f"Z must be a nonempty 2-d matrix, got shape {np.shape(Z)}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
     def with_seed(self, seed: int) -> ExperimentConfig:
-        """Every method's optimizer and the downstream fit seeded with ``seed``."""
+        """Every method and the downstream fit seeded with ``seed``."""
         return replace(
             self,
-            jse=replace(self.jse, optimizer=replace(self.jse.optimizer, seed=seed)),
+            jse=replace(self.jse, seed=seed),
             inlp=replace(self.inlp, optimizer=replace(self.inlp.optimizer, seed=seed)),
             rlace=replace(self.rlace, optimizer=replace(self.rlace.optimizer, seed=seed)),
             downstream=replace(self.downstream, seed=seed),

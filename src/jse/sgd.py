@@ -1,24 +1,34 @@
 """Logistic-regression trainers: full, intercept-only, 1-d, and jointly-orthogonal.
 
-All trainers share one protocol: minibatch SGD with momentum and optional
-weight decay, validation loss evaluated after every epoch, and early stopping
-that returns the snapshot with the lowest validation loss (earliest epoch on
-ties), stopping after ``early_stop_patience`` epochs without improvement.
+They run one of two protocols:
 
-The joint trainer solves the orthogonality-constrained problem through an
+* ``fit_logreg`` (ERM, gw-ERM, INLP and the downstream classifier) runs the
+  benchmark protocol: minibatch SGD with momentum and optional weight
+  decay, validation loss evaluated after every epoch, and early stopping that
+  returns the snapshot with the lowest validation loss (earliest epoch on
+  ties), stopping after ``early_stop_patience`` epochs without improvement.
+  RLACE's classifier step uses the same ``OptimizerConfig``.
+* The jse inner fits are solved on the full batch to their optimum.
+  ``fit_1d_logreg`` runs IRLS (``_newton_logreg``, RLACE's probe solver)
+  on the projected feature. ``fit_joint_orthogonal`` minimizes
+  ``joint_loss_and_grad`` plus a ``JOINT_RIDGE`` penalty on both weight
+  vectors with ``lbfgs``, from a seeded random init. Neither has a
+  validation split or a configuration: the solver constants are module
+  constants.
+
+The joint objective handles the orthogonality constraint through an
 unconstrained reparameterization: the main-task head predicts with
-``(I - P) w_mt`` where ``P = w_sp w_sp^T / (w_sp^T w_sp)``, recomputed at
-every step, so the two effective coefficient vectors are orthogonal by
-construction.
+``(I - P) w_mt`` where ``P = w_sp w_sp^T / (w_sp^T w_sp)``, so the two
+effective coefficient vectors are orthogonal by construction.
 
-Batches: each epoch draws its row order with one RNG call (a permutation in
-uniform mode; ``ceil(n / batch_size) * batch_size`` indices drawn with
+SGD batches: each epoch draws its row order with one RNG call (a permutation
+in uniform mode; ``ceil(n / batch_size) * batch_size`` indices drawn with
 replacement under the sampling probabilities in the balanced modes), gathers
 the training rows in that order once, and slices consecutive batches from
 the gathered copy. The last uniform batch is ragged when ``batch_size`` does
 not divide ``n``.
 
-The step loops are written for few numpy calls per step, but every output is
+The SGD step loop is written for few numpy calls per step, but its output is
 bit-identical to the plain per-batch formulation (index batches, a masked
 sigmoid, one allocation per update): any rewrite must keep the same RNG calls
 and the same floating-point operations in the same order. In particular a
@@ -29,6 +39,7 @@ checks equality with ``np.array_equal``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +48,18 @@ from .data import Direction, LabeledEmbeddings
 
 BCE_EPS = 1e-7
 PROJ_EPS = 1e-12
+
+# the joint fit's full-batch solve, chosen on the acceptance cells
+JOINT_RIDGE = 1e-3  # L2 penalty 0.5 * JOINT_RIDGE * (|w_sp|^2 + |w_mt|^2)
+LBFGS_MEMORY = 10  # curvature pairs kept
+LBFGS_MAX_ITER = 200
+LBFGS_GTOL = 1e-5  # stop once max |gradient| falls below this
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search
+
+
+def child_seed(seed: int, *entropy: int) -> int:
+    """A seed that is a deterministic function of (seed, *entropy)."""
+    return int(np.random.SeedSequence([seed, *entropy]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -67,8 +90,7 @@ class OptimizerConfig:
 
     def reseeded(self, *entropy: int) -> "OptimizerConfig":
         """Derive a config whose seed is a deterministic function of (seed, *entropy)."""
-        child = np.random.SeedSequence([self.seed, *entropy]).generate_state(1)[0]
-        return replace(self, seed=int(child))
+        return replace(self, seed=child_seed(self.seed, *entropy))
 
 
 @dataclass(frozen=True)
@@ -248,20 +270,9 @@ def fit_logreg(
     return LinearModel(w, b)
 
 
-def fit_1d_logreg(
-    Z: np.ndarray,
-    v: np.ndarray,
-    y: np.ndarray,
-    cfg: OptimizerConfig,
-    Z_val: np.ndarray | None = None,
-    y_val: np.ndarray | None = None,
-    solver: str = "sgd",
-) -> Direction:
-    """Fit scale gamma and intercept b on the projected feature s = Z @ v, v held fixed.
-
-    With no validation split, early stopping falls back to the training loss.
-    ``solver='newton'`` runs IRLS to the optimum instead of the SGD protocol.
-    """
+def fit_1d_logreg(Z: np.ndarray, v: np.ndarray, y: np.ndarray) -> Direction:
+    """Fit scale gamma and intercept b on the projected feature s = Z @ v, v held fixed,
+    by IRLS to the optimum."""
     v = np.asarray(v, dtype=np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ValueError("v must be unit-norm")
@@ -270,67 +281,97 @@ def fit_1d_logreg(
     if s.std() < 1e-12:
         b = _logit(float(np.mean(y)))
         return Direction(v, 0.0, b, warn="constant projected feature; gamma undefined")
-    s_val = s if Z_val is None else np.asarray(Z_val, dtype=np.float64) @ v
-    yv = y if y_val is None else np.asarray(y_val, dtype=np.float64)
-
-    if solver == "newton":
-        gamma, b = _newton_1d(s, y)
-        return Direction(v, gamma, b)
-    if solver != "sgd":
-        raise ValueError(f"unknown solver {solver!r}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    gamma, b = 0.0, 0.0
-    vg, vb = 0.0, 0.0
-    n = len(s)
-    bs = cfg.batch_size
-    stopper = _EarlyStopper(cfg.early_stop_patience, "fit_1d_logreg")
-    for _ in range(cfg.max_epochs):
-        order = _epoch_order(rng, n, bs, None)
-        so, yo = s[order], y[order]
-        for i in range(0, n, bs):
-            sb, yb = so[i : i + bs], yo[i : i + bs]
-            nb = len(yb)
-            r = sigmoid(gamma * sb + b) - yb
-            gg = float(sb @ r / nb)
-            if cfg.weight_decay:
-                gg += cfg.weight_decay * gamma
-            vg = cfg.momentum * vg + gg
-            vb = cfg.momentum * vb + float(r.sum() / nb)
-            gamma -= cfg.learning_rate * vg
-            b -= cfg.learning_rate * vb
-        score = _val_score(cfg.early_stop_metric, sigmoid(gamma * s_val + b), yv)
-        if stopper.update(score, (gamma, b)):
-            break
-    gamma, b = stopper.best()
-    return Direction(v, gamma, b)
+    w, b = _newton_logreg(s[:, None], y)
+    if not (np.isfinite(w[0]) and np.isfinite(b)):
+        raise FloatingPointError("fit_1d_logreg: non-finite solution")
+    return Direction(v, w[0], b)
 
 
-def _newton_1d(s: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float = 1e-10):
-    """IRLS for the two-parameter logistic model sigmoid(gamma * s + b)."""
-    gamma, b = 0.0, 0.0
+def _newton_logreg(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6, max_iter: int = 50):
+    """Converged logistic regression by IRLS: the 1-d fits' solver and RLACE's probe.
+
+    Unlike the SGD protocol this has no validation-snapshot selection, so its
+    held-out accuracy is an unbiased read on what a classifier can recover.
+    """
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
     for _ in range(max_iter):
-        p = sigmoid(gamma * s + b)
+        p = sigmoid(X @ w + b)
         r = p - y
-        w = np.maximum(p * (1.0 - p), 1e-12)
-        g0, g1 = float(np.mean(r * s)), float(np.mean(r))
-        h00 = float(np.mean(w * s * s))
-        h01 = float(np.mean(w * s))
-        h11 = float(np.mean(w))
-        det = h00 * h11 - h01 * h01
-        if det < 1e-14:
+        g = np.concatenate([X.T @ r / n + ridge * w, [float(np.mean(r))]])
+        s = np.maximum(p * (1 - p), 1e-12)
+        Xs = X * s[:, None]
+        H = np.empty((d + 1, d + 1))
+        H[:d, :d] = X.T @ Xs / n + ridge * np.eye(d)
+        H[:d, d] = H[d, :d] = Xs.mean(axis=0)
+        H[d, d] = float(np.mean(s))
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
             break
-        dg = (h11 * g0 - h01 * g1) / det
-        db = (h00 * g1 - h01 * g0) / det
-        # cap the step; separable data would otherwise diverge
-        step = max(abs(dg), abs(db))
-        if step > 10.0:
-            dg, db = dg * 10.0 / step, db * 10.0 / step
-        gamma -= dg
-        b -= db
-        if max(abs(dg), abs(db)) < tol:
+        nrm = float(np.max(np.abs(step)))
+        if nrm > 10.0:
+            step *= 10.0 / nrm
+        w -= step[:d]
+        b -= float(step[d])
+        if nrm < 1e-9:
             break
-    return gamma, b
+    return w, b
+
+
+def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
+    """Minimize ``fun(x) -> (value, gradient)`` from ``x`` by L-BFGS.
+
+    The search direction comes from the two-loop recursion over the last
+    ``LBFGS_MEMORY`` curvature pairs (the first one is cut to unit length at most)
+    and is cut back by Armijo backtracking from step 1. Stops once
+    ``max |gradient| < LBFGS_GTOL``, after ``LBFGS_MAX_ITER`` iterations, or
+    when the line search can no longer decrease the value. A non-finite value
+    or gradient raises ``FloatingPointError`` naming ``trainer``.
+    """
+
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        f, g = fun(x)
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            raise FloatingPointError(f"{trainer}: non-finite loss or gradient")
+        return f, g
+
+    f, g = evaluate(x)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
+    for _ in range(LBFGS_MAX_ITER):
+        if np.max(np.abs(g)) < LBFGS_GTOL:
+            break
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:  # initial inverse Hessian s.y / y.y from the newest pair
+            _, y, rho = pairs[-1]
+            q /= rho * (y @ y)
+        else:
+            q /= max(1.0, float(np.linalg.norm(q)))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        slope = -float(g @ q)
+        if slope >= 0.0:
+            break
+        t = 1.0
+        while True:
+            x_new = x - t * q
+            f_new, g_new = evaluate(x_new)
+            if f_new <= f + ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return x
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12:
+            pairs.append((s, y, 1.0 / sy))
+        x, f, g = x_new, f_new, g_new
+    return x
 
 
 def joint_loss_and_grad(
@@ -343,7 +384,7 @@ def joint_loss_and_grad(
 
     Packing is ``[w_sp (d), w_mt (d), b_sp, b_mt]``. The objective is the sum
     of the two per-task mean BCEs, the main-task head predicting through
-    ``(I - P_{w_sp}) w_mt``. Exposed for the finite-difference gradient check.
+    ``(I - P_{w_sp}) w_mt``.
     """
     d = X.shape[1]
     w_sp, w_mt = params[:d], params[d : 2 * d]
@@ -369,32 +410,23 @@ def joint_loss_and_grad(
     return loss, grad
 
 
-def fit_joint_orthogonal(
-    train: LabeledEmbeddings,
-    cfg: OptimizerConfig,
-    val: LabeledEmbeddings | None = None,
-) -> tuple[LinearModel, LinearModel]:
+def fit_joint_orthogonal(train: LabeledEmbeddings, seed: int) -> tuple[LinearModel, LinearModel]:
     """Jointly fit the spurious and main-task logistic regressions with
     orthogonal coefficient vectors.
 
-    Returns ``(sp_model, mt_model)`` where the main-task model stores the
-    already-projected effective weights, so ``sp.w`` is orthogonal to ``mt.w``.
-    Early stopping uses the sum of the two validation BCEs.
+    Minimizes ``joint_loss_and_grad`` plus ``0.5 * JOINT_RIDGE * (|w_sp|^2 +
+    |w_mt|^2)`` on the full training set with ``lbfgs``. Returns ``(sp_model,
+    mt_model)`` where the main-task model stores the already-projected
+    effective weights, so ``sp.w`` is orthogonal to ``mt.w``.
     """
     for target in ("sp", "mt"):
         y = train.labels(target)
         if y.min() == y.max():
             raise ValueError(f"target {target!r} has a single class in the training data")
     X = train.Z
-    Y = np.stack([train.y_sp, train.y_mt]).astype(np.float64)
-    if val is None:
-        val = train
-    Xv = val.Z
-    yv_sp = val.y_sp.astype(np.float64)
-    yv_mt = val.y_mt.astype(np.float64)
-
-    probs = _sampling_probs(train, "mt", cfg.balance_sampling)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    y_sp = train.y_sp.astype(np.float64)
+    y_mt = train.y_mt.astype(np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = train.d
     # packed [w_sp (d), w_mt (d), b_sp, b_mt], as in joint_loss_and_grad; the
     # small random init matters: when the two labels correlate strongly the
@@ -403,50 +435,14 @@ def fit_joint_orthogonal(
     theta = np.zeros(2 * d + 2)
     theta[:d] = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
     theta[d : 2 * d] = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
-    w_sp, w_mt, bias = theta[:d], theta[d : 2 * d], theta[2 * d :]
-    vel = np.zeros_like(theta)
-    grad = np.empty_like(theta)
 
-    def heads(Xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """u = Xb @ w_sp, (p_sp, p_mt) stacked as rows, and the projection scalars c, s."""
-        u = Xb @ w_sp
-        s = float(w_sp @ w_sp) + PROJ_EPS
-        c = float(w_sp @ w_mt)
-        logits = np.empty((2, len(u)))
-        np.add(u, bias[0], out=logits[0])
-        logits[1] = Xb @ w_mt - u * (c / s) + bias[1]
-        return u, sigmoid(logits), c, s
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, grad = joint_loss_and_grad(theta, X, y_sp, y_mt)
+        w = theta[: 2 * d]
+        grad[: 2 * d] += JOINT_RIDGE * w
+        return loss + 0.5 * JOINT_RIDGE * float(w @ w), grad
 
-    def val_score() -> float:
-        _, P, _, _ = heads(Xv)
-        return _val_score(cfg.early_stop_metric, P[0], yv_sp) + _val_score(
-            cfg.early_stop_metric, P[1], yv_mt
-        )
-
-    bs = cfg.batch_size
-    stopper = _EarlyStopper(cfg.early_stop_patience, "fit_joint_orthogonal")
-    for _ in range(cfg.max_epochs):
-        order = _epoch_order(rng, train.n, bs, probs)
-        Xo, Yo = X[order], Y[:, order]
-        for i in range(0, len(order), bs):
-            Xb = Xo[i : i + bs]
-            nb = len(Xb)
-            u, P, c, s = heads(Xb)
-            R = (P - Yo[:, i : i + bs]) / nb
-            Xr_mt = Xb.T @ R[1]
-            ru = float(R[1] @ u)
-            grad[:d] = Xb.T @ R[0] - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
-            grad[d : 2 * d] = Xr_mt - (ru / s) * w_sp
-            R.sum(axis=1, out=grad[2 * d :])
-            if cfg.weight_decay:
-                grad[: 2 * d] += cfg.weight_decay * theta[: 2 * d]
-            vel *= cfg.momentum
-            vel += grad
-            theta -= cfg.learning_rate * vel
-        if stopper.update(val_score(), (theta.copy(),)):
-            break
-
-    (theta,) = stopper.best()
+    theta = lbfgs(objective, theta, "fit_joint_orthogonal")
     w_sp, w_mt, (b_sp, b_mt) = theta[:d], theta[d : 2 * d], theta[2 * d :]
     s = float(w_sp @ w_sp) + PROJ_EPS
     w_mt_eff = w_mt - (float(w_sp @ w_mt) / s) * w_sp

@@ -10,8 +10,7 @@ from jse.toy import ToyConfig, gen_toy, gen_toy_test
 
 
 def _cfg(seed=0, **kw):
-    opt = OptimizerConfig(learning_rate=0.01, early_stop_metric="bce", seed=seed)
-    return JseConfig(optimizer=opt, **kw)
+    return JseConfig(seed=seed, **kw)
 
 
 def _pipeline(train, val, test, jse_cfg, downstream=None):
@@ -85,7 +84,7 @@ def test_removal_oracle(toy_rho08):
     Ztr = project_out(train.Z, res.sp_basis.V)
     Zval = project_out(val.Z, res.sp_basis.V)
     v = res.sp_basis.V[:, 0]
-    fit = fit_1d_logreg(Ztr, v, train.y_sp, OptimizerConfig(seed=5), Zval, val.y_sp)
+    fit = fit_1d_logreg(Ztr, v, train.y_sp)
     acc = np.mean((fit.predict(Zval) >= 0.5) == val.y_sp)
     majority = max(np.mean(val.y_sp), 1 - np.mean(val.y_sp))
     assert abs(acc - majority) <= 0.02

@@ -183,7 +183,7 @@ def nan_train(toy_files, tmp_path_factory):
 
 
 @pytest.mark.parametrize("method,trainer", [
-    ("jse", "fit_joint_orthogonal"),  # bce early stopping: no finite val score
+    ("jse", "fit_joint_orthogonal"),  # non-finite loss at the joint fit's first evaluation
     ("gw-erm", "fit_logreg"),  # accuracy early stopping: non-finite snapshot
     ("rlace", "Eigenvalues"),  # LinAlgError from the adversary's eigh
 ])

@@ -22,9 +22,10 @@ alpha = 0.05
 delta = auto
 loop_order = sp-inner
 
-[jse.optimizer]
-learning_rate = 0.005
 seed = 3
+
+[rlace.optimizer]
+learning_rate = 0.005
 
 [optimizer]
 learning_rate = 0.1
@@ -49,8 +50,8 @@ def test_parse_and_build():
     assert cfg.toy.n == 2000 and cfg.toy.gamma_sp == 6.0
     assert cfg.jse.delta == "auto"
     assert cfg.jse.loop_order == "sp-inner"
-    assert cfg.jse.optimizer.learning_rate == 0.005
-    assert cfg.jse.optimizer.seed == 3
+    assert cfg.jse.seed == 3
+    assert cfg.rlace.optimizer.learning_rate == 0.005  # overrides [optimizer]
     assert cfg.downstream.learning_rate == 0.1
     assert cfg.downstream.balance_sampling == "class-balanced"
     assert cfg.inlp.optimizer.learning_rate == 0.1  # [optimizer] propagates
@@ -99,6 +100,47 @@ def test_load_config_file(tmp_path):
     cfg, sweep = load_config(str(path))
     assert cfg.toy.rho == 0.8
     assert sweep.seeds == 7
+
+
+# (config text, line named in the error, section named): sections outside
+# config.SECTIONS are rejected, not ignored
+BAD_SECTIONS = [
+    ("[jse.optimizer]\nlearning_rate = 5\n", 1, "[jse.optimizer]"),  # the jse fits have no SGD
+    ("[toy]\nn = 300\n[jse.optimiser]\nlearning_rate = 5\n", 3, "[jse.optimiser]"),
+    ("# grid\n[bogus]\n", 2, "[bogus]"),
+]
+
+
+@pytest.mark.parametrize("text,line,named", BAD_SECTIONS)
+def test_unknown_section_exits_3_naming_file_and_line(tmp_path, capsys, text, line, named):
+    from jse.cli import main
+
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "sweep"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+# (config lines, --seed of the CLI, expected seeds, expected base_seed)
+SEED_SOURCES = [
+    (["[experiment]", "seeds = 3", "base_seed = 9"], 0, 3, 9),
+    (["[experiment]", "seeds = 3", "base_seed = 9", "[sweep]", "seeds = 4", "base_seed = 2"],
+     0, 4, 2),  # [sweep] wins
+    (["[toy]", "n = 300"], 5, 100, 5),  # --seed reaches the sweep
+    (["[sweep]", "base_seed = 7"], 5, 100, 7),
+]
+
+
+@pytest.mark.parametrize("lines,cli_seed,seeds,base_seed", SEED_SOURCES)
+def test_sweep_seeds_follow_experiment_and_cli(lines, cli_seed, seeds, base_seed):
+    from jse.evaluate import ExperimentConfig
+
+    base = ExperimentConfig(method="jse", base_seed=cli_seed)
+    cfg, sweep = build_experiment(parse_config_lines(lines), base)
+    assert (sweep.seeds, sweep.base_seed) == (seeds, base_seed)
+    assert (cfg.seeds, cfg.base_seed) == (seeds, base_seed)
 
 
 def test_delta_numeric():

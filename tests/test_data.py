@@ -58,6 +58,25 @@ def test_labeled_embeddings_validation():
     assert data.n == 2 and data.d == 2
 
 
+def test_with_Z_equals_a_fresh_instance_bit_for_bit():
+    rng = np.random.default_rng(5)
+    data = LabeledEmbeddings(rng.standard_normal((30, 4)), rng.integers(0, 2, 30),
+                             rng.integers(0, 2, 30))
+    # a strided int view: with_Z must convert it to C-contiguous float64; d may change
+    Z = rng.integers(-5, 5, (30, 12))[:, ::2]
+    got = data.with_Z(Z)
+    want = LabeledEmbeddings(Z, data.y_mt, data.y_sp)
+    for name in ("Z", "y_mt", "y_sp", "group"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.Z.flags.c_contiguous and got.d == 6
+    assert got.group is data.group  # the labels are shared, not validated again
+    with pytest.raises(ValueError, match="rows"):
+        data.with_Z(np.zeros((29, 4)))
+    with pytest.raises(ValueError, match="2-d"):
+        data.with_Z(np.zeros(30))
+
+
 def test_project_out_empty_basis_is_identity():
     rng = np.random.default_rng(1)
     Z = rng.standard_normal((4, 6))

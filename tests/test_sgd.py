@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jse import sgd
 from jse.data import LabeledEmbeddings
 from jse.sgd import (
+    ARMIJO_C,
     BCE_EPS,
+    JOINT_RIDGE,
+    LBFGS_GTOL,
+    LBFGS_MAX_ITER,
+    LBFGS_MEMORY,
     PROJ_EPS,
     LinearModel,
     OptimizerConfig,
     _EarlyStopper,
+    _newton_logreg,
     _sampling_probs,
     bce,
     fit_1d_logreg,
@@ -18,6 +25,7 @@ from jse.sgd import (
     fit_joint_orthogonal,
     fit_logreg,
     joint_loss_and_grad,
+    lbfgs,
     sigmoid,
 )
 from jse.toy import ToyConfig, gen_toy
@@ -122,7 +130,7 @@ def test_fit_1d_threshold_oracle():
     Z[:, 1] *= 4.0
     v = np.array([0.0, 1.0, 0.0])
     y = (Z @ v > 0).astype(int)
-    fit = fit_1d_logreg(Z, v, y, OptimizerConfig(seed=1))
+    fit = fit_1d_logreg(Z, v, y)
     acc = np.mean((fit.predict(Z) >= 0.5) == y)
     assert acc >= 0.99
 
@@ -132,7 +140,7 @@ def test_fit_1d_no_signal():
     Z = rng.standard_normal((4000, 3))
     y = rng.integers(0, 2, 4000)
     v = np.array([1.0, 0.0, 0.0])
-    fit = fit_1d_logreg(Z, v, y, OptimizerConfig(seed=2))
+    fit = fit_1d_logreg(Z, v, y)
     base = float(np.mean(bce(np.full(len(y), y.mean()), y)))
     got = float(np.mean(bce(fit.predict(Z), y)))
     assert abs(got - base) < 0.02
@@ -142,7 +150,7 @@ def test_fit_1d_informative_axis(toy_rho0):
     _, train, val, _ = toy_rho0
     v = np.zeros(train.d)
     v[0] = 1.0
-    fit = fit_1d_logreg(train.Z, v, train.y_sp, OptimizerConfig(seed=3), val.Z, val.y_sp)
+    fit = fit_1d_logreg(train.Z, v, train.y_sp)
     rand = fit_intercept_only(train, "sp")
     got = float(np.mean(bce(fit.predict(val.Z), val.y_sp)))
     base = float(np.mean(bce(rand.predict(val.Z), val.y_sp)))
@@ -152,7 +160,7 @@ def test_fit_1d_informative_axis(toy_rho0):
 def test_fit_1d_constant_feature():
     Z = np.zeros((10, 2))
     v = np.array([1.0, 0.0])
-    fit = fit_1d_logreg(Z, v, np.arange(10) % 2, OptimizerConfig(seed=0))
+    fit = fit_1d_logreg(Z, v, np.arange(10) % 2)
     assert fit.gamma == 0.0 and fit.warn is not None
 
 
@@ -161,23 +169,21 @@ def test_fit_1d_newton_matches_sgd_direction():
     Z = rng.standard_normal((2000, 2))
     v = np.array([1.0, 0.0])
     y = (rng.random(2000) < sigmoid(2.0 * Z[:, 0])).astype(int)
-    newton = fit_1d_logreg(Z, v, y, OptimizerConfig(), solver="newton")
+    newton = fit_1d_logreg(Z, v, y)
     assert abs(newton.gamma - 2.0) < 0.3
 
 
 def test_joint_orthogonality_guarantee(toy_rho08):
-    _, train, val, _ = toy_rho08
-    sp, mt = fit_joint_orthogonal(train, OptimizerConfig(learning_rate=0.01, seed=21,
-                                                         early_stop_metric="bce"), val)
+    _, train, _, _ = toy_rho08
+    sp, mt = fit_joint_orthogonal(train, 21)
     v_sp = sp.w / np.linalg.norm(sp.w)
     v_mt = mt.w / np.linalg.norm(mt.w)
     assert abs(v_sp @ v_mt) < 1e-6
 
 
 def test_joint_recovers_generating_directions(toy_rho08):
-    _, train, val, _ = toy_rho08
-    sp, mt = fit_joint_orthogonal(train, OptimizerConfig(learning_rate=0.01, seed=22,
-                                                         early_stop_metric="bce"), val)
+    _, train, _, _ = toy_rho08
+    sp, mt = fit_joint_orthogonal(train, 22)
     assert abs(sp.w[0]) / np.linalg.norm(sp.w) >= 0.95
     assert abs(mt.w[1]) / np.linalg.norm(mt.w) >= 0.95
 
@@ -188,8 +194,7 @@ def test_joint_identical_labels_single_axis():
     Z = rng.standard_normal((n, d))
     y = (rng.random(n) < sigmoid(3.0 * Z[:, 0])).astype(int)
     data = LabeledEmbeddings(Z, y, y)
-    sp, mt = fit_joint_orthogonal(data, OptimizerConfig(learning_rate=0.01, seed=5,
-                                                        early_stop_metric="bce"))
+    sp, mt = fit_joint_orthogonal(data, 5)
     v_sp = sp.w / np.linalg.norm(sp.w)
     v_mt = mt.w / np.linalg.norm(mt.w)
     assert abs(v_sp @ v_mt) < 1e-6
@@ -206,7 +211,7 @@ def test_joint_single_class_error():
     data = LabeledEmbeddings(np.random.default_rng(0).standard_normal((20, 3)),
                              np.ones(20, int), np.arange(20) % 2)
     with pytest.raises(ValueError, match="single class"):
-        fit_joint_orthogonal(data, OptimizerConfig())
+        fit_joint_orthogonal(data, 0)
 
 
 def test_gradient_check_against_finite_differences():
@@ -231,15 +236,73 @@ def test_gradient_check_against_finite_differences():
         assert rel <= 1e-4, f"trial {trial}: relative error {rel}"
 
 
+# --- full-batch solvers ------------------------------------------------------
+
+
+def test_lbfgs_reaches_quadratic_minimizer():
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((8, 8))
+    H = A @ A.T + 0.5 * np.eye(8)
+    c = rng.standard_normal(8)
+
+    def fun(x):
+        return 0.5 * x @ H @ x - c @ x, H @ x - c
+
+    x = lbfgs(fun, np.zeros(8), "quadratic")
+    assert np.max(np.abs(fun(x)[1])) < LBFGS_GTOL
+    np.testing.assert_allclose(x, np.linalg.solve(H, c), atol=1e-4)
+
+
+def test_lbfgs_matches_irls_on_ridge_logistic():
+    rng = np.random.default_rng(42)
+    n, d, ridge = 500, 5, 1e-2
+    X = rng.standard_normal((n, d))
+    y = (rng.random(n) < sigmoid(X @ np.array([1.5, -1.0, 0.5, 0.0, 0.0]) + 0.3)).astype(float)
+
+    def fun(theta):
+        w = theta[:d]
+        p = sigmoid(X @ w + theta[d])
+        r = p - y
+        loss = float(np.mean(bce(p, y))) + 0.5 * ridge * float(w @ w)
+        return loss, np.append(X.T @ r / n + ridge * w, np.mean(r))
+
+    theta = lbfgs(fun, np.zeros(d + 1), "logistic")
+    w, b = _newton_logreg(X, y, ridge=ridge)
+    np.testing.assert_allclose(theta, np.append(w, b), atol=1e-4)
+
+
+def test_joint_fit_ends_at_stationary_point(toy_rho08):
+    _, train, _, _ = toy_rho08
+    sp, mt = fit_joint_orthogonal(train, 23)
+    assert abs(sp.w @ mt.w) <= 1e-12 * np.linalg.norm(sp.w) * np.linalg.norm(mt.w)
+    # the stored main-task weights are the projected ones: the same BCE, the
+    # smallest ridge term, so the regularized objective is stationary there too
+    theta = np.concatenate([sp.w, mt.w, [sp.b, mt.b]])
+    _, grad = joint_loss_and_grad(theta, train.Z, train.y_sp.astype(float),
+                                  train.y_mt.astype(float))
+    grad[: 2 * train.d] += JOINT_RIDGE * theta[: 2 * train.d]
+    assert np.max(np.abs(grad)) < LBFGS_GTOL
+
+
+def test_fit_1d_is_irls_on_the_projected_feature(toy_rho08):
+    _, train, _, _ = toy_rho08
+    v = np.zeros(train.d)
+    v[:2] = (0.6, 0.8)
+    fit = fit_1d_logreg(train.Z, v, train.y_sp)
+    w, b = _newton_logreg((train.Z @ v)[:, None], train.y_sp.astype(float))
+    assert fit.gamma == w[0] and fit.b == b
+
+
 def test_determinism_bitwise(toy_rho08):
     _, train, val, _ = toy_rho08
     cfg = OptimizerConfig(seed=13)
     m1 = fit_logreg(train, "mt", val, cfg)
     m2 = fit_logreg(train, "mt", val, cfg)
     assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
-    j1 = fit_joint_orthogonal(train, cfg, val)
-    j2 = fit_joint_orthogonal(train, cfg, val)
+    j1 = fit_joint_orthogonal(train, 13)
+    j2 = fit_joint_orthogonal(train, 13)
     assert np.array_equal(j1[0].w, j2[0].w) and np.array_equal(j1[1].w, j2[1].w)
+    assert j1[0].b == j2[0].b and j1[1].b == j2[1].b
 
 
 def test_unconstrained_fits_nearly_orthogonal_at_rho0():
@@ -284,10 +347,11 @@ def test_linear_model_finite():
 
 
 # --- bit-identity oracle -----------------------------------------------------
-# The trainers gather each epoch's rows once, evaluate the two joint heads with
-# one stacked sigmoid and update packed parameters in place. The reference
-# below is the plain formulation they must match bit for bit: index batches,
-# gathers per step, the masked sigmoid and fresh arrays on every update.
+# fit_logreg gathers each epoch's rows once and updates its parameters in
+# place; fit_joint_orthogonal evaluates its heads on packed parameters and
+# keeps its curvature pairs in a ring. The references below are the plain
+# formulations they must match bit for bit: index batches, gathers per step,
+# separate head weights, the masked sigmoid and fresh arrays on every update.
 
 
 def _masked_sigmoid(x):
@@ -354,74 +418,12 @@ def _oracle_logreg(train, val, cfg):
     return _oracle_sgd(cfg, rng, train.n, probs, [np.zeros(train.d), np.float64(0.0)], grad, score)
 
 
-def _oracle_1d(s, y, s_val, y_val, cfg):
-    wd = cfg.weight_decay
-
-    def grad(params, idx):
-        gamma, b = params
-        sb, yb = s[idx], y[idx]
-        r = _masked_sigmoid(gamma * sb + b) - yb
-        gg = sb @ r / len(idx)
-        return [gg + wd * gamma if wd else gg, np.float64(np.mean(r))]
-
-    def score(params):
-        gamma, b = params
-        return _oracle_score(cfg.early_stop_metric, _masked_sigmoid(gamma * s_val + b), y_val)
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return _oracle_sgd(cfg, rng, len(s), None, [np.float64(0.0)] * 2, grad, score)
-
-
-def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
-    u = X @ w_sp
-    s = float(w_sp @ w_sp) + PROJ_EPS
-    c = float(w_sp @ w_mt)
-    p_sp = _masked_sigmoid(u + b_sp)
-    p_mt = _masked_sigmoid(X @ w_mt - u * (c / s) + b_mt)
-    return u, s, c, p_sp, p_mt
-
-
-def _oracle_joint(train, val, cfg):
-    X = train.Z
-    y_sp, y_mt = train.y_sp.astype(np.float64), train.y_mt.astype(np.float64)
-    wd = cfg.weight_decay
-
-    def grad(params, idx):
-        w_sp, w_mt, b_sp, b_mt = params
-        Xb, nb = X[idx], len(idx)
-        u, s, c, p_sp, p_mt = _oracle_joint_heads(Xb, w_sp, w_mt, b_sp, b_mt)
-        r_sp = (p_sp - y_sp[idx]) / nb
-        r_mt = (p_mt - y_mt[idx]) / nb
-        Xr_mt = Xb.T @ r_mt
-        ru = float(r_mt @ u)
-        g_wsp = Xb.T @ r_sp - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
-        g_wmt = Xr_mt - (ru / s) * w_sp
-        if wd:
-            g_wsp, g_wmt = g_wsp + wd * w_sp, g_wmt + wd * w_mt
-        return [g_wsp, g_wmt, np.float64(np.sum(r_sp)), np.float64(np.sum(r_mt))]
-
-    def score(params):
-        _, _, _, p_sp, p_mt = _oracle_joint_heads(val.Z, *params)
-        return (_oracle_score(cfg.early_stop_metric, p_sp, val.y_sp.astype(np.float64))
-                + _oracle_score(cfg.early_stop_metric, p_mt, val.y_mt.astype(np.float64)))
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    probs = _sampling_probs(train, "mt", cfg.balance_sampling)
-    d = train.d
-    init = [rng.normal(0.0, 0.1 / np.sqrt(d), size=d), rng.normal(0.0, 0.1 / np.sqrt(d), size=d),
-            np.float64(0.0), np.float64(0.0)]
-    w_sp, w_mt, b_sp, b_mt = _oracle_sgd(cfg, rng, train.n, probs, init, grad, score)
-    s = float(w_sp @ w_sp) + PROJ_EPS
-    return w_sp, b_sp, w_mt - (float(w_sp @ w_mt) / s) * w_sp, b_mt
-
-
 @pytest.fixture(scope="module")
 def ragged_toy():
-    # 601 training rows leave a ragged last batch at sizes 128 and 50; d = 7 puts the
-    # packed joint parameters at offsets that are not multiples of 16 bytes
+    # 601 training rows leave a ragged last batch at the default batch size 128
     cfg = ToyConfig(n=751, d=7, rho=0.7, seed=3)
     train, val = gen_toy(cfg)
-    assert train.n % 128 and train.n % 50
+    assert train.n % 128
     return train, val
 
 
@@ -442,33 +444,106 @@ def test_fit_logreg_bit_identical_to_oracle(ragged_toy, mode, wd, metric):
     assert np.array_equal(m.w, w) and m.b == b
 
 
+def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
+    u = X @ w_sp
+    s = float(w_sp @ w_sp) + PROJ_EPS
+    c = float(w_sp @ w_mt)
+    p_sp = _masked_sigmoid(u + b_sp)
+    p_mt = _masked_sigmoid(X @ w_mt - u * (c / s) + b_mt)
+    return u, s, c, p_sp, p_mt
+
+
+def _oracle_lbfgs(fun, x):
+    """L-BFGS with the pairs in a plain list and every update a fresh array."""
+    f, g = fun(x)
+    pairs = []
+    for _ in range(LBFGS_MAX_ITER):
+        if np.max(np.abs(g)) < LBFGS_GTOL:
+            break
+        q, alphas = g, []
+        for s, y in reversed(pairs):
+            alphas.append((1.0 / float(s @ y)) * (s @ q))
+            q = q - alphas[-1] * y
+        if pairs:
+            s, y = pairs[-1]
+            q = q / ((1.0 / float(s @ y)) * (y @ y))
+        else:
+            q = q / max(1.0, float(np.linalg.norm(q)))
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            q = q + (a - (1.0 / float(s @ y)) * (y @ q)) * s
+        slope = -float(g @ q)
+        if slope >= 0.0:
+            break
+        t = 1.0
+        x_new = x - t * q
+        f_new, g_new = fun(x_new)
+        while f_new > f + ARMIJO_C * t * slope:
+            t *= 0.5
+            if t < 1e-10:
+                return x
+            x_new = x - t * q
+            f_new, g_new = fun(x_new)
+        if float((x_new - x) @ (g_new - g)) > 1e-12:
+            pairs = (pairs + [(x_new - x, g_new - g)])[-LBFGS_MEMORY:]
+        x, f, g = x_new, f_new, g_new
+    return x
+
+
+def _oracle_joint(train, seed, ridge):
+    X, n, d = train.Z, train.n, train.d
+    y_sp, y_mt = train.y_sp.astype(np.float64), train.y_mt.astype(np.float64)
+
+    def fun(theta):
+        w_sp, w_mt, b_sp, b_mt = theta[:d], theta[d : 2 * d], theta[2 * d], theta[2 * d + 1]
+        u, s, c, p_sp, p_mt = _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt)
+        r_sp = (p_sp - y_sp) / n
+        r_mt = (p_mt - y_mt) / n
+        Xr_mt = X.T @ r_mt
+        ru = float(r_mt @ u)
+        g_wsp = X.T @ r_sp - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
+        g_wmt = Xr_mt - (ru / s) * w_sp
+        w = theta[: 2 * d]
+        loss = float(np.mean(bce(p_sp, y_sp)) + np.mean(bce(p_mt, y_mt)))
+        grad = np.concatenate([g_wsp + ridge * w_sp, g_wmt + ridge * w_mt,
+                               [float(np.sum(r_sp)), float(np.sum(r_mt))]])
+        return loss + 0.5 * ridge * float(w @ w), grad
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    init = np.concatenate([rng.normal(0.0, 0.1 / np.sqrt(d), size=d),
+                           rng.normal(0.0, 0.1 / np.sqrt(d), size=d), [0.0, 0.0]])
+    theta = _oracle_lbfgs(fun, init)
+    w_sp, w_mt, b_sp, b_mt = theta[:d], theta[d : 2 * d], theta[2 * d], theta[2 * d + 1]
+    s = float(w_sp @ w_sp) + PROJ_EPS
+    return w_sp, b_sp, w_mt - (float(w_sp @ w_mt) / s) * w_sp, b_mt
+
+
+def _resampled(data, mode, seed):
+    """The rows one balanced-sampling epoch would draw; all rows in order for 'none'."""
+    probs = _sampling_probs(data, "mt", mode)
+    if probs is None:
+        return data
+    idx = np.random.default_rng(seed).choice(data.n, size=data.n, replace=True, p=probs)
+    return LabeledEmbeddings(data.Z[idx], data.y_mt[idx], data.y_sp[idx])
+
+
 @pytest.mark.parametrize("mode,wd,metric", ORACLE_CASES)
-def test_fit_joint_bit_identical_to_oracle(ragged_toy, mode, wd, metric):
+def test_fit_joint_bit_identical_to_oracle(ragged_toy, monkeypatch, mode, wd, metric):
+    # mode picks the training rows (the full split or a class-/group-balanced
+    # resample with duplicates), wd the ridge, and metric the validation score
+    # on which the fitted heads must beat the intercept-only classifier
     train, val = ragged_toy
-    cfg = OptimizerConfig(learning_rate=0.05, seed=5, balance_sampling=mode, weight_decay=wd,
-                          early_stop_metric=metric)
-    sp, mt = fit_joint_orthogonal(train, cfg, val)
-    w_sp, b_sp, w_mt, b_mt = _oracle_joint(train, val, cfg)
+    train = _resampled(train, mode, 5)
+    monkeypatch.setattr(sgd, "JOINT_RIDGE", wd)
+    sp, mt = fit_joint_orthogonal(train, 5)
+    w_sp, b_sp, w_mt, b_mt = _oracle_joint(train, 5, wd)
     assert np.array_equal(sp.w, w_sp) and sp.b == b_sp
     assert np.array_equal(mt.w, w_mt) and mt.b == b_mt
-
-
-@pytest.mark.parametrize("wd", [0.0, 1e-3])
-@pytest.mark.parametrize("metric", ["accuracy", "bce"])
-@pytest.mark.parametrize("with_val", [True, False])
-def test_fit_1d_bit_identical_to_oracle(ragged_toy, wd, metric, with_val):
-    train, val = ragged_toy
-    v = np.zeros(train.d)
-    v[:2] = (0.6, 0.8)
-    cfg = OptimizerConfig(batch_size=50, seed=6, weight_decay=wd, early_stop_metric=metric)
-    s, y = train.Z @ v, train.y_sp.astype(np.float64)
-    if with_val:
-        fit = fit_1d_logreg(train.Z, v, train.y_sp, cfg, val.Z, val.y_sp)
-        gamma, b = _oracle_1d(s, y, val.Z @ v, val.y_sp.astype(np.float64), cfg)
-    else:
-        fit = fit_1d_logreg(train.Z, v, train.y_sp, cfg)
-        gamma, b = _oracle_1d(s, y, s, y, cfg)
-    assert fit.gamma == gamma and fit.b == b
+    for target, head in (("sp", sp), ("mt", mt)):
+        y = val.labels(target).astype(np.float64)
+        p = head.predict(val.Z)
+        assert sgd._val_score(metric, p, y) == _oracle_score(metric, p, y)
+        chance = fit_intercept_only(train, target).predict(val.Z)
+        assert _oracle_score(metric, p, y) < _oracle_score(metric, chance, y)
 
 
 # --- sigmoid ------------------------------------------------------------------
@@ -518,11 +593,11 @@ def test_trainers_raise_floating_point_error_on_nan(ragged_toy, metric):
     with pytest.raises(FloatingPointError, match="fit_logreg"):
         fit_logreg(bad, "mt", val, cfg)
     with pytest.raises(FloatingPointError, match="fit_joint_orthogonal"):
-        fit_joint_orthogonal(bad, cfg, val)
+        fit_joint_orthogonal(bad, 1)
     v = np.zeros(train.d)
     v[1] = 1.0
     with pytest.raises(FloatingPointError, match="fit_1d_logreg"):
-        fit_1d_logreg(bad.Z, v, bad.y_sp, cfg, val.Z, val.y_sp)
+        fit_1d_logreg(bad.Z, v, bad.y_sp)
 
 
 def test_early_stopper_best_rejects_missing_or_non_finite_state():

@@ -9,7 +9,7 @@ from scipy.stats import kstest, norm
 
 import jse
 from jse.data import Direction, LabeledEmbeddings
-from jse.sgd import OptimizerConfig, bce, fit_1d_logreg, fit_intercept_only, sigmoid
+from jse.sgd import bce, fit_1d_logreg, fit_intercept_only, sigmoid
 from jse.stats import (
     EmptyGroupError,
     T_SENTINEL,
@@ -136,7 +136,7 @@ def test_t_vs_random_null_calibration():
         y_val = rng.integers(0, 2, n_val)
         y_val2 = rng.integers(0, 2, n_val)
         Z_val = rng.standard_normal((n_val, 3))
-        fit = fit_1d_logreg(s_tr, v, y_tr, OptimizerConfig(), solver="newton")
+        fit = fit_1d_logreg(s_tr, v, y_tr)
         val = LabeledEmbeddings(Z_val, y_val2, y_val)
         random_model = fit_intercept_only(
             LabeledEmbeddings(s_tr, y_tr, y_tr), "sp"
@@ -192,8 +192,8 @@ def test_t_relative_sp_side_on_toy(toy_rho08):
     _, train, val, _ = toy_rho08
     v = np.zeros(train.d)
     v[0] = 1.0
-    sp_fit = fit_1d_logreg(train.Z, v, train.y_sp, OptimizerConfig(), solver="newton")
-    mt_fit = fit_1d_logreg(train.Z, v, train.y_mt, OptimizerConfig(), solver="newton")
+    sp_fit = fit_1d_logreg(train.Z, v, train.y_sp)
+    mt_fit = fit_1d_logreg(train.Z, v, train.y_mt)
     rep = t_relative(sp_fit, mt_fit, val, "v_sp", scale="variance")
     assert rep.decision
     d = bce(sp_fit.predict(val.Z), val.y_sp) - bce(mt_fit.predict(val.Z), val.y_mt)
@@ -218,8 +218,8 @@ def test_delta_heuristic_symmetric_generator():
         v_sp[0] = 1.0
         v_mt = np.zeros(cfg.d)
         v_mt[1] = 1.0
-        sp_fit = fit_1d_logreg(train.Z, v_sp, train.y_sp, OptimizerConfig(), solver="newton")
-        mt_fit = fit_1d_logreg(train.Z, v_mt, train.y_mt, OptimizerConfig(), solver="newton")
+        sp_fit = fit_1d_logreg(train.Z, v_sp, train.y_sp)
+        mt_fit = fit_1d_logreg(train.Z, v_mt, train.y_mt)
         deltas.append(delta_heuristic(sp_fit, mt_fit, val))
     assert abs(np.mean(deltas)) <= 0.05
 
@@ -233,8 +233,8 @@ def test_delta_heuristic_unequal_separability():
         v_sp[0] = 1.0
         v_mt = np.zeros(cfg.d)
         v_mt[1] = 1.0
-        sp_fit = fit_1d_logreg(train.Z, v_sp, train.y_sp, OptimizerConfig(), solver="newton")
-        mt_fit = fit_1d_logreg(train.Z, v_mt, train.y_mt, OptimizerConfig(), solver="newton")
+        sp_fit = fit_1d_logreg(train.Z, v_sp, train.y_sp)
+        mt_fit = fit_1d_logreg(train.Z, v_mt, train.y_mt)
         deltas.append(delta_heuristic(sp_fit, mt_fit, val))
     assert np.mean(deltas) < -0.1  # spurious label strictly easier
 
@@ -302,10 +302,20 @@ def test_reported_thresholds_are_norm_ppf_bit_for_bit():
             assert t_relative(a, b, val, on, alpha=alpha).threshold == want
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats costs more CPU to import than the rest of a cold start."""
+def _loaded_in_fresh_interpreter(module: str) -> bool:
     env = dict(os.environ, PYTHONPATH=str(Path(jse.__file__).parents[1]))
-    code = "import sys, jse, jse.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, jse, jse.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs more CPU to import than the rest of a cold start."""
+    assert not _loaded_in_fresh_interpreter("scipy.stats")
+
+
+def test_import_does_not_load_scipy_optimize():
+    """The joint fit's L-BFGS is written out in jse.sgd: scipy.optimize would
+    add ~0.2 s of CPU to every cold start."""
+    assert not _loaded_in_fresh_interpreter("scipy.optimize")
