@@ -45,7 +45,6 @@ class JseConfig:
     # denominator of the relative-test statistic; 'variance' reproduces the
     # reference benchmark behavior, 'se' is the asymptotically N(0,1) form
     relative_test_scale: str = "variance"
-    seed: int = 0  # seeds the joint fits' random inits
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -106,12 +105,11 @@ def _normalize_against(
     return w / nrm, nrm
 
 
-def jse_fit(
-    train: LabeledEmbeddings,
-    val: LabeledEmbeddings,
-    cfg: JseConfig,
-) -> SubspaceResult:
-    """Estimate orthonormal spurious and main-task bases.
+def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
+            seed: int) -> SubspaceResult:
+    """Estimate orthonormal spurious and main-task bases. The joint fit of
+    outer step i, inner step j starts from a random init seeded with
+    ``child_seed(seed, i, j)``.
 
     Requires all four (y_mt, y_sp) groups in the validation split when the
     group-weighted tests are enabled.
@@ -144,7 +142,7 @@ def jse_fit(
         outer_candidate: tuple[np.ndarray, float, float] | None = None
 
         for j in range(1, max_dim + 1):
-            sp_m, mt_m = fit_joint_orthogonal(train.with_Z(Ztr_in), child_seed(cfg.seed, i, j))
+            sp_m, mt_m = fit_joint_orthogonal(train.with_Z(Ztr_in), child_seed(seed, i, j))
             val_in = val.with_Z(Zval_in)
             models = {"sp": sp_m, "mt": mt_m}
             out_m, in_m = models[outer_t], models[inner_t]

@@ -32,6 +32,8 @@ from .sgd import (
     OptimizerConfig,
     _newton_logreg,
     bce,
+    check_sgd,
+    child_seed,
     fit_intercept_only,
     fit_logreg,
     sigmoid,
@@ -60,9 +62,16 @@ class RlaceConfig:
     stop_accuracy: float = 0.51
     eval_every: int = 250
     subspace_lr: float = 0.01
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    # the classifier step's momentum SGD on one random batch per iteration
+    learning_rate: float = 0.1
+    momentum: float = 0.9
+    batch_size: int = 128
+    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
+        check_sgd(self.learning_rate, self.momentum, self.batch_size, self.weight_decay)
+        if self.subspace_lr <= 0:
+            raise ValueError("subspace_lr must be positive")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1:
@@ -81,12 +90,10 @@ class RlaceResult:
     val_accuracy: float
 
 
-def inlp_fit(
-    train: LabeledEmbeddings,
-    val: LabeledEmbeddings,
-    cfg: InlpConfig,
-) -> SubspaceBasis:
-    """Iterative nullspace projection for the spurious concept."""
+def inlp_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: InlpConfig,
+             seed: int) -> SubspaceBasis:
+    """Iterative nullspace projection for the spurious concept; round r's
+    classifier is seeded with ``child_seed(seed, r)``."""
     d = train.d
     max_rounds = d if cfg.max_rounds is None else min(cfg.max_rounds, d)
     threshold = critical_value(cfg.alpha)
@@ -95,8 +102,8 @@ def inlp_fit(
     accepted: list[np.ndarray] = []
 
     for r in range(max_rounds):
-        opt = cfg.optimizer.reseeded(r)
-        model = fit_logreg(train.with_Z(Ztr), "sp", val.with_Z(Zval), opt)
+        model = fit_logreg(train.with_Z(Ztr), "sp", val.with_Z(Zval), cfg.optimizer,
+                           child_seed(seed, r))
         d_i = bce(model.predict(Zval), val.y_sp) - bce(random_model.predict(Zval), val.y_sp)
         if cfg.group_weighted_test:
             wd = weighted_diff(d_i, val.group)
@@ -163,17 +170,14 @@ def _span_solver(k: int, lr: float):
     return top_k
 
 
-def rlace_fit(
-    train: LabeledEmbeddings,
-    val: LabeledEmbeddings,
-    cfg: RlaceConfig,
-) -> RlaceResult:
+def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig,
+              seed: int) -> RlaceResult:
     """Adversarial rank-k concept removal for the spurious label."""
     d = train.d
     if cfg.rank >= d:
         raise ValueError(f"rlace rank {cfg.rank} must be below the embedding dimension d = {d}")
     X, y = train.Z, train.y_sp.astype(np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.optimizer.seed, 7]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
 
     M = 0.1 * rng.standard_normal((d, d))
     U = _top_k_projection(M, cfg.rank)  # removed-subspace basis
@@ -182,7 +186,6 @@ def rlace_fit(
     b = 0.0
     vw = np.zeros(d)
     vb = 0.0
-    opt = cfg.optimizer
     best: tuple[float, np.ndarray] | None = None
     converged = False
     acc = 1.0
@@ -196,7 +199,7 @@ def rlace_fit(
 
     while it < cfg.max_iters:
         it += 1
-        idx = rng.integers(0, train.n, size=opt.batch_size)
+        idx = rng.integers(0, train.n, size=cfg.batch_size)
         Xb, yb = X[idx], y[idx]
         # np.dot, not @: for k = 1 the matmul operator takes a slow non-BLAS path
         Xp = Xb - np.dot(Xb @ U, U.T)
@@ -204,12 +207,12 @@ def rlace_fit(
         # classifier step: descend the BCE
         r = (sigmoid(Xp @ w + b) - yb) / len(idx)
         gw = Xp.T @ r
-        if opt.weight_decay:
-            gw = gw + opt.weight_decay * w
-        vw = opt.momentum * vw + gw
-        vb = opt.momentum * vb + float(r.sum())
-        w = w - opt.learning_rate * vw
-        b = b - opt.learning_rate * vb
+        if cfg.weight_decay:
+            gw = gw + cfg.weight_decay * w
+        vw = cfg.momentum * vw + gw
+        vb = cfg.momentum * vb + float(r.sum())
+        w = w - cfg.learning_rate * vw
+        b = b - cfg.learning_rate * vb
 
         # adversary step on the symmetric removal matrix, then truncate back to a
         # hard rank-k projection; the BCE gradient w.r.t. M = U U^T is
@@ -233,24 +236,18 @@ def rlace_fit(
     return RlaceResult(SubspaceBasis(U, "spurious"), converged, it, acc)
 
 
-def erm_fit(
-    train: LabeledEmbeddings,
-    val: LabeledEmbeddings,
-    cfg: OptimizerConfig,
-) -> LinearModel:
+def erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConfig,
+            seed: int) -> LinearModel:
     """Plain main-task logistic regression with class-balanced batches."""
     if cfg.balance_sampling == "none":
         cfg = replace(cfg, balance_sampling="class-balanced")
-    return fit_logreg(train, "mt", val, cfg)
+    return fit_logreg(train, "mt", val, cfg, seed)
 
 
-def gw_erm_fit(
-    train: LabeledEmbeddings,
-    val: LabeledEmbeddings,
-    cfg: OptimizerConfig,
-) -> LinearModel:
+def gw_erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConfig,
+               seed: int) -> LinearModel:
     """Group-weighted ERM: batches sampled so the four groups are equally likely."""
     counts = np.bincount(train.group, minlength=5)[1:]
     if (counts == 0).any():
         raise ValueError("group-weighted ERM needs all four groups in the training data")
-    return fit_logreg(train, "mt", val, replace(cfg, balance_sampling="group-balanced"))
+    return fit_logreg(train, "mt", val, replace(cfg, balance_sampling="group-balanced"), seed)

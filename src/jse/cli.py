@@ -104,8 +104,8 @@ def _cmd_fit(args) -> int:
     train = load_embeddings(args.train)
     val = load_embeddings(args.val)
     cfg, _ = _experiment_config(args)
-    cfg = replace(cfg, method=args.method).with_seed(args.seed)
-    art = fit_method(cfg, train, val, demean=args.demean_only, pca=args.pca)
+    cfg = replace(cfg, method=args.method)
+    art = fit_method(cfg, train, val, args.seed, demean=args.demean_only, pca=args.pca)
     if art.model is None:  # a removal method: report the dimensions it found
         line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"
         print(line + (f" termination={art.termination}" if art.termination else ""))

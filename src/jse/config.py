@@ -6,35 +6,50 @@ Grammar (one statement per line):
     [section]                      one of SECTIONS
     key = value
 
-Values are parsed by the target dataclass field type; lists (sweep methods,
-x values) are comma-separated. Every ToyConfig, ExperimentConfig, JseConfig,
-InlpConfig, RlaceConfig, OptimizerConfig and SweepSpec field is addressable.
-A value the dataclass rejects (its range checks) is a ConfigError naming
-section and key; an unknown section is one naming the file and line. Keys
-before the first section are ignored.
+``TARGETS`` maps each section to the parts of ``ExperimentConfig`` its keys
+set; ``[sweep]`` sets the ``SweepSpec``. A value is parsed by its field's type
+hint: bool, int, float, str, ``T | None`` (``none``), ``float | str`` (a
+number, else the text) or ``list[T]`` (comma-separated). An unknown key, a
+value of the wrong type or out of the dataclass's range, and a key in
+``RUN_INPUTS`` are ConfigErrors naming section and key; an unknown section is
+one naming the file and line. Keys before the first section are ignored.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .algorithm import JseConfig
-from .baselines import InlpConfig, RlaceConfig
 from .evaluate import METHODS, ExperimentConfig
-from .sgd import OptimizerConfig
-from .toy import ToyConfig
 
 
 class ConfigError(ValueError):
     """Bad configuration file; the message names the line."""
 
 
-# [optimizer] is shared by ERM, INLP, RLACE and the downstream fit; the
-# dotted sections override it per method
-SECTIONS = ("toy", "experiment", "jse", "inlp", "rlace", "optimizer", "sweep",
-            "inlp.optimizer", "rlace.optimizer", "downstream.optimizer")
+# section -> the attribute paths in ExperimentConfig its keys set, in the order
+# the sections apply: [optimizer] sets its keys on both SGD configs, each
+# keeping its other values, and the per-target sections after it win
+TARGETS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "toy": (("toy",),),
+    "experiment": ((),),
+    "jse": (("jse",),),
+    "inlp": (("inlp",),),
+    "rlace": (("rlace",),),
+    "optimizer": (("downstream",), ("inlp", "optimizer")),
+    "inlp.optimizer": (("inlp", "optimizer"),),
+    "downstream.optimizer": (("downstream",),),
+}
+SECTIONS = (*TARGETS, "sweep")
+
+# fields that every run sets itself, so a configured value would be ignored
+RUN_INPUTS = {
+    ("toy", "seed"): "set by --seed or the sweep's derived run seeds, not by the config",
+    ("experiment", "method"): "set by --method or [sweep] methods, not by the config",
+}
 
 
 @dataclass(frozen=True)
@@ -78,21 +93,31 @@ def parse_config_lines(lines: list[str], path: str = "<config>") -> dict[str, di
     return sections
 
 
-def _coerce(value: str, typ: Any, key: str, section: str) -> Any:
-    try:
-        if typ is bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if typ is int:
-            return int(value)
-        if typ is float:
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _coerce(raw: str, typ: Any) -> Any:
+    """``raw`` parsed as a value of type ``typ``; ValueError if it is not one."""
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is list:
+        return [_coerce(v.strip(), args[0]) for v in raw.split(",") if v.strip()]
+    if typing.get_origin(typ) in (typing.Union, types.UnionType):
+        if type(None) in args and raw in ("none", ""):
+            return None
+        *first, last = (a for a in args if a is not type(None))
+        for arm in first:  # float | str: a number if it parses as one
+            try:
+                return _coerce(raw, arm)
+            except ValueError:
+                pass
+        return _coerce(raw, last)
+    if typ is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return _BOOLS[raw.lower()]
+    if typ in (int, float, str):
+        return typ(raw)
+    raise ValueError("not settable here; it has its own section")
 
 
 def _apply(obj, section: str, values: dict[str, str]):
@@ -100,24 +125,17 @@ def _apply(obj, section: str, values: dict[str, str]):
     fields checked against each other load in any order. A value the dataclass
     rejects is reported under its own key: the first key that fails when
     applied alone, else every key of the section."""
-    fields = {f.name for f in dataclasses.fields(obj)}
+    types_ = typing.get_type_hints(type(obj))
     updates = {}
     for key, raw in values.items():
-        if key not in fields:
+        if key not in types_:
             raise ConfigError(f"[{section}] unknown key {key!r}")
-        current = getattr(obj, key)
-        if key == "delta":
-            updates[key] = "auto" if raw == "auto" else _coerce(raw, float, key, section)
-        elif key == "max_dim" or key == "max_rounds" or key == "test_n":
-            updates[key] = None if raw in ("none", "") else _coerce(raw, int, key, section)
-        elif isinstance(current, list):  # comma-separated, typed like the default's items
-            updates[key] = [_coerce(v.strip(), type(current[0]), key, section)
-                            for v in raw.split(",") if v.strip()]
-        else:
-            typ = type(current) if current is not None else str
-            if typ not in (bool, int, float, str):
-                raise ConfigError(f"[{section}] {key}: unsupported nested assignment")
-            updates[key] = _coerce(raw, typ, key, section)
+        if (section, key) in RUN_INPUTS:
+            raise ConfigError(f"[{section}] {key}: {RUN_INPUTS[section, key]}")
+        try:
+            updates[key] = _coerce(raw, types_[key])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
     try:
         return replace(obj, **updates)
     except ValueError as exc:
@@ -129,6 +147,13 @@ def _apply(obj, section: str, values: dict[str, str]):
         raise ConfigError(f"[{section}] {', '.join(updates)}: {exc}") from exc
 
 
+def _set(obj, path: tuple[str, ...], value):
+    """obj with the attribute at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    return replace(obj, **{path[0]: _set(getattr(obj, path[0]), path[1:], value)})
+
+
 def build_experiment(
     sections: dict[str, dict[str, str]], base: ExperimentConfig | None = None
 ) -> tuple[ExperimentConfig, SweepSpec]:
@@ -138,33 +163,11 @@ def build_experiment(
     ``base`` config, then ``[experiment]``); ``[sweep]`` overrides them.
     """
     cfg = base or ExperimentConfig(method="jse")
-    if "toy" in sections:
-        cfg = replace(cfg, toy=_apply(cfg.toy, "toy", sections["toy"]))
-    if "experiment" in sections:
-        cfg = _apply(cfg, "experiment", sections["experiment"])
-    if "jse" in sections:
-        cfg = replace(cfg, jse=_apply(cfg.jse, "jse", sections["jse"]))
-    if "inlp" in sections:
-        cfg = replace(cfg, inlp=_apply(cfg.inlp, "inlp", sections["inlp"]))
-    if "rlace" in sections:
-        cfg = replace(cfg, rlace=_apply(cfg.rlace, "rlace", sections["rlace"]))
-    if "optimizer" in sections:
-        opt = _apply(cfg.downstream, "optimizer", sections["optimizer"])
-        cfg = replace(
-            cfg,
-            downstream=opt,
-            inlp=replace(cfg.inlp, optimizer=opt),
-            rlace=replace(cfg.rlace, optimizer=opt),
-        )
-    for name in ("inlp", "rlace", "downstream"):
-        section = f"{name}.optimizer"
+    for section, paths in TARGETS.items():
         if section in sections:
-            if name == "downstream":
-                cfg = replace(cfg, downstream=_apply(cfg.downstream, section, sections[section]))
-            else:
-                sub = getattr(cfg, name)
-                sub = replace(sub, optimizer=_apply(sub.optimizer, section, sections[section]))
-                cfg = replace(cfg, **{name: sub})
+            for path in paths:
+                sub = functools.reduce(getattr, path, cfg)
+                cfg = _set(cfg, path, _apply(sub, section, sections[section]))
 
     sweep = SweepSpec(seeds=cfg.seeds, base_seed=cfg.base_seed)
     sweep = _apply(sweep, "sweep", sections.get("sweep", {}))

@@ -90,16 +90,6 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
-    def with_seed(self, seed: int) -> ExperimentConfig:
-        """Every method and the downstream fit seeded with ``seed``."""
-        return replace(
-            self,
-            jse=replace(self.jse, seed=seed),
-            inlp=replace(self.inlp, optimizer=replace(self.inlp.optimizer, seed=seed)),
-            rlace=replace(self.rlace, optimizer=replace(self.rlace.optimizer, seed=seed)),
-            downstream=replace(self.downstream, seed=seed),
-        )
-
 
 @dataclass(frozen=True)
 class Artifact:
@@ -152,26 +142,27 @@ class Artifact:
         raise ValueError(f"unknown transform mode {mode!r}")
 
 
-def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings, *,
-               demean: bool = False, pca: int | None = None) -> Artifact:
-    """Fit ``cfg.method`` on train/val after ``Artifact.fit_preprocessing``.
-    Removal methods return bases, erm and gw-erm a model."""
+def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,
+               seed: int, *, demean: bool = False, pca: int | None = None) -> Artifact:
+    """Fit ``cfg.method``, seeded with ``seed``, on train/val after
+    ``Artifact.fit_preprocessing``. Removal methods return bases, erm and
+    gw-erm a model."""
     art = Artifact.fit_preprocessing(cfg.method, train, demean=demean, pca=pca)
     if demean or pca is not None:
         train, val = (s.with_Z(art.preprocess(s.Z)) for s in (train, val))
     if cfg.method == "jse":
-        res = jse_fit(train, val, cfg.jse)
+        res = jse_fit(train, val, cfg.jse, seed)
         tests = [r for pair in res.sp_tests + res.mt_tests for r in pair]
         return replace(art, sp_basis=res.sp_basis.V, mt_basis=res.mt_basis.V, tests=tests,
                        termination=res.termination, delta=res.delta)
     if cfg.method == "inlp":
-        return replace(art, sp_basis=inlp_fit(train, val, cfg.inlp).V)
+        return replace(art, sp_basis=inlp_fit(train, val, cfg.inlp, seed).V)
     if cfg.method == "rlace":
-        res = rlace_fit(train, val, cfg.rlace)
+        res = rlace_fit(train, val, cfg.rlace, seed)
         return replace(art, sp_basis=res.removed.V,
                        termination="converged" if res.converged else "max-iterations")
     fit = erm_fit if cfg.method == "erm" else gw_erm_fit
-    return replace(art, model=fit(train, val, cfg.downstream))
+    return replace(art, model=fit(train, val, cfg.downstream, seed))
 
 
 @dataclass(frozen=True)
@@ -195,26 +186,28 @@ def derive_seed(base_seed: int, method: str, x_value: float, seed_index: int) ->
 
 
 def fit_and_evaluate(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,
-                     test: LabeledEmbeddings) -> tuple[Artifact, LinearModel, EvalSummary]:
+                     test: LabeledEmbeddings, seed: int
+                     ) -> tuple[Artifact, LinearModel, EvalSummary]:
     """Fit ``cfg.method`` on the splits as given (``run_single`` demeans them
     first) and evaluate its main-task classifier on test: the fitted model of
     erm/gw-erm, else one trained on the transformed splits (jse by its
-    ``transform_mode``, the baselines by removal)."""
-    art = fit_method(cfg, train, val)
+    ``transform_mode``, the baselines by removal). The method and the
+    downstream classifier are both seeded with ``seed``."""
+    art = fit_method(cfg, train, val, seed)
     if art.model is not None:
         return art, art.model, evaluate(art.model, test)
     mode = cfg.jse.transform_mode if cfg.method == "jse" else "remove-sp"
     tr, va, te = (s.with_Z(art.transform(s.Z, mode)) for s in (train, val, test))
-    model = fit_logreg(tr, "mt", va, cfg.downstream)
+    model = fit_logreg(tr, "mt", va, cfg.downstream, seed)
     return art, model, evaluate(model, te)
 
 
 def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: int) -> RunRecord:
-    """One seeded end-to-end run: generate, fit, transform, train downstream, evaluate."""
+    """One seeded end-to-end run: generate, fit, transform, train downstream,
+    evaluate. The data draw and every fit use the run's derived seed."""
     toy = replace(cfg.toy, **{x_name: x_value} if x_name != "none" else {})
     run_seed = derive_seed(cfg.base_seed, cfg.method, x_value, seed_index)
     toy = replace(toy, seed=run_seed, n=int(toy.n))
-    cfg = cfg.with_seed(run_seed)
 
     t0 = time.perf_counter()
     try:
@@ -223,7 +216,7 @@ def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: i
         if cfg.demean:  # rebinding frees the raw splits before the fit
             pre = Artifact.fit_preprocessing(cfg.method, train, demean=True)
             train, val, test = (s.with_Z(pre.preprocess(s.Z)) for s in (train, val, test))
-        art, _, summary = fit_and_evaluate(cfg, train, val, test)
+        art, _, summary = fit_and_evaluate(cfg, train, val, test, run_seed)
     except Exception as exc:  # noqa: BLE001 - per-seed failures are recorded, not fatal
         ms = 1000.0 * (time.perf_counter() - t0)
         return RunRecord(cfg.method, x_name, x_value, seed_index, None, 0, 0, ms, repr(exc))

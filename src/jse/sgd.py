@@ -4,10 +4,13 @@ They run one of two protocols:
 
 * ``fit_logreg`` (ERM, gw-ERM, INLP and the downstream classifier) runs the
   benchmark protocol: minibatch SGD with momentum and optional weight
-  decay, validation loss evaluated after every epoch, and early stopping that
-  returns the snapshot with the lowest validation loss (earliest epoch on
-  ties), stopping after ``early_stop_patience`` epochs without improvement.
-  RLACE's classifier step uses the same ``OptimizerConfig``.
+  decay, validation accuracy evaluated after every epoch, and early stopping
+  that returns the snapshot with the highest validation accuracy (earliest
+  epoch on ties), stopping after ``early_stop_patience`` epochs without
+  improvement. Its settings are an ``OptimizerConfig``; the seed of its batch
+  order is an argument, so one config serves every run. RLACE's classifier
+  step takes its own momentum-SGD keys from ``RlaceConfig``, range-checked
+  by the same ``check_sgd``.
 * The jse inner fits are solved on the full batch to their optimum.
   ``fit_1d_logreg`` runs IRLS (``_newton_logreg``, RLACE's probe solver)
   on the projected feature. ``fit_joint_orthogonal`` minimizes
@@ -40,7 +43,7 @@ checks equality with ``np.array_equal``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,27 +73,28 @@ class OptimizerConfig:
     batch_size: int = 128
     max_epochs: int = 50
     early_stop_patience: int = 5
-    early_stop_metric: str = "accuracy"  # accuracy | bce
-    seed: int = 0
     balance_sampling: str = "none"  # none | class-balanced | group-balanced
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
+        check_sgd(self.learning_rate, self.momentum, self.batch_size, self.weight_decay)
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be positive")
         if self.early_stop_patience > self.max_epochs:
             raise ValueError("early_stop_patience must be <= max_epochs")
-        if self.early_stop_metric not in ("accuracy", "bce"):
-            raise ValueError(f"unknown early_stop_metric {self.early_stop_metric!r}")
         if self.balance_sampling not in ("none", "class-balanced", "group-balanced"):
             raise ValueError(f"unknown balance_sampling {self.balance_sampling!r}")
 
-    def reseeded(self, *entropy: int) -> "OptimizerConfig":
-        """Derive a config whose seed is a deterministic function of (seed, *entropy)."""
-        return replace(self, seed=child_seed(self.seed, *entropy))
+
+def check_sgd(learning_rate: float, momentum: float, batch_size: int, weight_decay: float) -> None:
+    """Range checks shared by every config that sets a momentum-SGD step."""
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be positive")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError("momentum must be in [0, 1)")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    if weight_decay < 0:
+        raise ValueError("weight_decay must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -209,25 +213,16 @@ class _EarlyStopper:
         return self.best_state
 
 
-def _val_score(metric: str, p: np.ndarray, y: np.ndarray) -> float:
-    """Early-stopping score, lower is better.
-
-    'accuracy' uses the negative 0.5-threshold accuracy (coarse, so training
-    halts once the decision boundary stops moving); 'bce' uses the mean loss.
-    """
-    # sum / n is np.mean's own arithmetic, without its dispatch overhead
-    if metric == "accuracy":
-        return -(int(np.count_nonzero((p >= 0.5) == y)) / len(y))
-    return float(bce(p, y).sum()) / len(y)
+def _val_score(p: np.ndarray, y: np.ndarray) -> float:
+    """Early-stopping score, lower is better: the negative 0.5-threshold
+    accuracy (coarse, so training halts once the decision boundary stops moving)."""
+    return -(int(np.count_nonzero((p >= 0.5) == y)) / len(y))
 
 
-def fit_logreg(
-    train: LabeledEmbeddings,
-    target: str,
-    val: LabeledEmbeddings,
-    cfg: OptimizerConfig,
-) -> LinearModel:
-    """SGD-with-momentum logistic regression for one label, early-stopped on val BCE."""
+def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
+               cfg: OptimizerConfig, seed: int) -> LinearModel:
+    """SGD-with-momentum logistic regression for one label, early-stopped on
+    validation accuracy; ``seed`` draws the batch order."""
     if train.n == 0:
         raise ValueError("empty training set")
     if train.d != val.d:
@@ -240,7 +235,7 @@ def fit_logreg(
     X, Xval = train.Z, val.Z
     yval = val.labels(target).astype(np.float64)
     probs = _sampling_probs(train, target, cfg.balance_sampling)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     w = np.zeros(train.d)
     b = 0.0
@@ -263,7 +258,7 @@ def fit_logreg(
             vb = cfg.momentum * vb + float(r.sum() / nb)
             w -= cfg.learning_rate * vw
             b -= cfg.learning_rate * vb
-        score = _val_score(cfg.early_stop_metric, sigmoid(Xval @ w + b), yval)
+        score = _val_score(sigmoid(Xval @ w + b), yval)
         if stopper.update(score, (w.copy(), b)):
             break
     w, b = stopper.best()

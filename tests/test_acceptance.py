@@ -195,9 +195,9 @@ def test_criterion_7_file_pipeline_matches_memory(tmp_path):
         for name in ("train", "val", "test")
     }
     cfg = ExperimentConfig("jse", jse=JseConfig(), demean=False,
-                           downstream=OptimizerConfig(balance_sampling="class-balanced", seed=9))
-    r1, m1, s1 = fit_and_evaluate(cfg, train, val, test)
-    r2, m2, s2 = fit_and_evaluate(cfg, loaded["train"], loaded["val"], loaded["test"])
+                           downstream=OptimizerConfig(balance_sampling="class-balanced"))
+    r1, m1, s1 = fit_and_evaluate(cfg, train, val, test, 9)
+    r2, m2, s2 = fit_and_evaluate(cfg, loaded["train"], loaded["val"], loaded["test"], 9)
     assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
     np.testing.assert_array_equal(s1.group_acc, s2.group_acc)
     assert s1.average == s2.average

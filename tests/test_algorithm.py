@@ -9,20 +9,15 @@ from jse.sgd import OptimizerConfig, fit_1d_logreg, fit_logreg
 from jse.toy import ToyConfig, gen_toy, gen_toy_test
 
 
-def _cfg(seed=0, **kw):
-    return JseConfig(seed=seed, **kw)
-
-
-def _pipeline(train, val, test, jse_cfg, downstream=None):
+def _pipeline(train, val, test, jse_cfg, seed):
     """jse on the raw splits, then the class-balanced downstream classifier."""
-    downstream = downstream or OptimizerConfig(balance_sampling="class-balanced")
-    cfg = ExperimentConfig("jse", jse=jse_cfg, downstream=downstream, demean=False)
-    return fit_and_evaluate(cfg, train, val, test)
+    cfg = ExperimentConfig("jse", jse=jse_cfg, demean=False)
+    return fit_and_evaluate(cfg, train, val, test, seed)
 
 
 def test_single_spurious_vector_at_rho08(toy_rho08):
     _, train, val, _ = toy_rho08
-    res = jse_fit(train, val, _cfg(seed=1))
+    res = jse_fit(train, val, JseConfig(), 1)
     assert res.d_sp == 1  # the procedure terminates after one projection
     assert res.termination == "test-rejected"
     v = res.sp_basis.V[:, 0]
@@ -31,7 +26,7 @@ def test_single_spurious_vector_at_rho08(toy_rho08):
 
 def test_bases_orthonormal_and_mutually_orthogonal(toy_rho08):
     _, train, val, _ = toy_rho08
-    res = jse_fit(train, val, _cfg(seed=2))
+    res = jse_fit(train, val, JseConfig(), 2)
     for basis in (res.sp_basis, res.mt_basis):
         if basis.k:
             gram = basis.V.T @ basis.V
@@ -46,14 +41,14 @@ def test_null_labels_rarely_accept_anything():
     for seed in range(runs):
         cfg = ToyConfig(n=2000, rho=0.0, gamma_sp=0.0, gamma_mt=0.0, seed=1000 + seed)
         train, val = gen_toy(cfg)
-        res = jse_fit(train, val, _cfg(seed=seed))
+        res = jse_fit(train, val, JseConfig(), seed)
         accepted += (res.d_sp + res.d_mt) > 0
     assert accepted / runs <= 0.10
 
 
 def test_transform_modes(toy_rho08):
     _, train, val, test = toy_rho08
-    art = fit_method(ExperimentConfig("jse", jse=_cfg(seed=3)), train, val)
+    art = fit_method(ExperimentConfig("jse"), train, val, 3)
     removed = art.transform(test.Z, "remove-sp")
     # idempotence
     np.testing.assert_allclose(art.transform(removed, "remove-sp"), removed, atol=1e-10)
@@ -80,7 +75,7 @@ def test_removal_oracle(toy_rho08):
     """After remove-sp, the estimated spurious direction carries no usable
     signal: a 1-d fit on it scores at the majority rate."""
     _, train, val, _ = toy_rho08
-    res = jse_fit(train, val, _cfg(seed=4))
+    res = jse_fit(train, val, JseConfig(), 4)
     Ztr = project_out(train.Z, res.sp_basis.V)
     Zval = project_out(val.Z, res.sp_basis.V)
     v = res.sp_basis.V[:, 0]
@@ -97,10 +92,7 @@ def test_loop_order_robustness():
         train, val = gen_toy(cfg)
         test = gen_toy_test(cfg)
         for order, dsp, accs in (("mt-inner", d_sp_a, acc_a), ("sp-inner", d_sp_b, acc_b)):
-            art, model, summary = _pipeline(
-                train, val, test, _cfg(seed=seed, loop_order=order),
-                OptimizerConfig(seed=seed, balance_sampling="class-balanced"),
-            )
+            art, model, summary = _pipeline(train, val, test, JseConfig(loop_order=order), seed)
             dsp.append(art.sp_basis.shape[1])
             accs.append(summary.average)
     agree = np.mean([a == b for a, b in zip(d_sp_a, d_sp_b)])
@@ -116,13 +108,13 @@ def test_monotone_safety():
         for seed in range(5):
             cfg = ToyConfig(n=2000, rho=rho, seed=3000 + seed)
             train, val = gen_toy(cfg)
-            opt = OptimizerConfig(seed=seed, balance_sampling="class-balanced")
-            before = fit_logreg(train, "mt", val, opt)
+            opt = OptimizerConfig(balance_sampling="class-balanced")
+            before = fit_logreg(train, "mt", val, opt, seed)
             acc_before = np.mean((before.predict(val.Z) >= 0.5) == val.y_mt)
-            res = jse_fit(train, val, _cfg(seed=seed))
+            res = jse_fit(train, val, JseConfig(), seed)
             tr = train.with_Z(project_out(train.Z, res.sp_basis.V))
             va = val.with_Z(project_out(val.Z, res.sp_basis.V))
-            after = fit_logreg(tr, "mt", va, opt)
+            after = fit_logreg(tr, "mt", va, opt, seed)
             acc_after = np.mean((after.predict(va.Z) >= 0.5) == va.y_mt)
             drops.append(100 * (acc_before - acc_after))
         assert max(drops) <= 2.0, f"rho={rho}: drops {drops}"
@@ -131,7 +123,7 @@ def test_monotone_safety():
 def test_max_dim_cap():
     cfg = ToyConfig(n=2000, rho=0.8, seed=11)
     train, val = gen_toy(cfg)
-    res = jse_fit(train, val, _cfg(seed=11, max_dim=1))
+    res = jse_fit(train, val, JseConfig(max_dim=1), 11)
     assert res.d_sp <= 1
     if res.d_sp == 1:
         assert res.termination == "max-iterations"
@@ -140,15 +132,15 @@ def test_max_dim_cap():
 def test_delta_auto_recorded():
     cfg = ToyConfig(n=2000, rho=0.5, gamma_sp=6.0, gamma_mt=2.0, seed=12)
     train, val = gen_toy(cfg)
-    res = jse_fit(train, val, _cfg(seed=12, delta="auto"))
+    res = jse_fit(train, val, JseConfig(delta="auto"), 12)
     assert res.delta < -0.05  # the spurious labels are easier, so the offset is negative
-    res0 = jse_fit(train, val, _cfg(seed=12, delta=0.25))
+    res0 = jse_fit(train, val, JseConfig(delta=0.25), 12)
     assert res0.delta == 0.25
 
 
 def test_estimate_mt_basis_flag(toy_rho08):
     _, train, val, _ = toy_rho08
-    res = jse_fit(train, val, _cfg(seed=13, estimate_mt_basis=False))
+    res = jse_fit(train, val, JseConfig(estimate_mt_basis=False), 13)
     assert res.d_mt == 0
 
 
@@ -156,7 +148,7 @@ def test_group_weighting_ablation_flag(toy_rho08):
     """The unweighted-test variant runs end to end and records plain-mean
     statistics (group fields empty)."""
     _, train, val, _ = toy_rho08
-    res = jse_fit(train, val, _cfg(seed=17, group_weighted_tests=False))
+    res = jse_fit(train, val, JseConfig(group_weighted_tests=False), 17)
     assert res.d_sp >= 1
     rep = res.sp_tests[0][0]
     assert rep.decision  # the informative direction still clears the unweighted gate
@@ -164,7 +156,7 @@ def test_group_weighting_ablation_flag(toy_rho08):
 
 def test_pipeline_shapes(toy_rho08):
     _, train, val, test = toy_rho08
-    art, model, summary = _pipeline(train, val, test, _cfg(seed=14))
+    art, model, summary = _pipeline(train, val, test, JseConfig(), 14)
     assert model.w.shape == (train.d,)
     assert summary.average > 75.0
     assert art.sp_basis.shape[1] >= 1
@@ -180,7 +172,7 @@ def test_empty_val_group_raises():
     from jse.stats import EmptyGroupError
 
     with pytest.raises((EmptyGroupError, ValueError)):
-        jse_fit(train, val, _cfg(seed=16))
+        jse_fit(train, val, JseConfig(), 16)
 
 
 def test_config_validation():

@@ -17,7 +17,7 @@ from jse.toy import ToyConfig, gen_toy, gen_toy_test
 
 def test_inlp_vectors_orthonormal(toy_rho08):
     _, train, val, _ = toy_rho08
-    basis = inlp_fit(train, val, InlpConfig(optimizer=OptimizerConfig(seed=1)))
+    basis = inlp_fit(train, val, InlpConfig(), 1)
     assert basis.k >= 1
     gram = basis.V.T @ basis.V
     assert np.max(np.abs(gram - np.eye(basis.k))) < 1e-6
@@ -31,7 +31,7 @@ def test_inlp_rounds_reduce_spurious_accuracy(toy_rho08):
     from jse.sgd import sigmoid
 
     _, train, val, _ = toy_rho08
-    basis = inlp_fit(train, val, InlpConfig(optimizer=OptimizerConfig(seed=2)))
+    basis = inlp_fit(train, val, InlpConfig(), 2)
     accs = []
     for k in range(basis.k + 1):
         V = basis.V[:, :k]
@@ -47,7 +47,7 @@ def test_inlp_null_calibration():
     for seed in range(40):
         cfg = ToyConfig(n=1500, rho=0.0, gamma_sp=0.0, gamma_mt=0.0, seed=500 + seed)
         train, val = gen_toy(cfg)
-        basis = inlp_fit(train, val, InlpConfig(optimizer=OptimizerConfig(seed=seed)))
+        basis = inlp_fit(train, val, InlpConfig(), seed)
         hits.append(basis.k)
     assert all(k <= 1 for k in hits)  # two consecutive false rejections are ~alpha^2
     assert np.mean([k >= 1 for k in hits]) <= 0.15  # consistent with alpha=0.05
@@ -55,7 +55,7 @@ def test_inlp_null_calibration():
 
 def test_rlace_projection_properties(toy_rho08):
     _, train, val, _ = toy_rho08
-    res = rlace_fit(train, val, RlaceConfig(optimizer=OptimizerConfig(seed=3)))
+    res = rlace_fit(train, val, RlaceConfig(), 3)
     V = res.removed.V
     P = np.eye(train.d) - V @ V.T
     np.testing.assert_allclose(P @ P, P, atol=1e-6)
@@ -69,7 +69,7 @@ def test_rlace_removes_the_unpredictability_direction(toy_rho08):
     """The rank-1 removal that makes the spurious label linearly unpredictable
     is u = (1, rho, 0, ...) / sqrt(1 + rho^2); the fit finds it."""
     cfg, train, val, _ = toy_rho08
-    res = rlace_fit(train, val, RlaceConfig(optimizer=OptimizerConfig(seed=4)))
+    res = rlace_fit(train, val, RlaceConfig(), 4)
     u = res.removed.V[:, 0]
     expected = np.zeros(cfg.d)
     expected[0] = 1.0
@@ -86,7 +86,7 @@ def test_erm_separable():
     Z[:, 2] += 2.5 * (2 * y - 1)
     train = LabeledEmbeddings(Z[:400], y[:400], rng.integers(0, 2, 400))
     val = LabeledEmbeddings(Z[400:], y[400:], rng.integers(0, 2, 200))
-    m = erm_fit(train, val, OptimizerConfig(seed=6))
+    m = erm_fit(train, val, OptimizerConfig(), 6)
     assert np.mean((m.predict(val.Z) >= 0.5) == val.y_mt) >= 0.98
 
 
@@ -97,8 +97,8 @@ def test_gw_erm_matches_erm_without_correlation():
         cfg = ToyConfig(n=2000, rho=0.0, seed=700 + seed)
         train, val = gen_toy(cfg)
         test = gen_toy_test(cfg)
-        a = evaluate(erm_fit(train, val, OptimizerConfig(seed=seed)), test).average
-        b = evaluate(gw_erm_fit(train, val, OptimizerConfig(seed=seed)), test).average
+        a = evaluate(erm_fit(train, val, OptimizerConfig(), seed), test).average
+        b = evaluate(gw_erm_fit(train, val, OptimizerConfig(), seed), test).average
         diffs.append(a - b)
     assert abs(np.mean(diffs)) <= 0.5
 
@@ -108,7 +108,7 @@ def test_gw_erm_requires_all_groups():
     y = rng.integers(0, 2, 100)
     data = LabeledEmbeddings(rng.standard_normal((100, 3)), y, y)  # groups 2,3 missing
     with pytest.raises(ValueError, match="four groups"):
-        gw_erm_fit(data, data, OptimizerConfig(seed=0))
+        gw_erm_fit(data, data, OptimizerConfig(), 0)
 
 
 def test_rlace_config_validation():
@@ -118,7 +118,6 @@ def test_rlace_config_validation():
 
 def test_rlace_nonconvergence_flag(toy_rho08):
     _, train, val, _ = toy_rho08
-    res = rlace_fit(train, val, RlaceConfig(max_iters=40, eval_every=20,
-                                            optimizer=OptimizerConfig(seed=9)))
+    res = rlace_fit(train, val, RlaceConfig(max_iters=40, eval_every=20), 9)
     assert not res.converged
     assert res.iters == 40

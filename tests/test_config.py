@@ -1,9 +1,12 @@
+import dataclasses
 import os
+from dataclasses import replace
 
 import pytest
 
 from jse.config import ConfigError, build_experiment, load_config, parse_config_lines
 from jse.evaluate import METHODS
+from jse.sgd import OptimizerConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -22,18 +25,17 @@ alpha = 0.05
 delta = auto
 loop_order = sp-inner
 
-seed = 3
-
-[rlace.optimizer]
+[inlp.optimizer]
 learning_rate = 0.005
 
 [optimizer]
-learning_rate = 0.1
-balance_sampling = class-balanced
+learning_rate = 0.2
+momentum = 0.5
 
 [rlace]
 rank = 2
 stop_accuracy = 0.52
+learning_rate = 0.05
 
 [sweep]
 methods = jse, erm, rlace
@@ -50,12 +52,14 @@ def test_parse_and_build():
     assert cfg.toy.n == 2000 and cfg.toy.gamma_sp == 6.0
     assert cfg.jse.delta == "auto"
     assert cfg.jse.loop_order == "sp-inner"
-    assert cfg.jse.seed == 3
-    assert cfg.rlace.optimizer.learning_rate == 0.005  # overrides [optimizer]
-    assert cfg.downstream.learning_rate == 0.1
+    assert cfg.inlp.optimizer.learning_rate == 0.005  # overrides [optimizer]
+    assert cfg.inlp.optimizer.momentum == 0.5  # [optimizer] propagates
+    assert cfg.inlp.optimizer.balance_sampling == "none"  # and keeps INLP's own values
+    assert cfg.downstream.learning_rate == 0.2 and cfg.downstream.momentum == 0.5
     assert cfg.downstream.balance_sampling == "class-balanced"
-    assert cfg.inlp.optimizer.learning_rate == 0.1  # [optimizer] propagates
     assert cfg.rlace.rank == 2 and cfg.rlace.stop_accuracy == 0.52
+    assert cfg.rlace.learning_rate == 0.05
+    assert cfg.rlace.momentum == 0.9  # [optimizer] does not reach RLACE
     assert sweep.methods == ["jse", "erm", "rlace"]
     assert sweep.x_values == [0.0, 0.5, 0.9]
     assert cfg.seeds == 7 and cfg.base_seed == 11
@@ -108,6 +112,7 @@ BAD_SECTIONS = [
     ("[jse.optimizer]\nlearning_rate = 5\n", 1, "[jse.optimizer]"),  # the jse fits have no SGD
     ("[toy]\nn = 300\n[jse.optimiser]\nlearning_rate = 5\n", 3, "[jse.optimiser]"),
     ("# grid\n[bogus]\n", 2, "[bogus]"),
+    ("[rlace.optimizer]\nlearning_rate = 0.005\n", 1, "[rlace.optimizer]"),  # keys in [rlace]
 ]
 
 
@@ -192,6 +197,14 @@ BAD_VALUES = [
     ("sweep", "methods", ",", "sweep"),
     ("sweep", "x_values", "0.5, high", "sweep"),
     ("optimizer", "max_epochs", "3", "sweep"),  # below the default patience 5
+    ("optimizer", "momentum", "1.5", "sweep"),
+    ("downstream.optimizer", "momentum", "-0.1", "sweep"),
+    ("inlp.optimizer", "batch_size", "0", "sweep"),
+    ("rlace", "momentum", "1", "fit"),
+    ("rlace", "learning_rate", "0", "fit"),
+    ("rlace", "batch_size", "0", "fit"),
+    ("rlace", "weight_decay", "-1", "fit"),
+    ("rlace", "subspace_lr", "0", "fit"),
 ]
 
 
@@ -232,7 +245,7 @@ def test_out_of_range_value_exits_3_naming_key(small_toy, tmp_path, capsys, sect
 def test_dependent_keys_load_in_either_order(lines):
     cfg, _ = build_experiment(parse_config_lines(["[optimizer]", *lines]))
     expected = dict(line.split(" = ") for line in lines)
-    for opt in (cfg.downstream, cfg.inlp.optimizer, cfg.rlace.optimizer):
+    for opt in (cfg.downstream, cfg.inlp.optimizer):
         assert opt.max_epochs == int(expected["max_epochs"])
         assert opt.early_stop_patience == int(expected["early_stop_patience"])
 
@@ -243,6 +256,49 @@ def test_keys_only_bad_together_are_all_named():
     with pytest.raises(ConfigError, match=r"^\[optimizer\] early_stop_patience, max_epochs: "
                                           r"early_stop_patience must be <= max_epochs"):
         build_experiment(parse_config_lines(lines))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(OptimizerConfig)])
+def test_optimizer_section_sets_only_its_own_keys(name):
+    """[optimizer] <key> = <OptimizerConfig default> sets that key on the
+    downstream and INLP configs and nothing else, so at every key but
+    balance_sampling (the downstream default is class-balanced) the config is
+    the one built without a file."""
+    value = getattr(OptimizerConfig(), name)
+    cfg, _ = build_experiment(parse_config_lines(["[optimizer]", f"{name} = {value}"]))
+    base, _ = build_experiment({})
+    assert cfg == replace(
+        base,
+        downstream=replace(base.downstream, **{name: value}),
+        inlp=replace(base.inlp, optimizer=replace(base.inlp.optimizer, **{name: value})),
+    )
+    if name != "balance_sampling":
+        assert cfg == base
+
+
+# (section, key, value): keys a run would overwrite or never read; each exits
+# 3 naming section and key
+IGNORED_KEYS = [
+    ("toy", "seed", "3"),  # set by --seed or the sweep's derived run seeds
+    ("experiment", "method", "erm"),  # set by --method or [sweep] methods
+    ("jse", "seed", "3"),
+    ("optimizer", "seed", "3"),
+    ("inlp.optimizer", "seed", "3"),
+    ("downstream.optimizer", "seed", "3"),
+    ("optimizer", "early_stop_metric", "bce"),  # always validation accuracy
+]
+
+
+@pytest.mark.parametrize("section,key,value", IGNORED_KEYS)
+def test_ignored_key_exits_3_naming_it(tmp_path, capsys, section, key, value):
+    from jse.cli import main
+
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "sweep"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] ") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_sweep_key():

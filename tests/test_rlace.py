@@ -5,7 +5,6 @@ import pytest
 
 from jse import baselines
 from jse.baselines import RlaceConfig, _span_solver, _top_k_projection, rlace_fit
-from jse.sgd import OptimizerConfig
 
 from conftest import random_labeled, random_orthonormal
 
@@ -108,8 +107,7 @@ GOLDEN = [
 def test_rlace_golden_fits(toy_rho08, toy_rho0, case):
     rho, seed, rank, max_iters, iters, converged, val_accuracy, U = case
     _, train, val, _ = toy_rho08 if rho == 0.8 else toy_rho0
-    cfg = RlaceConfig(rank=rank, max_iters=max_iters, optimizer=OptimizerConfig(seed=seed))
-    res = rlace_fit(train, val, cfg)
+    res = rlace_fit(train, val, RlaceConfig(rank=rank, max_iters=max_iters), seed)
     assert (res.iters, res.converged, res.val_accuracy) == (iters, converged, val_accuracy)
     U = np.array(U)
     V = res.removed.V
@@ -212,4 +210,4 @@ def test_rlace_rank_must_be_below_d():
     data = random_labeled(np.random.default_rng(0), n=60, d=6)
     for rank in (6, 7):
         with pytest.raises(ValueError, match=rf"rank {rank} .*d = 6"):
-            rlace_fit(data, data, RlaceConfig(rank=rank))
+            rlace_fit(data, data, RlaceConfig(rank=rank), 0)
