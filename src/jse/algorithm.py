@@ -4,8 +4,11 @@ The outer loop proposes spurious directions, the inner loop proposes
 main-task directions. Each proposal comes from a fresh joint orthogonal fit
 on the currently projected training embeddings. A proposed direction is
 accepted only if two validation-split tests both pass: it beats the
-intercept-only classifier on its own label, and it is more predictive of its
-own concept than of the other one (offset by delta). Accepted main-task
+intercept-only classifier on its own label (``stats.t_vs_random``, the test
+INLP's rounds stop on), and it is more predictive of its own concept than of
+the other one, offset by delta (``stats.t_relative``). Both loops run the two
+tests from one step, so either concept's candidates are tested alike; each
+report's side follows from its kind (``stats.SIDES``). Accepted main-task
 directions are projected out of the inner working copy; accepted spurious
 directions are projected out of everything, and the inner loop restarts.
 Validation embeddings mirror every training projection.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Direction, LabeledEmbeddings, SubspaceBasis, project_out
+from .data import Direction, LabeledEmbeddings, SubspaceBasis, normalize_against, project_out
 from .sgd import child_seed, fit_1d_logreg, fit_intercept_only, fit_joint_orthogonal
 from .stats import TestReport, delta_heuristic, t_relative, t_vs_random
 
@@ -85,26 +88,6 @@ class SubspaceResult:
         return self.mt_basis.k
 
 
-def _normalize_against(
-    w: np.ndarray, accepted: list[np.ndarray]
-) -> tuple[np.ndarray, float] | None:
-    """Clean w of components along already-removed directions and normalize.
-
-    The joint fit's iterate can retain a stray initialization component in
-    directions the data no longer spans; predictions on the projected data are
-    invariant to it but the basis must not inherit it. Returns the unit vector and the
-    cleaned norm (the scale of the 1-d model actually realized on the
-    projected data), or None for a numerically vanished vector.
-    """
-    w = w.astype(np.float64, copy=True)
-    for u in accepted:
-        w -= (u @ w) * u
-    nrm = float(np.linalg.norm(w))
-    if nrm < 1e-10:
-        return None
-    return w / nrm, nrm
-
-
 def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
             seed: int) -> SubspaceResult:
     """Estimate orthonormal spurious and main-task bases. The joint fit of
@@ -119,26 +102,37 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
     d = train.d
     max_dim = d if cfg.max_dim is None else min(cfg.max_dim, d)
 
-    inner_is_mt = cfg.loop_order == "mt-inner"
-    outer_t, inner_t = ("sp", "mt") if inner_is_mt else ("mt", "sp")
-
+    outer_t, inner_t = ("sp", "mt") if cfg.loop_order == "mt-inner" else ("mt", "sp")
     random_models = {t: fit_intercept_only(train, t) for t in ("sp", "mt")}
     gw = cfg.group_weighted_tests
+    delta = 0.0 if cfg.delta == DELTA_AUTO else float(cfg.delta)
+    # per concept: the outer concept's accepted directions, the inner concept's
+    # from the latest inner pass; and the test reports of every proposal
+    vecs: dict[str, list[np.ndarray]] = {"sp": [], "mt": []}
+    reports: dict[str, list[tuple[TestReport, TestReport]]] = {"sp": [], "mt": []}
 
-    outer_vecs: list[np.ndarray] = []  # accepted outer-concept directions
-    inner_vecs: list[np.ndarray] = []  # inner-concept directions from the latest inner pass
-    outer_tests: list[tuple[TestReport, TestReport]] = []
-    inner_tests: list[tuple[TestReport, TestReport]] = []
+    def tests(target: str, v: np.ndarray, gamma: float, b: float, Ztr: np.ndarray,
+              val_cur: LabeledEmbeddings) -> tuple[TestReport, TestReport]:
+        """Run and record a target-concept candidate's two tests: against the
+        intercept-only classifier, then against the other concept's 1-d fit on v."""
+        own = Direction(v, gamma, b)
+        other = "mt" if target == "sp" else "sp"
+        cross = fit_1d_logreg(Ztr, v, train.labels(other))
+        rep_rnd = t_vs_random(own, val_cur, target, random_models[target], cfg.alpha, gw)
+        sp_fit, mt_fit = (own, cross) if target == "sp" else (cross, own)
+        rep_rel = t_relative(sp_fit, mt_fit, val_cur, "v_" + target, delta, cfg.alpha, gw,
+                             cfg.relative_test_scale)
+        reports[target].append((rep_rnd, rep_rel))
+        return rep_rnd, rep_rel
 
     Ztr_outer = train.Z  # outer-accepted directions projected out
     Zval_outer = val.Z
-    delta = 0.0 if cfg.delta == DELTA_AUTO else float(cfg.delta)
     delta_fixed = cfg.delta != DELTA_AUTO
     termination = "max-iterations"
 
     for i in range(1, max_dim + 1):
         Ztr_in, Zval_in = Ztr_outer, Zval_outer
-        inner_vecs = []
+        vecs[inner_t] = []
         outer_candidate: tuple[np.ndarray, float, float] | None = None
 
         for j in range(1, max_dim + 1):
@@ -147,61 +141,42 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
             models = {"sp": sp_m, "mt": mt_m}
             out_m, in_m = models[outer_t], models[inner_t]
 
-            removed = outer_vecs + inner_vecs
-            cand_out = _normalize_against(out_m.w, removed)
-            cand_in = _normalize_against(in_m.w, removed)
+            removed = vecs[outer_t] + vecs[inner_t]
+            cand_out = normalize_against(out_m.w, removed)
+            cand_in = normalize_against(in_m.w, removed)
             if cand_out is not None:
-                outer_candidate = (cand_out[0], cand_out[1], out_m.b)
+                outer_candidate = (*cand_out, out_m.b)
 
             if not delta_fixed:
-                # heuristic from the very first joint solve, held fixed afterwards
-                own = {
-                    t: Direction(
-                        _unit_or_e1(models[t].w, d), float(np.linalg.norm(models[t].w)), models[t].b
-                    )
-                    for t in ("sp", "mt")
-                }
-                delta = delta_heuristic(own["sp"], own["mt"], val_in, gw)
+                # heuristic from the very first joint solve, held fixed afterwards; a
+                # vanished w keeps its norm as the scale along e1
+                own = [
+                    Direction(*(normalize_against(m.w, []) or (np.eye(d)[0], np.linalg.norm(m.w))),
+                              m.b)
+                    for m in (sp_m, mt_m)
+                ]
+                delta = delta_heuristic(*own, val_in, gw)
                 delta_fixed = True
 
             if cand_in is None:
                 break
-            v_in = cand_in[0]
-            in_dir = Direction(v_in, cand_in[1], in_m.b)
-            cross = fit_1d_logreg(Ztr_in, v_in, train.labels(outer_t))
-            rep_rnd = t_vs_random(in_dir, val_in, inner_t, random_models[inner_t], cfg.alpha, gw)
-            sp_fit, mt_fit = (cross, in_dir) if inner_is_mt else (in_dir, cross)
-            rep_rel = t_relative(
-                sp_fit, mt_fit, val_in, "v_mt" if inner_is_mt else "v_sp",
-                delta, cfg.alpha, gw, cfg.relative_test_scale,
-            )
-            inner_tests.append((rep_rnd, rep_rel))
+            rep_rnd, rep_rel = tests(inner_t, *cand_in, in_m.b, Ztr_in, val_in)
             if not (rep_rnd.decision and rep_rel.decision):
                 break
-            inner_vecs.append(v_in)
-            V_in = np.column_stack(inner_vecs)
+            vecs[inner_t].append(cand_in[0])
+            V_in = np.column_stack(vecs[inner_t])
             Ztr_in = project_out(Ztr_outer, V_in)
             Zval_in = project_out(Zval_outer, V_in)
 
         if outer_candidate is None:
             termination = "test-rejected"
             break
-        v_out, gamma_out, b_out = outer_candidate
-        out_dir = Direction(v_out, gamma_out, b_out)
-        cross = fit_1d_logreg(Ztr_outer, v_out, train.labels(inner_t))
-        val_out = val.with_Z(Zval_outer)
-        rep_rnd = t_vs_random(out_dir, val_out, outer_t, random_models[outer_t], cfg.alpha, gw)
-        sp_fit, mt_fit = (out_dir, cross) if inner_is_mt else (cross, out_dir)
-        rep_rel = t_relative(
-            sp_fit, mt_fit, val_out, "v_sp" if inner_is_mt else "v_mt",
-            delta, cfg.alpha, gw, cfg.relative_test_scale,
-        )
-        outer_tests.append((rep_rnd, rep_rel))
+        rep_rnd, rep_rel = tests(outer_t, *outer_candidate, Ztr_outer, val.with_Z(Zval_outer))
         if not (rep_rnd.decision and rep_rel.decision):
             termination = "test-rejected"
             break
-        outer_vecs.append(v_out)
-        V_out = np.column_stack(outer_vecs)
+        vecs[outer_t].append(outer_candidate[0])
+        V_out = np.column_stack(vecs[outer_t])
         Ztr_outer = project_out(train.Z, V_out)
         Zval_outer = project_out(val.Z, V_out)
         if i == max_dim:
@@ -211,24 +186,14 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         V = np.column_stack(vectors) if vectors else np.zeros((d, 0))
         return SubspaceBasis(V, kind)
 
-    sp_vecs, mt_vecs = (outer_vecs, inner_vecs) if inner_is_mt else (inner_vecs, outer_vecs)
-    sp_tests, mt_tests = (outer_tests, inner_tests) if inner_is_mt else (inner_tests, outer_tests)
-    if not cfg.estimate_mt_basis and inner_is_mt:
-        mt_vecs = []
+    if not cfg.estimate_mt_basis and inner_t == "mt":
+        vecs["mt"] = []
     return SubspaceResult(
-        basis(sp_vecs, "spurious"),
-        basis(mt_vecs, "main-task"),
-        sp_tests,
-        mt_tests,
+        basis(vecs["sp"], "spurious"),
+        basis(vecs["mt"], "main-task"),
+        reports["sp"],
+        reports["mt"],
         termination,
         delta,
     )
 
-
-def _unit_or_e1(w: np.ndarray, d: int) -> np.ndarray:
-    nrm = float(np.linalg.norm(w))
-    if nrm < 1e-10:
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        return e1
-    return w / nrm

@@ -2,8 +2,9 @@
 
 INLP repeatedly fits a spurious-concept classifier, projects its coefficient
 direction out of the embeddings, and stops once the classifier is no longer
-significantly better (validation BCE, one-sided t-test) than the
-intercept-only classifier.
+significantly better than the intercept-only classifier: the one-sided
+``sp_vs_random`` test on validation BCE, the same ``stats.t_vs_random`` call
+jse's candidates go through (its side follows from the kind).
 
 RLACE plays an alternating minimax game: a linear classifier minimizes the
 spurious-concept BCE on projected embeddings while a rank-k removal subspace
@@ -26,19 +27,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .data import LabeledEmbeddings, SubspaceBasis, project_out
+from .data import LabeledEmbeddings, SubspaceBasis, normalize_against, project_out
 from .sgd import (
     LinearModel,
     OptimizerConfig,
     _newton_logreg,
-    bce,
     check_sgd,
     child_seed,
     fit_intercept_only,
     fit_logreg,
     sigmoid,
 )
-from .stats import critical_value, weighted_diff
+from .stats import t_vs_random
 
 
 @dataclass(frozen=True)
@@ -96,33 +96,21 @@ def inlp_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: InlpConfig,
     classifier is seeded with ``child_seed(seed, r)``."""
     d = train.d
     max_rounds = d if cfg.max_rounds is None else min(cfg.max_rounds, d)
-    threshold = critical_value(cfg.alpha)
     random_model = fit_intercept_only(train, "sp")
     Ztr, Zval = train.Z, val.Z
     accepted: list[np.ndarray] = []
 
     for r in range(max_rounds):
-        model = fit_logreg(train.with_Z(Ztr), "sp", val.with_Z(Zval), cfg.optimizer,
-                           child_seed(seed, r))
-        d_i = bce(model.predict(Zval), val.y_sp) - bce(random_model.predict(Zval), val.y_sp)
-        if cfg.group_weighted_test:
-            wd = weighted_diff(d_i, val.group)
-            mean, var = wd.d_bar_w, wd.var_hat
-        else:
-            mean = float(np.mean(d_i))
-            var = float(np.var(d_i, ddof=1) / len(d_i))
-        t = mean / np.sqrt(var) if var > 0 else (0.0 if mean == 0 else np.sign(mean) * 1e12)
-        if not t < -threshold:
+        val_r = val.with_Z(Zval)
+        model = fit_logreg(train.with_Z(Ztr), "sp", val_r, cfg.optimizer, child_seed(seed, r))
+        if not t_vs_random(model, val_r, "sp", random_model, cfg.alpha,
+                           cfg.group_weighted_test).decision:
             break  # no longer significantly better than the intercept-only classifier
-        w = model.w.copy()
-        for u in accepted:
-            w -= (u @ w) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-10:
+        unit = normalize_against(model.w, accepted)
+        if unit is None:
             break
-        u = w / nrm
-        accepted.append(u)
-        V = u[:, None]
+        accepted.append(unit[0])
+        V = unit[0][:, None]
         Ztr = project_out(Ztr, V)
         Zval = project_out(Zval, V)
 
@@ -238,9 +226,8 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
 
 def erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConfig,
             seed: int) -> LinearModel:
-    """Plain main-task logistic regression with class-balanced batches."""
-    if cfg.balance_sampling == "none":
-        cfg = replace(cfg, balance_sampling="class-balanced")
+    """Plain main-task logistic regression; batches as ``cfg.balance_sampling``
+    says (the downstream config's default is class-balanced)."""
     return fit_logreg(train, "mt", val, cfg, seed)
 
 

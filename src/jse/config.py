@@ -160,7 +160,9 @@ def build_experiment(
     """Assemble an ExperimentConfig plus sweep grid from parsed sections.
 
     The sweep's ``seeds`` and ``base_seed`` start from the experiment's (the
-    ``base`` config, then ``[experiment]``); ``[sweep]`` overrides them.
+    ``base`` config, then ``[experiment]``); ``[sweep]`` overrides them. The
+    ``[toy]`` field named by the sweep's ``x_name`` is set by each run's x
+    value, so setting it in ``[toy]`` is an error.
     """
     cfg = base or ExperimentConfig(method="jse")
     for section, paths in TARGETS.items():
@@ -171,6 +173,9 @@ def build_experiment(
 
     sweep = SweepSpec(seeds=cfg.seeds, base_seed=cfg.base_seed)
     sweep = _apply(sweep, "sweep", sections.get("sweep", {}))
+    if sweep.x_name in sections.get("toy", {}):
+        raise ConfigError(f"[toy] {sweep.x_name}: set by the sweep's x values "
+                          f"([sweep] x_name = {sweep.x_name}), not by the config")
     cfg = replace(cfg, seeds=sweep.seeds, base_seed=sweep.base_seed)
     return cfg, sweep
 

@@ -186,6 +186,26 @@ def project_out(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     return Z - np.dot(Z @ V, V.T)
 
 
+def normalize_against(
+    w: np.ndarray, accepted: list[np.ndarray]
+) -> tuple[np.ndarray, float] | None:
+    """Clean w of components along already-removed unit vectors and normalize.
+
+    A fit's iterate can retain a stray initialization component in directions
+    the data no longer spans; predictions on the projected data are invariant
+    to it but a basis must not inherit it. Returns the unit vector and the
+    cleaned norm (the scale of the 1-d model realized on the projected data),
+    or None for a numerically vanished vector.
+    """
+    w = w.astype(np.float64, copy=True)
+    for u in accepted:
+        w -= (u @ w) * u
+    nrm = float(np.linalg.norm(w))
+    if nrm < 1e-10:
+        return None
+    return w / nrm, nrm
+
+
 def project_onto(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Project rows of Z onto span(V): Z V V^T."""
     Z, V = _check_projection_args(Z, V)

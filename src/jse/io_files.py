@@ -25,7 +25,7 @@ from typing import NoReturn
 import numpy as np
 
 from .data import ORTHO_TOL, LabeledEmbeddings, orthonormal_check
-from .evaluate import Artifact, CellAggregate, EvalSummary, RunRecord
+from .evaluate import METHODS, Artifact, CellAggregate, EvalSummary, RunRecord
 from .sgd import LinearModel
 from .stats import TestReport
 
@@ -185,7 +185,10 @@ def load_artifact(path: str) -> Artifact:
             raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(fields)}")
         return at_line(lineno, fields, lambda vs: np.array([float(v) for v in vs]))
 
-    method = header["method"][1]
+    method_line, method = header["method"]
+    if method not in METHODS:
+        raise DataFormatError(f"{path}:{method_line}: unknown method {method!r}; expected one "
+                              f"of {', '.join(METHODS)}")
     d = at_line(*header["d"], int)
     if d < 1:
         raise DataFormatError(f"{path}:{header['d'][0]}: d must be positive, got {d}")
@@ -213,9 +216,14 @@ def load_artifact(path: str) -> Artifact:
             raise DataFormatError(
                 f"{path}:{lineno}: expected 6 test-report fields, got {len(fields)}"
             )
-        t, thr, alpha, delta = floats(lineno, fields[1:5]).tolist()
-        side = "greater" if fields[0] == "sp_vs_mt_on_vmt" else "less"
-        tests.append(TestReport(fields[0], t, thr, alpha, delta, side, fields[5] == "True"))
+        t, thr, alpha, test_delta = floats(lineno, fields[1:5]).tolist()
+        decision = {"True": True, "False": False}.get(fields[5])
+        if decision is None:
+            raise DataFormatError(f"{path}:{lineno}: decision must be True or False, "
+                                  f"got {fields[5]!r}")
+        # TestReport rejects a kind outside stats.SIDES
+        tests.append(at_line(lineno, fields[0],
+                             lambda kind: TestReport(kind, t, thr, alpha, test_delta, decision)))
     model = None
     if "model" in sections:
         entries = {}

@@ -13,7 +13,9 @@ is compared against standard-normal critical values, taken from
 import would cost more CPU than everything else a cold start of the package
 does.
 
-Four test kinds are used by the subspace-estimation loop:
+This module is the one place that computes a statistic and picks a test's
+side. Four test kinds are used by the subspace-estimation loop, and the
+first by INLP's stopping rule (``baselines.inlp_fit``):
 
 * ``sp_vs_random`` / ``mt_vs_random``: a candidate direction beats the
   intercept-only classifier on its own label (one-sided, H1: mean < 0);
@@ -21,6 +23,8 @@ Four test kinds are used by the subspace-estimation loop:
   than the main-task label (H1: mean < Delta);
 * ``sp_vs_mt_on_vmt``: on a main-task candidate, the opposite
   (H1: mean > Delta).
+
+A report's side (``less`` or ``greater``) follows from its kind (``SIDES``).
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from .data import Direction, LabeledEmbeddings
 from .sgd import LinearModel, bce
 
 T_SENTINEL = 1e12  # stand-in for +/- infinity when the variance estimate is zero
+
+# each kind's alternative: statistic < -threshold (less) or > threshold (greater)
+SIDES = {"sp_vs_random": "less", "mt_vs_random": "less", "sp_vs_mt_on_vsp": "less",
+         "sp_vs_mt_on_vmt": "greater"}
 
 
 def critical_value(alpha: float) -> float:
@@ -65,8 +73,16 @@ class TestReport:
     threshold: float
     alpha: float
     delta: float
-    side: str  # less | greater
     decision: bool
+
+    def __post_init__(self) -> None:
+        if self.kind not in SIDES:
+            raise ValueError(f"unknown test kind {self.kind!r}; expected one of "
+                             f"{', '.join(SIDES)}")
+
+    @property
+    def side(self) -> str:
+        return SIDES[self.kind]
 
     def csv_row(self) -> str:
         return (
@@ -125,36 +141,32 @@ def _t_statistic(wd: WeightedDiff, delta: float, scale: str) -> float:
 
 
 def _report(
-    kind: str, wd: WeightedDiff, delta: float, alpha: float, side: str, scale: str = "se"
+    kind: str, wd: WeightedDiff, delta: float, alpha: float, scale: str = "se"
 ) -> TestReport:
     if scale not in ("se", "variance"):
         raise ValueError(f"scale must be 'se' or 'variance', got {scale!r}")
     t = _t_statistic(wd, delta, scale)
     threshold = critical_value(alpha)
-    if side == "less":
-        decision = t < -threshold
-    elif side == "greater":
-        decision = t > threshold
-    else:
-        raise ValueError(f"side must be 'less' or 'greater', got {side!r}")
-    return TestReport(kind, t, threshold, alpha, delta, side, bool(decision))
+    decision = t < -threshold if SIDES[kind] == "less" else t > threshold
+    return TestReport(kind, t, threshold, alpha, delta, bool(decision))
 
 
 def t_vs_random(
-    v: Direction,
+    v: Direction | LinearModel,
     val: LabeledEmbeddings,
     target: str,
     random_model: LinearModel,
     alpha: float = 0.05,
     group_weighted: bool = True,
 ) -> TestReport:
-    """Is the 1-d model along v more informative about its label than the
-    intercept-only classifier? H1: the weighted mean BCE difference is < 0."""
+    """Is the model v (a 1-d model along a direction, or INLP's round
+    classifier) more informative about its label than the intercept-only
+    classifier? H1: the weighted mean BCE difference is < 0."""
     y = val.labels(target)
     d = bce(v.predict(val.Z), y) - bce(random_model.predict(val.Z), y)
     wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     kind = "sp_vs_random" if target == "sp" else "mt_vs_random"
-    return _report(kind, wd, 0.0, alpha, "less")
+    return _report(kind, wd, 0.0, alpha)
 
 
 def t_relative(
@@ -184,8 +196,7 @@ def t_relative(
     d = bce(sp_fit.predict(val.Z), val.y_sp) - bce(mt_fit.predict(val.Z), val.y_mt)
     wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     kind = "sp_vs_mt_on_vsp" if on == "v_sp" else "sp_vs_mt_on_vmt"
-    side = "less" if on == "v_sp" else "greater"
-    return _report(kind, wd, delta, alpha, side, scale)
+    return _report(kind, wd, delta, alpha, scale)
 
 
 def delta_heuristic(

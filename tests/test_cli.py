@@ -92,6 +92,20 @@ def test_fit_stdout_is_built_from_the_artifact(toy_files, tmp_path, capsys, meth
     assert load_artifact(str(art_path)).termination == termination
 
 
+def test_fit_erm_follows_downstream_balance_sampling(toy_files, tmp_path):
+    arts = {}
+    for sampling in ("none", "class-balanced"):
+        cfg = tmp_path / f"{sampling}.cfg"
+        cfg.write_text(f"[downstream.optimizer]\nbalance_sampling = {sampling}\n")
+        art_path = tmp_path / f"{sampling}.artifact"
+        assert run_cli("--seed", "1", "--config", str(cfg), "fit", "--method", "erm",
+                       "--train", str(toy_files / "toy_train.csv"),
+                       "--val", str(toy_files / "toy_val.csv"),
+                       "--artifact", str(art_path)) == 0
+        arts[sampling] = art_path.read_bytes()
+    assert arts["none"] != arts["class-balanced"]
+
+
 def test_eval_requires_model(toy_files, tmp_path, capsys):
     art_path = tmp_path / "jse2.artifact"
     run_cli("--seed", "5", "fit", "--method", "jse",

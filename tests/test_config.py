@@ -16,7 +16,6 @@ GOOD = """
 [toy]
 n = 2000
 d = 20
-rho = 0.8
 gamma_sp = 6
 gamma_mt = 2
 
@@ -102,7 +101,7 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD)
     cfg, sweep = load_config(str(path))
-    assert cfg.toy.rho == 0.8
+    assert cfg.toy.gamma_mt == 2.0
     assert sweep.seeds == 7
 
 
@@ -286,6 +285,7 @@ IGNORED_KEYS = [
     ("inlp.optimizer", "seed", "3"),
     ("downstream.optimizer", "seed", "3"),
     ("optimizer", "early_stop_metric", "bce"),  # always validation accuracy
+    ("toy", "rho", "0.5"),  # set by the sweep's x values (x_name defaults to rho)
 ]
 
 
@@ -299,6 +299,19 @@ def test_ignored_key_exits_3_naming_it(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: [{section}] ") and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("x_name,key,value,ok", [
+    ("n", "n", 300, False), ("angle_deg", "angle_deg", 60, False), ("n", "rho", 0.5, True),
+])
+def test_toy_key_named_by_x_name_is_rejected(x_name, key, value, ok):
+    lines = ["[toy]", f"{key} = {value}", "[sweep]", f"x_name = {x_name}"]
+    if ok:
+        cfg, _ = build_experiment(parse_config_lines(lines))
+        assert getattr(cfg.toy, key) == value
+    else:
+        with pytest.raises(ConfigError, match=rf"^\[toy\] {key}: set by the sweep's x values"):
+            build_experiment(parse_config_lines(lines))
 
 
 def test_unknown_sweep_key():

@@ -152,45 +152,73 @@ def test_method_validation():
 
 
 # run_single records pinned before the five methods shared one dispatch
-# (fit_method): (method, jse transform_mode, rho, seed index, group accuracies,
-# d_sp_hat, d_mt_hat) at n = 600, d = 6, test_n = 600, rlace max_iters = 500.
-# The jse rows were pinned again when its inner fits became full-batch solves
-# (L-BFGS joint fit, IRLS 1-d fits); the other methods' rows are unchanged.
+# (fit_method): (method, overrides of that method's config, rho, seed index,
+# group accuracies, d_sp_hat, d_mt_hat) at n = 600, d = 6, test_n = 600, rlace
+# max_iters = 500. The jse rows were pinned again when its inner fits became
+# full-batch solves (L-BFGS joint fit, IRLS 1-d fits); the other methods' rows
+# are unchanged. The rows after keep-mt, one per test option, were pinned
+# before jse and INLP ran their candidate tests through the same stats calls.
 GOLDEN_RUNS = [
-    ('jse', None, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
-    ('jse', None, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
-    ('jse', None, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 0),
-    ('jse', None, 0.9, 1, [76.0233918128655, 78.343949044586, 84.21052631578947, 88.48920863309353], 1, 0),
-    ('erm', None, 0.0, 0, [84.24657534246576, 77.30061349693251, 87.41258741258741, 84.45945945945947], 0, 0),
-    ('erm', None, 0.0, 1, [79.22077922077922, 84.66666666666667, 82.78145695364239, 80.6896551724138], 0, 0),
-    ('erm', None, 0.9, 0, [90.97744360902256, 62.857142857142854, 50.6578947368421, 88.0], 0, 0),
-    ('erm', None, 0.9, 1, [92.3076923076923, 67.0967741935484, 48.837209302325576, 86.7132867132867], 0, 0),
-    ('gw-erm', None, 0.0, 0, [83.76623376623377, 87.73006134969326, 87.07482993197279, 83.82352941176471], 0, 0),
-    ('gw-erm', None, 0.0, 1, [78.343949044586, 83.97435897435898, 89.47368421052632, 81.81818181818183], 0, 0),
-    ('gw-erm', None, 0.9, 0, [92.76315789473685, 61.53846153846154, 44.52054794520548, 87.67123287671232], 0, 0),
-    ('gw-erm', None, 0.9, 1, [86.875, 66.90647482014388, 64.74358974358975, 91.0344827586207], 0, 0),
-    ('inlp', None, 0.0, 0, [82.48175182481752, 83.75, 88.46153846153845, 78.91156462585033], 1, 0),
-    ('inlp', None, 0.0, 1, [85.81560283687944, 82.6086956521739, 81.45695364238411, 84.35374149659864], 1, 0),
-    ('inlp', None, 0.9, 0, [44.36619718309859, 80.0, 95.30201342281879, 64.77987421383648], 1, 0),
-    ('inlp', None, 0.9, 1, [57.55395683453237, 92.5, 88.88888888888889, 48.64864864864865], 1, 0),
-    ('rlace', None, 0.0, 0, [89.63414634146342, 69.23076923076923, 68.02721088435374, 84.93150684931507], 1, 0),
-    ('rlace', None, 0.0, 1, [80.51948051948052, 89.78102189781022, 83.6734693877551, 77.1604938271605], 1, 0),
-    ('rlace', None, 0.9, 0, [86.0, 55.24475524475524, 61.07382550335571, 93.0379746835443], 1, 0),
-    ('rlace', None, 0.9, 1, [95.8904109589041, 50.931677018633536, 53.383458646616546, 92.5], 1, 0),
-    ('jse', 'keep-mt', 0.0, 0, [83.89261744966443, 82.35294117647058, 84.27672955974843, 76.97841726618705], 1, 1),
-    ('jse', 'keep-mt', 0.0, 1, [84.89208633093526, 82.51748251748252, 85.79881656804734, 81.20805369127517], 1, 1),
-    ('jse', 'keep-mt', 0.9, 0, [0.0, 0.0, 100.0, 100.0], 1, 0),
-    ('jse', 'keep-mt', 0.9, 1, [0.0, 0.0, 100.0, 100.0], 1, 0),
+    ('jse', {}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
+    ('jse', {}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
+    ('jse', {}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 0),
+    ('jse', {}, 0.9, 1, [76.0233918128655, 78.343949044586, 84.21052631578947, 88.48920863309353], 1, 0),
+    ('erm', {}, 0.0, 0, [84.24657534246576, 77.30061349693251, 87.41258741258741, 84.45945945945947], 0, 0),
+    ('erm', {}, 0.0, 1, [79.22077922077922, 84.66666666666667, 82.78145695364239, 80.6896551724138], 0, 0),
+    ('erm', {}, 0.9, 0, [90.97744360902256, 62.857142857142854, 50.6578947368421, 88.0], 0, 0),
+    ('erm', {}, 0.9, 1, [92.3076923076923, 67.0967741935484, 48.837209302325576, 86.7132867132867], 0, 0),
+    ('gw-erm', {}, 0.0, 0, [83.76623376623377, 87.73006134969326, 87.07482993197279, 83.82352941176471], 0, 0),
+    ('gw-erm', {}, 0.0, 1, [78.343949044586, 83.97435897435898, 89.47368421052632, 81.81818181818183], 0, 0),
+    ('gw-erm', {}, 0.9, 0, [92.76315789473685, 61.53846153846154, 44.52054794520548, 87.67123287671232], 0, 0),
+    ('gw-erm', {}, 0.9, 1, [86.875, 66.90647482014388, 64.74358974358975, 91.0344827586207], 0, 0),
+    ('inlp', {}, 0.0, 0, [82.48175182481752, 83.75, 88.46153846153845, 78.91156462585033], 1, 0),
+    ('inlp', {}, 0.0, 1, [85.81560283687944, 82.6086956521739, 81.45695364238411, 84.35374149659864], 1, 0),
+    ('inlp', {}, 0.9, 0, [44.36619718309859, 80.0, 95.30201342281879, 64.77987421383648], 1, 0),
+    ('inlp', {}, 0.9, 1, [57.55395683453237, 92.5, 88.88888888888889, 48.64864864864865], 1, 0),
+    ('rlace', {}, 0.0, 0, [89.63414634146342, 69.23076923076923, 68.02721088435374, 84.93150684931507], 1, 0),
+    ('rlace', {}, 0.0, 1, [80.51948051948052, 89.78102189781022, 83.6734693877551, 77.1604938271605], 1, 0),
+    ('rlace', {}, 0.9, 0, [86.0, 55.24475524475524, 61.07382550335571, 93.0379746835443], 1, 0),
+    ('rlace', {}, 0.9, 1, [95.8904109589041, 50.931677018633536, 53.383458646616546, 92.5], 1, 0),
+    ('jse', {'transform_mode': 'keep-mt'}, 0.0, 0, [83.89261744966443, 82.35294117647058, 84.27672955974843, 76.97841726618705], 1, 1),
+    ('jse', {'transform_mode': 'keep-mt'}, 0.0, 1, [84.89208633093526, 82.51748251748252, 85.79881656804734, 81.20805369127517], 1, 1),
+    ('jse', {'transform_mode': 'keep-mt'}, 0.9, 0, [0.0, 0.0, 100.0, 100.0], 1, 0),
+    ('jse', {'transform_mode': 'keep-mt'}, 0.9, 1, [0.0, 0.0, 100.0, 100.0], 1, 0),
+    ('jse', {'loop_order': 'sp-inner'}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
+    ('jse', {'loop_order': 'sp-inner'}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
+    ('jse', {'loop_order': 'sp-inner'}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 0),
+    ('jse', {'loop_order': 'sp-inner'}, 0.9, 1, [76.0233918128655, 78.343949044586, 84.21052631578947, 88.48920863309353], 1, 0),
+    ('jse', {'group_weighted_tests': False}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
+    ('jse', {'group_weighted_tests': False}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
+    ('jse', {'group_weighted_tests': False}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 1),
+    ('jse', {'group_weighted_tests': False}, 0.9, 1, [76.0233918128655, 78.343949044586, 84.21052631578947, 88.48920863309353], 1, 1),
+    ('jse', {'relative_test_scale': 'se'}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
+    ('jse', {'relative_test_scale': 'se'}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
+    ('jse', {'relative_test_scale': 'se'}, 0.9, 0, [92.72727272727272, 47.183098591549296, 62.5, 91.2751677852349], 0, 0),
+    ('jse', {'relative_test_scale': 'se'}, 0.9, 1, [89.47368421052632, 49.681528662420384, 53.383458646616546, 94.24460431654677], 0, 0),
+    ('jse', {'delta': 0.0}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
+    ('jse', {'delta': 0.0}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
+    ('jse', {'delta': 0.0}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 0),
+    ('jse', {'delta': 0.0}, 0.9, 1, [33.91812865497076, 40.12738853503185, 60.150375939849624, 60.431654676258994], 2, 0),
+    ('inlp', {'group_weighted_test': True}, 0.0, 0, [82.48175182481752, 83.75, 88.46153846153845, 78.91156462585033], 1, 0),
+    ('inlp', {'group_weighted_test': True}, 0.0, 1, [85.81560283687944, 82.6086956521739, 81.45695364238411, 84.35374149659864], 1, 0),
+    ('inlp', {'group_weighted_test': True}, 0.9, 0, [44.36619718309859, 80.0, 95.30201342281879, 64.77987421383648], 1, 0),
+    ('inlp', {'group_weighted_test': True}, 0.9, 1, [57.55395683453237, 92.5, 88.88888888888889, 48.64864864864865], 1, 0),
 ]
 
 
-@pytest.mark.parametrize("case", GOLDEN_RUNS, ids=lambda c: f"{c[0]}-{c[1]}-rho{c[2]}-seed{c[3]}")
+def _golden_id(case) -> str:
+    method, over, rho, seed = case[:4]
+    label = "-".join(v if isinstance(v, str) else f"{k}={v}" for k, v in over.items())
+    return f"{method}-{label or None}-rho{rho}-seed{seed}"
+
+
+@pytest.mark.parametrize("case", GOLDEN_RUNS, ids=_golden_id)
 def test_run_single_golden(case):
-    method, mode, rho, seed, group_acc, d_sp_hat, d_mt_hat = case
+    method, over, rho, seed, group_acc, d_sp_hat, d_mt_hat = case
     cfg = ExperimentConfig(method=method, toy=ToyConfig(n=600, d=6), test_n=600,
                            rlace=RlaceConfig(max_iters=500))
-    if mode:
-        cfg = replace(cfg, jse=replace(cfg.jse, transform_mode=mode))
+    if over:
+        cfg = replace(cfg, **{method: replace(getattr(cfg, method), **over)})
     rec = run_single(cfg, "rho", rho, seed)
     assert rec.error == ""
     assert [float(a) for a in rec.summary.group_acc] == group_acc

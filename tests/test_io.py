@@ -218,8 +218,8 @@ def test_artifact_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
     tests = [
-        TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, "less", True),
-        TestReport("sp_vs_mt_on_vmt", 2.0, 1.6448536269514722, 0.05, -0.3, "greater", True),
+        TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, True),
+        TestReport("sp_vs_mt_on_vmt", 2.0, 1.6448536269514722, 0.05, -0.3, True),
     ]
     art = Artifact(
         "jse", 6, q[:, :2], q[:, 2:3], tests,
@@ -241,6 +241,17 @@ def test_artifact_round_trip(tmp_path):
     assert [t.kind for t in back.tests] == [t.kind for t in tests]
     assert [t.statistic for t in back.tests] == [t.statistic for t in tests]
     assert back.tests[1].side == "greater"
+    assert [t.decision for t in back.tests] == [True, True]
+
+
+def test_artifact_delta_is_the_header_not_the_last_test_row(tmp_path):
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 1)))
+    tests = [TestReport("sp_vs_mt_on_vsp", -2.0, 1.6448536269514722, 0.05, -0.3, False)]
+    path = tmp_path / "a.artifact"
+    save_artifact(str(path), Artifact("jse", 4, q, np.zeros((4, 0)), tests, None, delta=0.7))
+    back = load_artifact(str(path))
+    assert back.delta == 0.7 and back.tests[0].delta == -0.3
+    assert back.tests[0].side == "less" and back.tests[0].decision is False
 
 
 def _drop_last_value(line: str) -> str:
@@ -256,17 +267,32 @@ def _drop_last_value(line: str) -> str:
     ("mt_basis", lambda line: "0.5x" + line[line.index(" "):],
      "{path}:{lineno}: could not convert string to float: '0.5x'"),
     ("model", lambda line: "v" + line[1:], "{path}: [model] needs a 'w' and a 'b' line"),
+    ("tests", lambda line: "sp_vs_nothing" + line[line.index(","):],
+     "{path}:{lineno}: unknown test kind 'sp_vs_nothing'"),
+    ("tests", lambda line: line.rsplit(",", 1)[0] + ",true",
+     "{path}:{lineno}: decision must be True or False, got 'true'"),
 ])
 def test_malformed_artifact_exits_3_naming_line(tmp_path, capsys, section, edit, msg):
+    _assert_edit_exits_3(tmp_path, capsys, f"[{section}]", 1, edit, msg)
+
+
+def test_unknown_method_header_exits_3_naming_line(tmp_path, capsys):
+    _assert_edit_exits_3(tmp_path, capsys, "method = erm", 0, lambda line: "method = svm",
+                         "{path}:{lineno}: unknown method 'svm'; expected one of jse, erm")
+
+
+def _assert_edit_exits_3(tmp_path, capsys, anchor, offset, edit, msg):
+    """Save an erm artifact, apply edit to the line ``offset`` after the line
+    ``anchor``, and check that ``jse eval`` exits 3 printing msg."""
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-    tests = [TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, "less", True)]
+    tests = [TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, True)]
     art = Artifact("erm", 6, q[:, :1], q[:, 1:], tests, LinearModel(rng.standard_normal(6), 0.5),
                    pre_mean=rng.standard_normal(6))
     path = tmp_path / "m.artifact"
     save_artifact(str(path), art)
     lines = path.read_text().split("\n")
-    i = lines.index(f"[{section}]") + 1
+    i = lines.index(anchor) + offset
     lines[i] = edit(lines[i])
     path.write_text("\n".join(lines))
     data = tmp_path / "test.csv"
