@@ -33,7 +33,6 @@ from .evaluate import (
     evaluate,
     fit_and_evaluate,
     fit_method,
-    run_experiment,
     run_single,
     run_sweep,
 )

@@ -3,7 +3,9 @@
 Subcommands:
   gen-toy    write train/val/test embedding CSVs for a synthetic configuration
   fit        estimate a removal subspace (jse/inlp/rlace) or a classifier
-             (erm/gw-erm) from embedding files and save the artifact
+             (erm/gw-erm) from embedding files and save the artifact; the
+             training mean is subtracted first per [experiment] demean
+             (default true), or PCA fitted with --pca
   transform  apply a fitted artifact to an embedding file
   eval       evaluate a fitted linear model on a test file (JSON-lines out)
   sweep      run a (method x grid x seeds) experiment from a config file
@@ -28,6 +30,8 @@ EXIT_NUMERIC = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .evaluate import METHODS
+
     p = argparse.ArgumentParser(prog="jse", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=0, help="base seed")
@@ -46,14 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--test-n", type=int, default=2000)
 
     f = sub.add_parser("fit", help="fit a method on train/val embedding files")
-    f.add_argument("--method", required=True, choices=["jse", "erm", "gw-erm", "inlp", "rlace"])
+    f.add_argument("--method", required=True, choices=METHODS)
     f.add_argument("--train", required=True)
     f.add_argument("--val", required=True)
     f.add_argument("--artifact", default=None, help="output path (default <out>/<method>.artifact)")
     f.add_argument("--pca", type=int, default=None, metavar="K",
                    help="reduce to K dims with train-fitted PCA (includes demeaning)")
-    f.add_argument("--demean-only", action="store_true",
-                   help="subtract the training mean, no PCA")
 
     t = sub.add_parser("transform", help="apply a fitted artifact to embeddings")
     t.add_argument("--artifact", required=True)
@@ -105,7 +107,7 @@ def _cmd_fit(args) -> int:
     val = load_embeddings(args.val)
     cfg, _ = _experiment_config(args)
     cfg = replace(cfg, method=args.method)
-    art = fit_method(cfg, train, val, args.seed, demean=args.demean_only, pca=args.pca)
+    art = fit_method(cfg, train, val, args.seed, pca=args.pca)
     if art.model is None:  # a removal method: report the dimensions it found
         line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"
         print(line + (f" termination={art.termination}" if art.termination else ""))

@@ -1,8 +1,9 @@
 """Method fitting, accuracy evaluation, single experiments, and seed sweeps.
 
-``fit_method`` is the one place a method is chosen; it returns the ``Artifact``
-(preprocessing, removal bases and/or a linear model) that ``run_single`` and
-the CLI apply through ``Artifact.transform``.
+``fit_method`` is the one place a method is chosen and the one place its
+preprocessing is fitted; it returns the ``Artifact`` (preprocessing, removal
+bases and/or a linear model) that ``run_single`` and the CLI apply through
+``Artifact.preprocess``/``Artifact.transform``.
 
 A sweep runs a Cartesian grid of (method, x-value) cells. Every cell draws
 its own data: the per-run seeds are derived from (base seed, method, x value,
@@ -22,7 +23,7 @@ import numpy as np
 from .algorithm import JseConfig, jse_fit
 from .baselines import InlpConfig, RlaceConfig, erm_fit, gw_erm_fit, inlp_fit, rlace_fit
 from .data import LabeledEmbeddings, project_onto, project_out
-from .pca import pca_fit
+from .pca import pca_apply, pca_fit
 from .sgd import LinearModel, OptimizerConfig, fit_logreg
 from .stats import TestReport
 from .toy import ToyConfig, gen_toy, gen_toy_test
@@ -107,28 +108,13 @@ class Artifact:
     pre_components: np.ndarray | None = None  # PCA projection applied after demeaning
 
     def preprocess(self, Z: np.ndarray) -> np.ndarray:
+        """The fitted preprocessing: PCA (demeaning included), else the mean subtracted."""
         Z = np.asarray(Z, dtype=np.float64)
-        if self.pre_mean is not None:
-            Z = Z - self.pre_mean
         if self.pre_components is not None:
-            Z = Z @ self.pre_components
+            return pca_apply(Z, self.pre_mean, self.pre_components)
+        if self.pre_mean is not None:
+            return Z - self.pre_mean
         return Z
-
-    @classmethod
-    def fit_preprocessing(cls, method: str, train: LabeledEmbeddings, *, demean: bool = False,
-                          pca: int | None = None) -> Artifact:
-        """Preprocessing fitted on train, no bases or model yet: ``pca``
-        components (demeaning included) if set, else the training mean if ``demean``."""
-        pre_mean = pre_components = None
-        if pca is not None:
-            pca_model = pca_fit(train.Z, pca)
-            pre_mean, pre_components = pca_model.mean, pca_model.components
-        elif demean:
-            pre_mean = train.Z.mean(axis=0)
-        d = train.d if pre_components is None else pre_components.shape[1]
-        empty = np.zeros((d, 0))
-        return cls(method, d, empty, empty, [], None,
-                   pre_mean=pre_mean, pre_components=pre_components)
 
     def transform(self, Z: np.ndarray, mode: str = "remove-sp") -> np.ndarray:
         """Preprocess, then remove-sp -> Z (I - Vsp Vsp^T), keep-mt -> Z Vmt Vmt^T."""
@@ -143,12 +129,23 @@ class Artifact:
 
 
 def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,
-               seed: int, *, demean: bool = False, pca: int | None = None) -> Artifact:
-    """Fit ``cfg.method``, seeded with ``seed``, on train/val after
-    ``Artifact.fit_preprocessing``. Removal methods return bases, erm and
-    gw-erm a model."""
-    art = Artifact.fit_preprocessing(cfg.method, train, demean=demean, pca=pca)
-    if demean or pca is not None:
+               seed: int, *, pca: int | None = None) -> Artifact:
+    """Fit ``cfg.method``, seeded with ``seed``, on train/val after the
+    preprocessing fitted on train: ``pca`` PCA components (demeaning
+    included) if set, else the training mean if ``cfg.demean``. The artifact
+    applies that preprocessing; removal methods return bases, erm and gw-erm
+    a model."""
+    pre_mean = pre_components = None
+    if pca is not None:
+        pca_model = pca_fit(train.Z, pca)
+        pre_mean, pre_components = pca_model.mean, pca_model.components
+    elif cfg.demean:
+        pre_mean = train.Z.mean(axis=0)
+    d = train.d if pca is None else pca
+    empty = np.zeros((d, 0))
+    art = Artifact(cfg.method, d, empty, empty, [], None,
+                   pre_mean=pre_mean, pre_components=pre_components)
+    if pre_mean is not None:
         train, val = (s.with_Z(art.preprocess(s.Z)) for s in (train, val))
     if cfg.method == "jse":
         res = jse_fit(train, val, cfg.jse, seed)
@@ -188,14 +185,14 @@ def derive_seed(base_seed: int, method: str, x_value: float, seed_index: int) ->
 def fit_and_evaluate(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,
                      test: LabeledEmbeddings, seed: int
                      ) -> tuple[Artifact, LinearModel, EvalSummary]:
-    """Fit ``cfg.method`` on the splits as given (``run_single`` demeans them
-    first) and evaluate its main-task classifier on test: the fitted model of
-    erm/gw-erm, else one trained on the transformed splits (jse by its
+    """Fit ``cfg.method`` on the raw splits and evaluate its main-task
+    classifier on test: the fitted model of erm/gw-erm on the preprocessed
+    test split, else one trained on the transformed splits (jse by its
     ``transform_mode``, the baselines by removal). The method and the
     downstream classifier are both seeded with ``seed``."""
     art = fit_method(cfg, train, val, seed)
     if art.model is not None:
-        return art, art.model, evaluate(art.model, test)
+        return art, art.model, evaluate(art.model, test.with_Z(art.preprocess(test.Z)))
     mode = cfg.jse.transform_mode if cfg.method == "jse" else "remove-sp"
     tr, va, te = (s.with_Z(art.transform(s.Z, mode)) for s in (train, val, test))
     model = fit_logreg(tr, "mt", va, cfg.downstream, seed)
@@ -213,9 +210,6 @@ def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: i
     try:
         train, val = gen_toy(toy)
         test = gen_toy_test(toy, cfg.test_n)
-        if cfg.demean:  # rebinding frees the raw splits before the fit
-            pre = Artifact.fit_preprocessing(cfg.method, train, demean=True)
-            train, val, test = (s.with_Z(pre.preprocess(s.Z)) for s in (train, val, test))
         art, _, summary = fit_and_evaluate(cfg, train, val, test, run_seed)
     except Exception as exc:  # noqa: BLE001 - per-seed failures are recorded, not fatal
         ms = 1000.0 * (time.perf_counter() - t0)
@@ -274,16 +268,6 @@ def aggregate_cell(
     mean["d_sp_hat"] = float(np.mean([r.d_sp_hat for r in ok])) if ok else float("nan")
     se["d_sp_hat"] = None
     return CellAggregate(method, x_name, x_value, len(records), n_failed, mean, se)
-
-
-def run_experiment(
-    cfg: ExperimentConfig, x_name: str = "rho", x_value: float | None = None, workers: int = 1
-) -> tuple[list[RunRecord], CellAggregate]:
-    """All seeds of a single (method, x) cell."""
-    if x_value is None:
-        x_value = float(getattr(cfg.toy, x_name))
-    records = _run_many([(cfg, x_name, x_value, s) for s in range(cfg.seeds)], workers)
-    return records, aggregate_cell(cfg.method, x_name, x_value, records)
 
 
 def run_sweep(

@@ -198,6 +198,8 @@ def load_artifact(path: str) -> Artifact:
     # as many as each component has
     comps = sections.get("pre_components")
     n_in = len(comps[0][1].split()) if comps else d
+    if comps and "pre_mean" not in sections:
+        raise DataFormatError(f"{path}:{comps[0][0]}: [pre_components] needs a [pre_mean]")
 
     def basis(name: str, n: int) -> np.ndarray:
         lines = sections.get(name, [])

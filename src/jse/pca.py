@@ -43,9 +43,10 @@ def pca_fit(Z: np.ndarray, k: int) -> PcaModel:
     return PcaModel(mean, components, explained)
 
 
-def pca_apply(Z: np.ndarray, model: PcaModel) -> np.ndarray:
+def pca_apply(Z: np.ndarray, mean: np.ndarray, components: np.ndarray) -> np.ndarray:
     """Subtract the training mean and project onto the components."""
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape[1] != model.mean.shape[0]:
-        raise ValueError("dimension mismatch between Z and the PCA model")
-    return (Z - model.mean) @ model.components
+    if Z.shape[1] != mean.shape[0]:
+        raise ValueError(f"dimension mismatch: data has {Z.shape[1]} columns, "
+                         f"the PCA model {mean.shape[0]}")
+    return (Z - mean) @ components

@@ -175,44 +175,6 @@ def _sampling_probs(data: LabeledEmbeddings, target: str, mode: str) -> np.ndarr
     return w / w.sum()
 
 
-class _EarlyStopper:
-    """Track the best post-epoch snapshot; ties keep the earliest epoch.
-
-    Every recorded state must be finite: the first epoch that ends with
-    non-finite parameters raises ``FloatingPointError`` naming the trainer, so
-    a finite earlier snapshot cannot hide a divergence.
-    """
-
-    def __init__(self, patience: int, trainer: str):
-        self.patience = patience
-        self.trainer = trainer
-        self.best_loss = np.inf
-        self.best_state: tuple | None = None
-        self.since = 0
-        self.epoch = 0
-
-    def update(self, loss: float, state: tuple) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        self.epoch += 1
-        if not all(np.isfinite(part).all() for part in state):
-            raise FloatingPointError(
-                f"{self.trainer}: non-finite parameters after epoch {self.epoch}"
-            )
-        if loss < self.best_loss:
-            self.best_loss = loss
-            self.best_state = state
-            self.since = 0
-        else:
-            self.since += 1
-        return self.since >= self.patience
-
-    def best(self) -> tuple:
-        """The kept snapshot; FloatingPointError if no epoch scored finite."""
-        if self.best_state is None:
-            raise FloatingPointError(f"{self.trainer}: no finite validation score in any epoch")
-        return self.best_state
-
-
 def _val_score(p: np.ndarray, y: np.ndarray) -> float:
     """Early-stopping score, lower is better: the negative 0.5-threshold
     accuracy (coarse, so training halts once the decision boundary stops moving)."""
@@ -242,8 +204,9 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     vw = np.zeros(train.d)
     vb = 0.0
     bs = cfg.batch_size
-    stopper = _EarlyStopper(cfg.early_stop_patience, "fit_logreg")
-    for _ in range(cfg.max_epochs):
+    # the best post-epoch snapshot, ties keeping the earliest epoch
+    best, best_score, since = None, np.inf, 0
+    for epoch in range(1, cfg.max_epochs + 1):
         order = _epoch_order(rng, train.n, bs, probs)
         Xo, yo = X[order], y[order]
         for i in range(0, len(order), bs):
@@ -258,11 +221,17 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
             vb = cfg.momentum * vb + float(r.sum() / nb)
             w -= cfg.learning_rate * vw
             b -= cfg.learning_rate * vb
+        # a finite earlier snapshot must not hide a divergence
+        if not (np.isfinite(w).all() and np.isfinite(b)):
+            raise FloatingPointError(f"fit_logreg: non-finite parameters after epoch {epoch}")
         score = _val_score(sigmoid(Xval @ w + b), yval)
-        if stopper.update(score, (w.copy(), b)):
+        if score < best_score:
+            best, best_score, since = (w.copy(), b), score, 0
+        else:
+            since += 1
+        if since >= cfg.early_stop_patience:
             break
-    w, b = stopper.best()
-    return LinearModel(w, b)
+    return LinearModel(*best)
 
 
 def fit_1d_logreg(Z: np.ndarray, v: np.ndarray, y: np.ndarray) -> Direction:

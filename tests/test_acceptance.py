@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jse.algorithm import JseConfig
-from jse.evaluate import ExperimentConfig, run_experiment, run_sweep
+from jse.evaluate import ExperimentConfig, run_sweep
 from jse.toy import ToyConfig
 
 pytestmark = pytest.mark.acceptance
@@ -57,7 +57,7 @@ def baseline_sweep():
 @pytest.fixture(scope="session")
 def gw_erm_cell():
     cfg = ExperimentConfig(method="gw-erm", seeds=SEEDS)
-    _, cell = run_experiment(cfg, "rho", 0.9, workers=WORKERS)
+    (cell,) = run_sweep(cfg, [cfg.method], "rho", [0.9], workers=WORKERS).cells
     return cell
 
 
@@ -76,7 +76,7 @@ def delta_cells():
             toy=ToyConfig(gamma_sp=6.0, gamma_mt=2.0),
             jse=JseConfig(delta=delta),
         )
-        _, cells[tag] = run_experiment(cfg, "rho", 0.9, workers=WORKERS)
+        (cells[tag],) = run_sweep(cfg, [cfg.method], "rho", [0.9], workers=WORKERS).cells
     return cells
 
 

@@ -48,7 +48,7 @@ def test_null_labels_rarely_accept_anything():
 
 def test_transform_modes(toy_rho08):
     _, train, val, test = toy_rho08
-    art = fit_method(ExperimentConfig("jse"), train, val, 3)
+    art = fit_method(ExperimentConfig("jse", demean=False), train, val, 3)
     removed = art.transform(test.Z, "remove-sp")
     # idempotence
     np.testing.assert_allclose(art.transform(removed, "remove-sp"), removed, atol=1e-10)

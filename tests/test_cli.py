@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ def test_fit_jse_reports_one_spurious_dim(toy_files, tmp_path, capsys):
     code = run_cli("--seed", "5", "fit", "--method", "jse",
                    "--train", str(toy_files / "toy_train.csv"),
                    "--val", str(toy_files / "toy_val.csv"),
-                   "--artifact", str(art_path), "--demean-only")
+                   "--artifact", str(art_path))
     assert code == 0
     printed = capsys.readouterr().out
     assert "d_sp_hat=1" in printed
@@ -204,7 +206,7 @@ def nan_train(toy_files, tmp_path_factory):
 def test_nan_in_train_exits_4(toy_files, nan_train, tmp_path, capsys, method, trainer):
     code = run_cli("--seed", "5", "fit", "--method", method, "--train", str(nan_train),
                    "--val", str(toy_files / "toy_val.csv"),
-                   "--artifact", str(tmp_path / "m.artifact"), "--demean-only")
+                   "--artifact", str(tmp_path / "m.artifact"))
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("numerical failure:") and trainer in err
@@ -213,7 +215,10 @@ def test_nan_in_train_exits_4(toy_files, nan_train, tmp_path, capsys, method, tr
 @pytest.mark.parametrize("seed", [5, 6])  # seed 6 once kept a finite epoch-1 snapshot, exit 0
 def test_nan_in_train_erm_without_preprocessing_exits_4(toy_files, nan_train, tmp_path, capsys,
                                                         seed):
-    code = run_cli("--seed", str(seed), "fit", "--method", "erm", "--train", str(nan_train),
+    cfg = tmp_path / "raw.cfg"
+    cfg.write_text("[experiment]\ndemean = false\n")
+    code = run_cli("--seed", str(seed), "--config", str(cfg), "fit", "--method", "erm",
+                   "--train", str(nan_train),
                    "--val", str(toy_files / "toy_val.csv"),
                    "--artifact", str(tmp_path / "m.artifact"))
     err = capsys.readouterr().err
@@ -253,6 +258,44 @@ def test_fit_with_pca(toy_files, tmp_path, capsys):
     assert payload["average"] > 60.0
 
 
+@pytest.mark.parametrize("cfg_text,has_mean", [
+    pytest.param(None, True, id="no-config"),  # [experiment] demean defaults to true
+    pytest.param("[experiment]\ndemean = true\n", True, id="demean-true"),
+    pytest.param("[experiment]\ndemean = false\n", False, id="demean-false"),
+])
+def test_fit_demeans_per_experiment_demean(toy_files, tmp_path, cfg_text, has_mean):
+    config = []
+    if cfg_text is not None:
+        (tmp_path / "c.cfg").write_text(cfg_text)
+        config = ["--config", str(tmp_path / "c.cfg")]
+    art_path = tmp_path / "inlp.artifact"
+    assert run_cli("--seed", "1", *config, "fit", "--method", "inlp",
+                   "--train", str(toy_files / "toy_train.csv"),
+                   "--val", str(toy_files / "toy_val.csv"), "--artifact", str(art_path)) == 0
+    assert ("[pre_mean]" in art_path.read_text().split("\n")) == has_mean
+    art = load_artifact(str(art_path))
+    assert (art.pre_mean is not None) == has_mean and art.pre_components is None
+
+
+@pytest.mark.parametrize("command", ["transform", "eval"])
+def test_wrong_width_against_pca_artifact_exits_3(toy_files, tmp_path, capsys, command):
+    art_path = tmp_path / "erm_pca.artifact"
+    assert run_cli("--seed", "3", "fit", "--method", "erm",
+                   "--train", str(toy_files / "toy_train.csv"),
+                   "--val", str(toy_files / "toy_val.csv"),
+                   "--artifact", str(art_path), "--pca", "5") == 0
+    assert run_cli("--out", str(tmp_path), "gen-toy", "--n", "100", "--d", "6",
+                   "--test-n", "50") == 0
+    narrow = str(tmp_path / "toy_test.csv")
+    argv = (["transform", "--artifact", str(art_path), "--in", narrow,
+             "--out-file", str(tmp_path / "out.csv")] if command == "transform" else
+            ["eval", "--model", str(art_path), "--test-file", narrow])
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == ("error: dimension mismatch: data has 6 columns, "
+                                       "the PCA model 20\n")
+
+
 def _doubled(line: str) -> str:
     return " ".join(repr(2.0 * float(v)) for v in line.split())
 
@@ -290,3 +333,28 @@ def test_bad_artifact_exits_3_naming_line(toy_files, tmp_path, capsys, command, 
     capsys.readouterr()
     assert run_cli(*argv) == 3
     assert f"error: {path}:{i + 1}: {msg}" in capsys.readouterr().err
+
+
+def _readme_cli_lines() -> list[str]:
+    """The commands of README's CLI quick start, continuation lines joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start (CLI)", 1)[1].split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Every README quick-start line but the full-grid sweep and its report
+    runs as written; a ``# prints X...`` comment is checked against stdout."""
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in _readme_cli_lines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "jse"
+        if {"sweep", "report"} & set(argv):
+            continue
+        assert run_cli(*argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if "# prints " in line:
+            assert out.startswith(line.split("# prints ", 1)[1].split("...")[0]), (line, out)
+        ran += 1
+    assert ran == 7

@@ -10,7 +10,6 @@ from jse.evaluate import (
     aggregate_cell,
     derive_seed,
     evaluate,
-    run_experiment,
     run_single,
     run_sweep,
 )
@@ -77,7 +76,8 @@ def test_transform_argument():
 
 def test_aggregation_two_pass_oracle():
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=6)
-    records, cell = run_experiment(cfg, "rho", 0.5)
+    result = run_sweep(cfg, [cfg.method], "rho", [0.5])
+    records, (cell,) = result.records, result.cells
     vals = [r.summary.average for r in records]
     # independent two-pass mean / standard error
     mean = sum(vals) / len(vals)
@@ -90,15 +90,15 @@ def test_aggregation_two_pass_oracle():
 
 def test_single_seed_has_no_se():
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=1)
-    _, cell = run_experiment(cfg, "rho", 0.0)
+    (cell,) = run_sweep(cfg, [cfg.method], "rho", [0.0]).cells
     assert cell.se["average"] is None
     assert cell.ci_halfwidth("average") is None
 
 
 def test_determinism_of_runs():
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=3)
-    r1, _ = run_experiment(cfg, "rho", 0.3)
-    r2, _ = run_experiment(cfg, "rho", 0.3)
+    r1 = run_sweep(cfg, [cfg.method], "rho", [0.3]).records
+    r2 = run_sweep(cfg, [cfg.method], "rho", [0.3]).records
     for a, b in zip(r1, r2):
         assert a.summary.average == b.summary.average
         np.testing.assert_array_equal(a.summary.group_acc, b.summary.group_acc)
@@ -122,7 +122,7 @@ def test_failures_recorded_not_fatal():
 
 def test_aggregate_gate_at_90_percent():
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=4)
-    records, _ = run_experiment(cfg, "rho", 0.0)
+    records = run_sweep(cfg, [cfg.method], "rho", [0.0]).records
     bad = [r for r in records]
     from dataclasses import replace as drep
 
@@ -154,10 +154,13 @@ def test_method_validation():
 # run_single records pinned before the five methods shared one dispatch
 # (fit_method): (method, overrides of that method's config, rho, seed index,
 # group accuracies, d_sp_hat, d_mt_hat) at n = 600, d = 6, test_n = 600, rlace
-# max_iters = 500. The jse rows were pinned again when its inner fits became
-# full-batch solves (L-BFGS joint fit, IRLS 1-d fits); the other methods' rows
-# are unchanged. The rows after keep-mt, one per test option, were pinned
-# before jse and INLP ran their candidate tests through the same stats calls.
+# max_iters = 500. An override key that names an ExperimentConfig field
+# (demean) applies to the experiment instead. The jse rows were pinned again
+# when its inner fits became full-batch solves (L-BFGS joint fit, IRLS 1-d
+# fits); the other methods' rows are unchanged. The rows after keep-mt, one
+# per test option, were pinned before jse and INLP ran their candidate tests
+# through the same stats calls; the demean rows before fit_method became the
+# one place that fits the preprocessing.
 GOLDEN_RUNS = [
     ('jse', {}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
     ('jse', {}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
@@ -203,6 +206,10 @@ GOLDEN_RUNS = [
     ('inlp', {'group_weighted_test': True}, 0.0, 1, [85.81560283687944, 82.6086956521739, 81.45695364238411, 84.35374149659864], 1, 0),
     ('inlp', {'group_weighted_test': True}, 0.9, 0, [44.36619718309859, 80.0, 95.30201342281879, 64.77987421383648], 1, 0),
     ('inlp', {'group_weighted_test': True}, 0.9, 1, [57.55395683453237, 92.5, 88.88888888888889, 48.64864864864865], 1, 0),
+    ('jse', {'demean': False}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 0),
+    ('jse', {'demean': False}, 0.9, 1, [76.60818713450293, 78.343949044586, 84.21052631578947, 88.48920863309353], 1, 0),
+    ('erm', {'demean': False}, 0.9, 0, [90.22556390977444, 56.42857142857143, 53.289473684210535, 90.28571428571428], 0, 0),
+    ('erm', {'demean': False}, 0.9, 1, [92.3076923076923, 72.25806451612902, 51.162790697674424, 86.7132867132867], 0, 0),
 ]
 
 
@@ -217,8 +224,11 @@ def test_run_single_golden(case):
     method, over, rho, seed, group_acc, d_sp_hat, d_mt_hat = case
     cfg = ExperimentConfig(method=method, toy=ToyConfig(n=600, d=6), test_n=600,
                            rlace=RlaceConfig(max_iters=500))
-    if over:
-        cfg = replace(cfg, **{method: replace(getattr(cfg, method), **over)})
+    experiment = {k: v for k, v in over.items() if k in ExperimentConfig.__dataclass_fields__}
+    method_over = {k: v for k, v in over.items() if k not in experiment}
+    cfg = replace(cfg, **experiment)
+    if method_over:
+        cfg = replace(cfg, **{method: replace(getattr(cfg, method), **method_over)})
     rec = run_single(cfg, "rho", rho, seed)
     assert rec.error == ""
     assert [float(a) for a in rec.summary.group_acc] == group_acc

@@ -281,6 +281,18 @@ def test_unknown_method_header_exits_3_naming_line(tmp_path, capsys):
                          "{path}:{lineno}: unknown method 'svm'; expected one of jse, erm")
 
 
+def test_pca_components_without_mean_rejected_naming_line(tmp_path):
+    """Artifact.preprocess applies PCA as (Z - pre_mean) @ pre_components, so a
+    file holding components but no mean is a data error, not a traceback."""
+    path = tmp_path / "m.artifact"
+    save_artifact(str(path), Artifact("erm", 6, np.zeros((6, 0)), np.zeros((6, 0)), [],
+                                      LinearModel(np.ones(6), 0.0), pre_components=np.eye(6)))
+    lineno = path.read_text().split("\n").index("[pre_components]") + 2
+    msg = f"{path}:{lineno}: [pre_components] needs a [pre_mean]"
+    with pytest.raises(DataFormatError, match=re.escape(msg)):
+        load_artifact(str(path))
+
+
 def _assert_edit_exits_3(tmp_path, capsys, anchor, offset, edit, msg):
     """Save an erm artifact, apply edit to the line ``offset`` after the line
     ``anchor``, and check that ``jse eval`` exits 3 printing msg."""

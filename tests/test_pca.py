@@ -8,7 +8,7 @@ def test_full_rank_reconstruction():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((50, 8)) @ np.diag(np.linspace(3, 0.5, 8))
     model = pca_fit(Z, k=8)
-    scores = pca_apply(Z, model)
+    scores = pca_apply(Z, model.mean, model.components)
     recon = scores @ model.components.T + model.mean
     np.testing.assert_allclose(recon, Z, atol=1e-8)
 
@@ -37,7 +37,7 @@ def test_mean_from_train_only_no_leakage():
     train = rng.standard_normal((100, 4))
     model = pca_fit(train, k=4)
     val = rng.standard_normal((50, 4)) + 5.0  # mean differs from train
-    scores = pca_apply(val, model)
+    scores = pca_apply(val, model.mean, model.components)
     # the transform used the training mean: reconstruct and compare
     recon = scores @ model.components.T + model.mean
     np.testing.assert_allclose(recon, val, atol=1e-8)
@@ -57,7 +57,7 @@ def test_apply_dimension_check():
     rng = np.random.default_rng(5)
     model = pca_fit(rng.standard_normal((30, 4)), k=2)
     with pytest.raises(ValueError, match="mismatch"):
-        pca_apply(rng.standard_normal((5, 3)), model)
+        pca_apply(rng.standard_normal((5, 3)), model.mean, model.components)
 
 
 def test_components_orthonormal_enforced():

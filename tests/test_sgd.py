@@ -16,7 +16,6 @@ from jse.sgd import (
     PROJ_EPS,
     LinearModel,
     OptimizerConfig,
-    _EarlyStopper,
     _newton_logreg,
     _sampling_probs,
     bce,
@@ -319,16 +318,6 @@ def test_unconstrained_fits_nearly_orthogonal_at_rho0():
     assert cos < 1e-2
 
 
-def test_early_stopper_semantics():
-    stop = _EarlyStopper(patience=2, trainer="trainer_x")
-    assert not stop.update(1.0, (1.0,))
-    assert not stop.update(0.9, (2.0,))
-    assert not stop.update(0.9, (3.0,))  # tie: no improvement, keeps earliest
-    assert stop.update(0.95, (4.0,))  # second epoch without improvement
-    assert stop.best_state == (2.0,)
-    assert stop.best_loss == 0.9
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
@@ -446,6 +435,19 @@ def test_fit_logreg_bit_identical_to_oracle(ragged_toy, mode, wd):
     m = fit_logreg(train, "mt", val, cfg, 4)
     w, b = _oracle_logreg(train, val, cfg, 4)
     assert np.array_equal(m.w, w) and m.b == b
+
+
+def test_fit_logreg_early_stopping_keeps_earliest_best_epoch(ragged_toy, monkeypatch):
+    """A tie is no improvement, and the fit stops after ``early_stop_patience``
+    epochs without one, returning the earliest best snapshot."""
+    train, val = ragged_toy
+    scores = [-0.5, -0.6, -0.6, -0.55, -0.9, -0.9]  # by epoch: best at 2, tied at 3
+    monkeypatch.setattr(sgd, "_val_score", lambda p, y: scores.pop(0) if scores else 0.0)
+    m = fit_logreg(train, "mt", val, OptimizerConfig(early_stop_patience=2), 4)
+    assert scores == [-0.9, -0.9]  # stopped after epoch 4
+    scores[:] = [-0.5, -0.6]
+    best = fit_logreg(train, "mt", val, OptimizerConfig(max_epochs=2, early_stop_patience=2), 4)
+    assert np.array_equal(m.w, best.w) and m.b == best.b
 
 
 def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
@@ -594,7 +596,8 @@ def test_trainers_raise_floating_point_error_on_nan(ragged_toy):
     train, val = ragged_toy
     bad = _with_one_nan(train)
     cfg = OptimizerConfig(max_epochs=8, early_stop_patience=3)
-    with pytest.raises(FloatingPointError, match="fit_logreg"):
+    with pytest.raises(FloatingPointError,
+                       match="fit_logreg: non-finite parameters after epoch 1"):
         fit_logreg(bad, "mt", val, cfg, 1)
     with pytest.raises(FloatingPointError, match="fit_joint_orthogonal"):
         fit_joint_orthogonal(bad, 1)
@@ -602,16 +605,3 @@ def test_trainers_raise_floating_point_error_on_nan(ragged_toy):
     v[1] = 1.0
     with pytest.raises(FloatingPointError, match="fit_1d_logreg"):
         fit_1d_logreg(bad.Z, v, bad.y_sp)
-
-
-def test_early_stopper_best_rejects_missing_or_non_finite_state():
-    stop = _EarlyStopper(patience=1, trainer="trainer_x")
-    stop.update(np.nan, (np.zeros(2), 0.0))
-    with pytest.raises(FloatingPointError, match="trainer_x: no finite validation score"):
-        stop.best()
-    with pytest.raises(FloatingPointError, match="trainer_x: non-finite parameters after epoch 2"):
-        stop.update(0.5, (np.array([1.0, np.nan]), 0.0))
-    with pytest.raises(FloatingPointError, match="non-finite parameters after epoch 3"):
-        stop.update(0.4, (np.ones(2), np.inf))
-    stop.update(0.1, (np.ones(2), 0.0))
-    assert stop.best()[1] == 0.0
