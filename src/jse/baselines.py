@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .data import LabeledEmbeddings, SubspaceBasis, normalize_against, project_out
 from .sgd import (
@@ -137,8 +136,11 @@ def _span_solver(k: int, lr: float):
     error on non-finite input. M is also formed when d < k + 2, where
     ``[U g w]`` would be wide. The QR and the small eigh call LAPACK directly
     (``dgeqrf``/``dorgqr``, ``dsyevd``): numpy's wrappers cost several times
-    the factorizations at these sizes.
+    the factorizations at these sizes. ``scipy.linalg`` is imported here, on
+    the first RLACE fit, so that ``import jse`` loads no scipy.
     """
+    from scipy.linalg import lapack
+
     m = k + 2
     C = np.eye(m)
     C[k:, k:] = [[0.0, -0.5 * lr], [-0.5 * lr, 0.0]]

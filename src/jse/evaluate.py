@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,6 +109,9 @@ class Artifact:
     def preprocess(self, Z: np.ndarray) -> np.ndarray:
         """The fitted preprocessing: PCA (demeaning included), else the mean subtracted."""
         Z = np.asarray(Z, dtype=np.float64)
+        width = self.d if self.pre_mean is None else len(self.pre_mean)
+        if Z.shape[1] != width:
+            raise ValueError(f"data has {Z.shape[1]} columns, the artifact expects {width}")
         if self.pre_components is not None:
             return pca_apply(Z, self.pre_mean, self.pre_components)
         if self.pre_mean is not None:
@@ -119,8 +121,6 @@ class Artifact:
     def transform(self, Z: np.ndarray, mode: str = "remove-sp") -> np.ndarray:
         """Preprocess, then remove-sp -> Z (I - Vsp Vsp^T), keep-mt -> Z Vmt Vmt^T."""
         Z = self.preprocess(Z)
-        if Z.shape[1] != self.d:
-            raise ValueError(f"artifact d={self.d} does not match data d={Z.shape[1]}")
         if mode == "remove-sp":
             return project_out(Z, self.sp_basis)
         if mode == "keep-mt":
@@ -307,6 +307,8 @@ def _run_many(tasks, workers: int) -> list[RunRecord]:
     if workers <= 1:
         records = [run_single(*t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # off the cold-start path
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, tasks, chunksize=4))
     records.sort(key=lambda r: (r.method, r.x_value, r.seed))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 import warnings
@@ -97,6 +98,19 @@ def _raise_at_bad_line(path: str, d: int, exc: ValueError) -> NoReturn:
     raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def _raise_non_finite(path: str, rows: np.ndarray) -> NoReturn:
+    """Name the body line of the first parsed row holding a non-finite value
+    (whitespace-only lines hold no row)."""
+    row = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        body = (lineno for lineno, line in enumerate(fh, start=2) if not line.isspace())
+        lineno = next(itertools.islice(body, row, None))
+    j = int(np.argmin(np.isfinite(rows[row, 2:])))
+    value = float(rows[row, 2 + j])
+    raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} in z_{j}")
+
+
 def load_embeddings(path: str) -> LabeledEmbeddings:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -119,6 +133,8 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
         raise DataFormatError(f"{path}: no samples")
     if rows.shape[1] != d + 2:
         _raise_at_bad_line(path, d, ValueError(f"expected {d + 2} fields, got {rows.shape[1]}"))
+    if not np.isfinite(rows).all():
+        _raise_non_finite(path, rows)
     return LabeledEmbeddings(
         rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     )
@@ -200,6 +216,9 @@ def load_artifact(path: str) -> Artifact:
     n_in = len(comps[0][1].split()) if comps else d
     if comps and "pre_mean" not in sections:
         raise DataFormatError(f"{path}:{comps[0][0]}: [pre_components] needs a [pre_mean]")
+    if comps and len(comps) != d:
+        raise DataFormatError(f"{path}:{comps[0][0]}: [pre_components] holds {len(comps)} "
+                              f"components, expected d = {d}")
 
     def basis(name: str, n: int) -> np.ndarray:
         lines = sections.get(name, [])

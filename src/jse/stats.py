@@ -8,10 +8,10 @@ weighted equally across the four (y_mt, y_sp) groups,
 
 with estimated variance ``(1/16) sum_g s_g^2 / n_g`` (``s_g^2`` the unbiased
 within-group variance). The statistic ``t = (d_bar_w - Delta) / sqrt(var)``
-is compared against standard-normal critical values, taken from
-``scipy.special.ndtri``: the same bits as ``scipy.stats.norm.ppf``, whose
-import would cost more CPU than everything else a cold start of the package
-does.
+is compared against standard-normal critical values from ``_ndtri``, a
+pure-Python port of the Cephes inverse normal CDF: the same bits as
+``scipy.stats.norm.ppf``, without the cost of importing scipy on every cold
+start of the package.
 
 This module is the one place that computes a statistic and picks a test's
 side. Four test kinds are used by the subspace-estimation loop, and the
@@ -29,10 +29,10 @@ A report's side (``less`` or ``greater``) follows from its kind (``SIDES``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Direction, LabeledEmbeddings
 from .sgd import LinearModel, bce
@@ -44,11 +44,71 @@ SIDES = {"sp_vs_random": "less", "mt_vs_random": "less", "sp_vs_mt_on_vsp": "les
          "sp_vs_mt_on_vmt": "greater"}
 
 
+# Cephes ndtri's rational approximations, highest power first: P0/Q0 for
+# exp(-2) < y < 1 - exp(-2), else P1/Q1 for z = sqrt(-2 log y) in [2, 8) and
+# P2/Q2 for z >= 8 (y the smaller tail). Each Q leads with Cephes' implicit 1.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, as Cephes' polevl (and its p1evl: 1.0 * x + c is x + c)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Standard-normal quantile, the same IEEE operations as Cephes ``ndtri``
+    (and so the same bits as ``scipy.special.ndtri``)."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    y, negate = y0, True
+    if y > 1.0 - _EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))  # NaN falls through to here and stays NaN
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def critical_value(alpha: float) -> float:
     """Upper-alpha standard-normal quantile: ``norm.ppf(1 - alpha)`` bit for bit
     for every non-NaN alpha (``+ 0.0`` turns a -0.0 into 0.0, as ppf's
     ``* scale + loc`` does)."""
-    return float(ndtri(1.0 - alpha)) + 0.0
+    return _ndtri(1.0 - float(alpha)) + 0.0
 
 
 class EmptyGroupError(ValueError):

@@ -67,7 +67,7 @@ def test_transform_degenerate_bases():
     art = Artifact("jse", 4, np.zeros((4, 0)), np.eye(4), [], None, "test-rejected", 0.0)
     np.testing.assert_array_equal(art.transform(Z, "remove-sp"), Z)
     np.testing.assert_allclose(art.transform(Z, "keep-mt"), Z, atol=1e-12)
-    with pytest.raises(ValueError, match="artifact d=4 does not match data d=3"):
+    with pytest.raises(ValueError, match="data has 3 columns, the artifact expects 4"):
         art.transform(Z[:, :3])
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jse import io_files
 from jse.cli import main
 from jse.io_files import Artifact, load_artifact, load_embeddings, read_results_csv, save_artifact
 from jse.sgd import LinearModel
@@ -186,16 +187,63 @@ def test_malformed_data_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.fixture(scope="module")
-def nan_train(toy_files, tmp_path_factory):
-    """toy_train.csv with one feature value replaced by nan."""
-    lines = (toy_files / "toy_train.csv").read_text().splitlines()
+def _with_value(src: Path, dst: Path, value: str) -> Path:
+    """src with z_1 of row 4 (file line 6) replaced by ``value``."""
+    lines = src.read_text().splitlines()
     fields = lines[5].split(",")
-    fields[3] = "nan"
+    fields[3] = value
     lines[5] = ",".join(fields)
-    path = tmp_path_factory.mktemp("nan") / "train_nan.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.fixture(scope="module")
+def nan_file(toy_files, tmp_path_factory):
+    return _with_value(toy_files / "toy_train.csv",
+                       tmp_path_factory.mktemp("nan") / "train_nan.csv", "nan")
+
+
+@pytest.fixture
+def nan_train(toy_files, nan_file, monkeypatch):
+    """nan_file's path, loaded past the loader's finite check (which exits 3 on
+    it). Behind that check the trainers keep their own non-finite guards (exit
+    4), for values that turn non-finite inside a fit or come in through the API."""
+    real = io_files.load_embeddings
+
+    def load(path):
+        if path != str(nan_file):
+            return real(path)
+        data = real(str(toy_files / "toy_train.csv"))
+        Z = data.Z.copy()
+        Z[4, 1] = np.nan
+        return data.with_Z(Z)
+
+    monkeypatch.setattr(io_files, "load_embeddings", load)
+    return nan_file
+
+
+@pytest.mark.parametrize("command,role,value", [
+    ("fit", "train", "nan"),
+    ("fit", "val", "inf"),
+    ("transform", "in", "-inf"),
+])
+def test_non_finite_input_exits_3_naming_line(toy_files, tmp_path, capsys, command, role,
+                                              value):
+    src = toy_files / ("toy_val.csv" if role == "val" else "toy_train.csv")
+    bad = _with_value(src, tmp_path / "bad.csv", value)
+    files = {"train": toy_files / "toy_train.csv", "val": toy_files / "toy_val.csv", role: bad}
+    if command == "fit":
+        argv = ["fit", "--method", "erm", "--train", str(files["train"]),
+                "--val", str(files["val"]), "--artifact", str(tmp_path / "m.artifact")]
+    else:
+        art_path = tmp_path / "inlp.artifact"
+        save_artifact(str(art_path), Artifact("inlp", 20, np.eye(20)[:, :1], np.zeros((20, 0)),
+                                              [], None, pre_mean=np.zeros(20)))
+        argv = ["transform", "--artifact", str(art_path), "--in", str(bad),
+                "--out-file", str(tmp_path / "out.csv")]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == f"error: {bad}:6: non-finite value {value} in z_1\n"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "m.artifact").exists()
 
 
 @pytest.mark.parametrize("method,trainer", [
@@ -277,13 +325,17 @@ def test_fit_demeans_per_experiment_demean(toy_files, tmp_path, cfg_text, has_me
     assert (art.pre_mean is not None) == has_mean and art.pre_components is None
 
 
+@pytest.mark.parametrize("prep", ["none", "demeaned", "pca"])
 @pytest.mark.parametrize("command", ["transform", "eval"])
-def test_wrong_width_against_pca_artifact_exits_3(toy_files, tmp_path, capsys, command):
-    art_path = tmp_path / "erm_pca.artifact"
-    assert run_cli("--seed", "3", "fit", "--method", "erm",
-                   "--train", str(toy_files / "toy_train.csv"),
-                   "--val", str(toy_files / "toy_val.csv"),
-                   "--artifact", str(art_path), "--pca", "5") == 0
+def test_wrong_width_against_artifact_exits_3(tmp_path, capsys, command, prep):
+    """One width check, before any preprocessing arithmetic: the input width is
+    the length of [pre_mean] if the artifact has one, else d."""
+    d = 5 if prep == "pca" else 20
+    pre = {"none": {}, "demeaned": {"pre_mean": np.zeros(20)},
+           "pca": {"pre_mean": np.zeros(20), "pre_components": np.eye(20)[:, :d]}}[prep]
+    art_path = tmp_path / "erm.artifact"
+    save_artifact(str(art_path), Artifact("erm", d, np.zeros((d, 0)), np.zeros((d, 0)), [],
+                                          LinearModel(np.ones(d), 0.0), **pre))
     assert run_cli("--out", str(tmp_path), "gen-toy", "--n", "100", "--d", "6",
                    "--test-n", "50") == 0
     narrow = str(tmp_path / "toy_test.csv")
@@ -292,8 +344,7 @@ def test_wrong_width_against_pca_artifact_exits_3(toy_files, tmp_path, capsys, c
             ["eval", "--model", str(art_path), "--test-file", narrow])
     capsys.readouterr()
     assert run_cli(*argv) == 3
-    assert capsys.readouterr().err == ("error: dimension mismatch: data has 6 columns, "
-                                       "the PCA model 20\n")
+    assert capsys.readouterr().err == "error: data has 6 columns, the artifact expects 20\n"
 
 
 def _doubled(line: str) -> str:

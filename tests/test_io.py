@@ -97,20 +97,35 @@ def test_save_embeddings_golden_bytes(tmp_path):
     path = tmp_path / "g.csv"
     save_embeddings(str(path), LabeledEmbeddings(Z, np.array([0, 1, 1]), np.array([1, 0, 1])))
     assert path.read_bytes() == GOLDEN.encode()
-    back = load_embeddings(str(path))
-    assert back.Z.tobytes() == Z.tobytes()
+    with pytest.raises(DataFormatError, match=r"g\.csv:3: non-finite value nan in z_0$"):
+        load_embeddings(str(path))
+    finite = tmp_path / "f.csv"  # the rows the loader accepts round-trip
+    save_embeddings(str(finite), LabeledEmbeddings(Z[[0, 2]], np.array([0, 1]), np.array([1, 1])))
+    assert load_embeddings(str(finite)).Z.tobytes() == Z[[0, 2]].tobytes()
 
 
 def test_loader_accepted_syntax(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(
-        b"y_mt,y_sp,z_0,z_1\r\n\r\n0,1, 0.5 ,nan\r\n   \n\t\n"
-        b"1,0,-inf,\tinf \r\n1,1,+1e-3,-0.0\n\n"
+        b"y_mt,y_sp,z_0,z_1\r\n\r\n0,1, 0.5 ,1E+2\r\n   \n\t\n"
+        b"1,0,-7,\t.25 \r\n1,1,+1e-3,-0.0\n\n"
     )
     data = load_embeddings(str(path))
     assert data.y_mt.tolist() == [0, 1, 1] and data.y_sp.tolist() == [1, 0, 1]
-    want = np.array([[0.5, np.nan], [-np.inf, np.inf], [1e-3, -0.0]])
+    want = np.array([[0.5, 100.0], [-7.0, 0.25], [1e-3, -0.0]])
     assert data.Z.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text,shown", [
+    ("nan", "nan"), ("-NaN", "nan"), (" inf", "inf"), ("+Infinity", "inf"), ("-inf", "-inf"),
+    ("1e400", "inf"),  # parses, but overflows
+])
+def test_loader_rejects_non_finite(tmp_path, text, shown):
+    """Non-finite values end at the boundary, naming file:line (blank lines counted)."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"y_mt,y_sp,z_0,z_1\n0,1,0.5,1.0\n\n  \n1,0,2.0,{text}\n1,1,3.0,4.0\n")
+    with pytest.raises(DataFormatError, match=rf"t\.csv:5: non-finite value {shown} in z_1$"):
+        load_embeddings(str(path))
 
 
 def test_loader_under_numpy1_bytes_default(tmp_path, monkeypatch):
@@ -203,11 +218,19 @@ def test_codec_matches_per_element_oracle(data):
                              elements=_CODEC_FLOATS))
     labels = hnp.arrays(np.int64, Z.shape[0], elements=st.integers(0, 1))
     emb = LabeledEmbeddings(Z, data.draw(labels), data.draw(labels))
+    finite = np.isfinite(Z).all(axis=1)
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
         save_embeddings(str(new), emb)
         _oracle_save(str(old), emb)
         assert new.read_bytes() == old.read_bytes()
+        if not finite.all():  # rejected at the first non-finite row; the finite rows load
+            with pytest.raises(DataFormatError, match=f":{np.argmin(finite) + 2}: non-finite"):
+                load_embeddings(str(new))
+            if not finite.any():
+                return
+            save_embeddings(str(new), LabeledEmbeddings(Z[finite], emb.y_mt[finite],
+                                                        emb.y_sp[finite]))
         got = load_embeddings(str(new))
         Z_want, y_mt, y_sp = _oracle_load(str(new))
     assert got.Z.tobytes() == Z_want.tobytes()
@@ -289,6 +312,20 @@ def test_pca_components_without_mean_rejected_naming_line(tmp_path):
                                       LinearModel(np.ones(6), 0.0), pre_components=np.eye(6)))
     lineno = path.read_text().split("\n").index("[pre_components]") + 2
     msg = f"{path}:{lineno}: [pre_components] needs a [pre_mean]"
+    with pytest.raises(DataFormatError, match=re.escape(msg)):
+        load_artifact(str(path))
+
+
+def test_pca_component_count_other_than_d_rejected_naming_line(tmp_path):
+    """PCA maps the input to d coordinates, so [pre_components] holds d vectors."""
+    path = tmp_path / "m.artifact"
+    save_artifact(str(path), Artifact("inlp", 3, np.zeros((3, 0)), np.zeros((3, 0)), [], None,
+                                      pre_mean=np.zeros(5), pre_components=np.eye(5)[:, :3]))
+    lines = path.read_text().split("\n")
+    lines[lines.index("d = 3")] = "d = 2"
+    path.write_text("\n".join(lines))
+    lineno = lines.index("[pre_components]") + 2
+    msg = f"{path}:{lineno}: [pre_components] holds 3 components, expected d = 2"
     with pytest.raises(DataFormatError, match=re.escape(msg)):
         load_artifact(str(path))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest, norm
 
 import jse
@@ -13,6 +14,7 @@ from jse.sgd import bce, fit_1d_logreg, fit_intercept_only, sigmoid
 from jse.stats import (
     EmptyGroupError,
     T_SENTINEL,
+    _ndtri,
     critical_value,
     delta_heuristic,
     simple_diff,
@@ -302,12 +304,50 @@ def test_reported_thresholds_are_norm_ppf_bit_for_bit():
             assert t_relative(a, b, val, on, alpha=alpha).threshold == want
 
 
-def _loaded_in_fresh_interpreter(module: str) -> bool:
+def test_ndtri_port_is_scipy_ndtri_bit_for_bit():
+    """The Cephes port behind critical_value, on dense seeded draws from every
+    branch: the central rational (|y - 0.5| <= 1/2 - exp(-2)), both tails with
+    z = sqrt(-2 log y) below 8 and at or above 8 (y down to 5e-324), the branch
+    edges, and the values ndtri special-cases."""
+    rng = np.random.default_rng(20231)
+    edge = np.exp(-2.0)
+    tail = np.concatenate([
+        np.exp(-0.5 * rng.uniform(4.0, 64.0, 30_000)),  # z in [2, 8)
+        np.exp(-0.5 * rng.uniform(64.0, 1489.0, 20_000)),  # z >= 8, y > 0
+        np.exp(-rng.uniform(0.0, 745.0, 20_000)),
+        [5e-324, 1e-320, 2.2250738585072014e-308, np.exp(-32.0), np.nextafter(np.exp(-32.0), 1),
+         edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)],
+    ])
+    y = np.concatenate([
+        rng.uniform(0.0, 1.0, 40_000),
+        rng.uniform(edge, 1.0 - edge, 20_000),
+        tail, 1.0 - tail[tail < edge],  # the upper tail
+        [0.0, 1.0, np.nan, -0.0, -1e-300, -1.0, np.nextafter(1.0, 2.0), 2.0, 0.5,
+         np.inf, -np.inf, 1.0 - edge, np.nextafter(1.0, 0.0)],
+    ])
+    assert len(y) >= 100_000 and (y > 1.0 - edge).sum() > 20_000
+    want = ndtri(y)
+    got = np.array([_ndtri(float(v)) for v in y])
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), y[~same][:5]
+
+
+def _fresh_import_modules() -> list[str]:
+    """Module names in sys.modules after ``import jse, jse.cli`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(jse.__file__).parents[1]))
-    code = f"import sys, jse, jse.cli; print({module!r} in sys.modules)"
+    code = "import sys, jse, jse.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return out.split()
+
+
+def _loaded_in_fresh_interpreter(module: str) -> bool:
+    return module in _fresh_import_modules()
+
+
+def test_import_loads_no_scipy():
+    """jse and INLP need only numpy; RLACE imports scipy.linalg at its first fit."""
+    assert [m for m in _fresh_import_modules() if m.split(".")[0] == "scipy"] == []
 
 
 def test_import_does_not_load_scipy_stats():
