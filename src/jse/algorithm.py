@@ -54,6 +54,8 @@ class JseConfig:
             raise ValueError("alpha must be in (0, 1)")
         if isinstance(self.delta, str) and self.delta != DELTA_AUTO:
             raise ValueError(f"delta must be a number or {DELTA_AUTO!r}")
+        if not isinstance(self.delta, str) and not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.max_dim is not None and self.max_dim < 1:
             raise ValueError("max_dim must be >= 1 or none")
         if self.loop_order not in ("mt-inner", "sp-inner"):

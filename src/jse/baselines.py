@@ -18,6 +18,16 @@ matrix ``[U g w]`` and an eigendecomposition of a (k+2)-square matrix replace
 the d x d one. Only when the top k reach M's null space (the k-th eigenvalue
 of the small problem is not positive) is the d x d matrix formed and
 decomposed, which keeps that case exact.
+
+The batch indices of all steps up to the next probe come from one
+``rng.integers(0, n, size=(steps, batch_size))`` call. numpy's bounded
+integer draws read the generator's output as one continuous stream (32-bit
+words for n below 2**32), so row i of that draw holds exactly the indices a
+separate ``integers(0, n, size=batch_size)`` call at step i would give. This
+holds only while nothing else draws from that generator inside the loop: the
+probe and the span solve take no randomness, and a new random draw there
+needs a generator of its own. ``tests/test_rlace.py`` checks the fit bit for
+bit against the one-draw-per-step loop.
 """
 
 from __future__ import annotations
@@ -123,21 +133,23 @@ def _top_k_projection(M: np.ndarray, k: int) -> np.ndarray:
     return vecs[:, np.argsort(vals)[::-1][:k]]
 
 
-def _span_solver(k: int, lr: float):
+def _span_solver(d: int, k: int, lr: float):
     """The adversary's truncation, solved on span[U, g, w].
 
     Returns ``top_k(U, g, w)``: an orthonormal basis of the top-k eigenspace of
-    ``M = U U^T - (lr/2)(g w^T + w g^T)``. With ``A = [U g w] = Q R`` and
-    ``C = blockdiag(I_k, [[0, -lr/2], [-lr/2, 0]])``, ``M = Q (R C R^T) Q^T``:
-    the eigenpairs of the (k+2)-square ``R C R^T`` lift to M through Q, and M
-    is zero on the complement of span(A). If the k-th eigenvalue is not
-    positive (or the small solve fails), the top k reach that null space, so M
-    is formed and handed to the d x d solve. That solve also raises numpy's
-    error on non-finite input. M is also formed when d < k + 2, where
-    ``[U g w]`` would be wide. The QR and the small eigh call LAPACK directly
-    (``dgeqrf``/``dorgqr``, ``dsyevd``): numpy's wrappers cost several times
-    the factorizations at these sizes. ``scipy.linalg`` is imported here, on
-    the first RLACE fit, so that ``import jse`` loads no scipy.
+    ``M = U U^T - (lr/2)(g w^T + w g^T)`` for d-dimensional ``U``, ``g``, ``w``.
+    With ``A = [U g w] = Q R`` and ``C = blockdiag(I_k, [[0, -lr/2], [-lr/2,
+    0]])``, ``M = Q (R C R^T) Q^T``: the eigenpairs of the (k+2)-square
+    ``R C R^T`` lift to M through Q, and M is zero on the complement of
+    span(A). If the k-th eigenvalue is not positive (or the small solve
+    fails), the top k reach that null space, so M is formed and handed to the
+    d x d solve. That solve also raises numpy's error on non-finite input. M
+    is also formed when d < k + 2, where ``[U g w]`` would be wide. ``A`` is
+    written into one Fortran-order buffer that the QR factors in place. The
+    QR and the small eigh call LAPACK directly (``dgeqrf``/``dorgqr``,
+    ``dsyevd``): numpy's wrappers cost several times the factorizations at
+    these sizes. ``scipy.linalg`` is imported here, on the first RLACE fit, so
+    that ``import jse`` loads no scipy.
     """
     from scipy.linalg import lapack
 
@@ -145,15 +157,19 @@ def _span_solver(k: int, lr: float):
     C = np.eye(m)
     C[k:, k:] = [[0.0, -0.5 * lr], [-0.5 * lr, 0.0]]
     upper = np.triu(np.ones((m, m)))
+    A = np.empty((d, m), order="F")
 
     def top_k(U: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if len(g) >= m:  # below that, [U g w] is wide and M is the smaller problem
-            qr, tau, _, _ = lapack.dgeqrf(np.column_stack((U, g, w)))
+        if d >= m:  # below that, [U g w] is wide and M is the smaller problem
+            A[:, :k] = U
+            A[:, k] = g
+            A[:, k + 1] = w
+            qr, tau, _, _ = lapack.dgeqrf(A, overwrite_a=1)
             R = qr[:m] * upper  # dgeqrf keeps its Householder vectors below R's diagonal
             vals, vecs, info = lapack.dsyevd(R @ C @ R.T, lower=1)
             if info == 0 and vals[2] > 0:  # ascending, so vals[2] is the k-th largest
                 # columns m-1 down to 2: the top k, largest first
-                return lapack.dorgqr(qr, tau)[0] @ vecs[:, : 1 : -1]
+                return lapack.dorgqr(qr, tau, overwrite_a=1)[0] @ vecs[:, : 1 : -1]
         G = np.outer(g, w)
         return _top_k_projection(U @ U.T - lr * 0.5 * (G + G.T), k)
 
@@ -167,11 +183,12 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
     if cfg.rank >= d:
         raise ValueError(f"rlace rank {cfg.rank} must be below the embedding dimension d = {d}")
     X, y = train.Z, train.y_sp.astype(np.float64)
+    n, bs = train.n, cfg.batch_size
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
 
     M = 0.1 * rng.standard_normal((d, d))
     U = _top_k_projection(M, cfg.rank)  # removed-subspace basis
-    adversary_top_k = _span_solver(cfg.rank, cfg.subspace_lr)
+    adversary_top_k = _span_solver(d, cfg.rank, cfg.subspace_lr)
     w = np.zeros(d)
     b = 0.0
     vw = np.zeros(d)
@@ -188,30 +205,36 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
         return float(np.mean((sigmoid((val.Z @ P) @ wp + bp) >= 0.5) == val.y_sp))
 
     while it < cfg.max_iters:
-        it += 1
-        idx = rng.integers(0, train.n, size=cfg.batch_size)
-        Xb, yb = X[idx], y[idx]
-        # np.dot, not @: for k = 1 the matmul operator takes a slow non-BLAS path
-        Xp = Xb - np.dot(Xb @ U, U.T)
+        # one draw for the batches of every step up to the next probe; nothing
+        # else draws from rng in this loop (see the module docstring)
+        chunk = min(cfg.eval_every, cfg.max_iters - it)
+        batches = rng.integers(0, n, size=(chunk, bs))
+        y_batches = y[batches]
+        for idx, yb in zip(batches, y_batches):
+            Xb = X[idx]
+            # np.dot, not @: for k = 1 the matmul operator takes a slow non-BLAS path
+            Xp = Xb - np.dot(Xb @ U, U.T)
 
-        # classifier step: descend the BCE
-        r = (sigmoid(Xp @ w + b) - yb) / len(idx)
-        gw = Xp.T @ r
-        if cfg.weight_decay:
-            gw = gw + cfg.weight_decay * w
-        vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + float(r.sum())
-        w = w - cfg.learning_rate * vw
-        b = b - cfg.learning_rate * vb
+            # classifier step: descend the BCE
+            r = (sigmoid(Xp @ w + b) - yb) / bs
+            gw = Xp.T @ r
+            if cfg.weight_decay:
+                gw += cfg.weight_decay * w
+            vw *= cfg.momentum
+            vw += gw
+            vb = cfg.momentum * vb + float(r.sum())
+            w -= cfg.learning_rate * vw
+            b -= cfg.learning_rate * vb
 
-        # adversary step on the symmetric removal matrix, then truncate back to a
-        # hard rank-k projection; the BCE gradient w.r.t. M = U U^T is
-        # -(g w^T + w g^T)/2 with g = X^T r, and the adversary ascends the loss.
-        # The stepped matrix lies on span[U, g, w], so its top k come from a
-        # (k+2)-square eigenproblem (d x d only if they reach its null space);
-        # U has not moved since the classifier step, so Xp is still current
-        r = (sigmoid(Xp @ w + b) - yb) / len(idx)
-        U = adversary_top_k(U, Xb.T @ r, w)
+            # adversary step on the symmetric removal matrix, then truncate back to
+            # a hard rank-k projection; the BCE gradient w.r.t. M = U U^T is
+            # -(g w^T + w g^T)/2 with g = X^T r, and the adversary ascends the loss.
+            # The stepped matrix lies on span[U, g, w], so its top k come from a
+            # (k+2)-square eigenproblem (d x d only if they reach its null space);
+            # U has not moved since the classifier step, so Xp is still current
+            r = (sigmoid(Xp @ w + b) - yb) / bs
+            U = adversary_top_k(U, Xb.T @ r, w)
+        it += chunk
 
         if it % cfg.eval_every == 0:
             acc = probe_accuracy(U)

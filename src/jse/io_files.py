@@ -199,7 +199,12 @@ def load_artifact(path: str) -> Artifact:
     def floats(lineno: int, fields: list[str], n: int | None = None) -> np.ndarray:
         if n is not None and len(fields) != n:
             raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(fields)}")
-        return at_line(lineno, fields, lambda vs: np.array([float(v) for v in vs]))
+        values = at_line(lineno, fields, lambda vs: np.array([float(v) for v in vs]))
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[np.argmin(finite)])
+            raise DataFormatError(f"{path}:{lineno}: non-finite value {bad!r}")
+        return values
 
     method_line, method = header["method"]
     if method not in METHODS:
@@ -208,7 +213,10 @@ def load_artifact(path: str) -> Artifact:
     d = at_line(*header["d"], int)
     if d < 1:
         raise DataFormatError(f"{path}:{header['d'][0]}: d must be positive, got {d}")
-    delta = at_line(*header["delta"], float) if "delta" in header else 0.0
+    delta = 0.0
+    if "delta" in header:
+        lineno, value = header["delta"]
+        delta = float(floats(lineno, [value])[0])
 
     # the preprocessing acts on the input coordinates: d of them, or with PCA
     # as many as each component has

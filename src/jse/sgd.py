@@ -31,13 +31,18 @@ the training rows in that order once, and slices consecutive batches from
 the gathered copy. The last uniform batch is ragged when ``batch_size`` does
 not divide ``n``.
 
-The SGD step loop is written for few numpy calls per step, but its output is
-bit-identical to the plain per-batch formulation (index batches, a masked
-sigmoid, one allocation per update): any rewrite must keep the same RNG calls
-and the same floating-point operations in the same order. In particular a
-pair of matrix-vector products must not be fused into one matrix-matrix
-product. ``tests/test_sgd.py`` holds that formulation as an oracle and
-checks equality with ``np.array_equal``.
+The arrays are small, so the time of the hot loops goes to Python's dispatch
+of numpy calls, not to arithmetic. The SGD step loops (``fit_logreg`` and
+RLACE's classifier step), ``lbfgs`` and ``joint_loss_and_grad`` are written
+for few numpy calls per step: in-place updates, reused buffers, Python floats
+for scalars, and ``np.add.reduce(x) / n`` for ``np.mean``. Their outputs are
+bit-identical to the plain formulation (index batches, a masked sigmoid, one
+allocation per update, numpy's wrappers): any rewrite must keep the same RNG
+calls and the same floating-point operations in the same order. In
+particular a pair of matrix-vector products must not be fused into one
+matrix-matrix product. ``tests/test_sgd.py`` (``fit_logreg``, the joint fit,
+``sigmoid``) and ``tests/test_rlace.py`` (RLACE) hold that formulation as an
+oracle and check equality with ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -120,9 +125,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
 
     Both branches share ``e = exp(-|x|)``, so it is computed once for all
-    elements and the branch only picks the numerator.
+    elements and the branch only picks the numerator; ``copysign(x, -1)`` is
+    ``-|x|`` bit for bit in one ufunc call.
     """
-    e = np.exp(-np.abs(x))
+    e = np.exp(np.copysign(x, -1.0))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -204,12 +210,18 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     vw = np.zeros(train.d)
     vb = 0.0
     bs = cfg.batch_size
+    # every epoch's order has the same length (n, or whole batches when
+    # balanced), so its rows are gathered into one buffer reused across epochs;
+    # mode="clip" skips take's bounds-check copy, and the order is always in range
+    rows = train.n if probs is None else (train.n + bs - 1) // bs * bs
+    Xo, yo = np.empty((rows, train.d)), np.empty(rows)
     # the best post-epoch snapshot, ties keeping the earliest epoch
     best, best_score, since = None, np.inf, 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = _epoch_order(rng, train.n, bs, probs)
-        Xo, yo = X[order], y[order]
-        for i in range(0, len(order), bs):
+        np.take(X, order, axis=0, out=Xo, mode="clip")
+        np.take(y, order, out=yo, mode="clip")
+        for i in range(0, rows, bs):
             Xb, yb = Xo[i : i + bs], yo[i : i + bs]
             nb = len(yb)
             r = sigmoid(Xb @ w + b) - yb
@@ -309,15 +321,15 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ q))
+            alphas.append(rho * float(s @ q))
             q -= alphas[-1] * y
         if pairs:  # initial inverse Hessian s.y / y.y from the newest pair
             _, y, rho = pairs[-1]
-            q /= rho * (y @ y)
+            q /= rho * float(y @ y)
         else:
             q /= max(1.0, float(np.linalg.norm(q)))
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * (y @ q)) * s
+            q += (a - rho * float(y @ q)) * s
         slope = -float(g @ q)
         if slope >= 0.0:
             break
@@ -362,7 +374,8 @@ def joint_loss_and_grad(
     logit_mt = X @ w_mt - u * (c / s) + b_mt
     p_mt = sigmoid(logit_mt)
 
-    loss = float(np.mean(bce(p_sp, y_sp)) + np.mean(bce(p_mt, y_mt)))
+    # np.add.reduce(.) / n and .sum() are np.mean and np.sum without their wrappers
+    loss = float(np.add.reduce(bce(p_sp, y_sp)) / n + np.add.reduce(bce(p_mt, y_mt)) / n)
 
     r_sp = (p_sp - y_sp) / n
     r_mt = (p_mt - y_mt) / n
@@ -370,7 +383,7 @@ def joint_loss_and_grad(
     ru = float(r_mt @ u)
     g_wsp = X.T @ r_sp - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
     g_wmt = Xr_mt - (ru / s) * w_sp
-    grad = np.concatenate([g_wsp, g_wmt, [float(np.sum(r_sp)), float(np.sum(r_mt))]])
+    grad = np.concatenate([g_wsp, g_wmt, [float(r_sp.sum()), float(r_mt.sum())]])
     return loss, grad
 
 

@@ -351,6 +351,11 @@ def _doubled(line: str) -> str:
     return " ".join(repr(2.0 * float(v)) for v in line.split())
 
 
+def _first_nan(line: str) -> str:
+    head, sep, values = line.rpartition("= ")
+    return head + sep + "nan" + values[values.index(" "):]
+
+
 @pytest.mark.parametrize("target,edit,msg", [
     ("d = ", lambda line: "d = x", "invalid literal for int() with base 10: 'x'"),
     ("d = ", lambda line: "d = 0", "d must be positive, got 0"),
@@ -358,12 +363,15 @@ def _doubled(line: str) -> str:
     ("[sp_basis]", _doubled, "[sp_basis] columns are not orthonormal within 1e-06"),
     ("[mt_basis]", _doubled, "[mt_basis] columns are not orthonormal within 1e-06"),
     ("[pre_components]", _doubled, "[pre_components] columns are not orthonormal within 1e-06"),
+    ("[pre_mean]", _first_nan, "non-finite value nan"),
+    ("[model]", _first_nan, "non-finite value nan"),
 ])
 @pytest.mark.parametrize("command", ["transform", "eval"])
 def test_bad_artifact_exits_3_naming_line(toy_files, tmp_path, capsys, command, target, edit,
                                           msg):
-    """Bad header values and non-orthonormal bases or PCA components are data errors at
-    load time, naming file:line, before either command touches the data."""
+    """Bad header values, non-orthonormal bases or PCA components, and non-finite
+    preprocessing or model values are data errors at load time, naming file:line,
+    before either command touches the data."""
     rng = np.random.default_rng(9)
     q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
     path = tmp_path / "m.artifact"

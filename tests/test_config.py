@@ -191,6 +191,8 @@ BAD_VALUES = [
     ("rlace", "stop_accuracy", "0", "fit"),
     ("jse", "max_dim", "0", "fit"),
     ("jse", "max_dim", "-3", "fit"),
+    ("jse", "delta", "nan", "fit"),
+    ("jse", "delta", "-inf", "fit"),
     ("sweep", "seeds", "0", "sweep"),
     ("sweep", "seeds", "abc", "sweep"),
     ("sweep", "methods", ",", "sweep"),

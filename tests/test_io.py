@@ -294,6 +294,16 @@ def _drop_last_value(line: str) -> str:
      "{path}:{lineno}: unknown test kind 'sp_vs_nothing'"),
     ("tests", lambda line: line.rsplit(",", 1)[0] + ",true",
      "{path}:{lineno}: decision must be True or False, got 'true'"),
+    ("pre_mean", lambda line: "nan" + line[line.index(" "):],
+     "{path}:{lineno}: non-finite value nan"),
+    ("pre_mean", lambda line: line.rsplit(" ", 1)[0] + " -inf",
+     "{path}:{lineno}: non-finite value -inf"),
+    ("model", lambda line: "w = inf" + line[line.index(" ", 4):],
+     "{path}:{lineno}: non-finite value inf"),
+    ("sp_basis", lambda line: "nan" + line[line.index(" "):],
+     "{path}:{lineno}: non-finite value nan"),
+    ("tests", lambda line: "sp_vs_random,nan" + line[line.index(",", 13):],
+     "{path}:{lineno}: non-finite value nan"),
 ])
 def test_malformed_artifact_exits_3_naming_line(tmp_path, capsys, section, edit, msg):
     _assert_edit_exits_3(tmp_path, capsys, f"[{section}]", 1, edit, msg)
@@ -302,6 +312,11 @@ def test_malformed_artifact_exits_3_naming_line(tmp_path, capsys, section, edit,
 def test_unknown_method_header_exits_3_naming_line(tmp_path, capsys):
     _assert_edit_exits_3(tmp_path, capsys, "method = erm", 0, lambda line: "method = svm",
                          "{path}:{lineno}: unknown method 'svm'; expected one of jse, erm")
+
+
+def test_non_finite_delta_header_exits_3_naming_line(tmp_path, capsys):
+    _assert_edit_exits_3(tmp_path, capsys, "delta = 0.0", 0, lambda line: "delta = nan",
+                         "{path}:{lineno}: non-finite value nan")
 
 
 def test_pca_components_without_mean_rejected_naming_line(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from jse import baselines
 from jse.baselines import RlaceConfig, _span_solver, _top_k_projection, rlace_fit
+from jse.sgd import _newton_logreg
+from jse.toy import ToyConfig, gen_toy
 
 from conftest import random_labeled, random_orthonormal
 
@@ -115,6 +117,102 @@ def test_rlace_golden_fits(toy_rho08, toy_rho0, case):
                                rtol=0, atol=1e-10)
 
 
+# --- bit-identity oracle -----------------------------------------------------
+# rlace_fit written one step at a time: one integers draw per batch, [U g w]
+# built by np.column_stack, -|x| by np.abs, and a fresh array on every update.
+# rlace_fit draws a probe interval's batches at once and updates in place; both
+# must give the same bits.
+
+
+def _abs_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _per_step_rlace(train, val, cfg, seed):
+    from scipy.linalg import lapack
+
+    d, k, lr = train.d, cfg.rank, cfg.subspace_lr
+    X, y = train.Z, train.y_sp.astype(np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    U = _top_k_projection(0.1 * rng.standard_normal((d, d)), k)
+    m = k + 2
+    C = np.eye(m)
+    C[k:, k:] = [[0.0, -0.5 * lr], [-0.5 * lr, 0.0]]
+    upper = np.triu(np.ones((m, m)))
+
+    def top_k(U, g, w):
+        if len(g) >= m:
+            qr, tau, _, _ = lapack.dgeqrf(np.column_stack((U, g, w)))
+            vals, vecs, info = lapack.dsyevd((qr[:m] * upper) @ C @ (qr[:m] * upper).T, lower=1)
+            if info == 0 and vals[2] > 0:
+                return lapack.dorgqr(qr, tau)[0] @ vecs[:, :1:-1]
+        G = np.outer(g, w)
+        return _top_k_projection(U @ U.T - lr * 0.5 * (G + G.T), k)
+
+    def probe_accuracy(U):
+        P = np.eye(d) - U @ U.T
+        wp, bp = _newton_logreg(X @ P, y)
+        return float(np.mean((_abs_sigmoid((val.Z @ P) @ wp + bp) >= 0.5) == val.y_sp))
+
+    w, b, vw, vb = np.zeros(d), 0.0, np.zeros(d), 0.0
+    best, converged, acc, it = None, False, 1.0, 0
+    while it < cfg.max_iters:
+        it += 1
+        idx = rng.integers(0, train.n, size=cfg.batch_size)
+        Xb, yb = X[idx], y[idx]
+        Xp = Xb - np.dot(Xb @ U, U.T)
+        r = (_abs_sigmoid(Xp @ w + b) - yb) / len(idx)
+        gw = Xp.T @ r
+        if cfg.weight_decay:
+            gw = gw + cfg.weight_decay * w
+        vw = cfg.momentum * vw + gw
+        vb = cfg.momentum * vb + float(r.sum())
+        w = w - cfg.learning_rate * vw
+        b = b - cfg.learning_rate * vb
+        r = (_abs_sigmoid(Xp @ w + b) - yb) / len(idx)
+        U = top_k(U, Xb.T @ r, w)
+        if it % cfg.eval_every == 0:
+            acc = probe_accuracy(U)
+            if best is None or acc < best[0]:
+                best = (acc, U.copy())
+            if acc < cfg.stop_accuracy:
+                converged = True
+                break
+    if not converged and best is not None:
+        acc, U = best
+    return U, it, converged, acc
+
+
+# (d, rank, max_iters, eval_every, weight_decay, stop_accuracy): the fits that
+# stop at 0.51 converge at a probe, the ones that stop at 0.01 never reach it
+# and run to max_iters
+ORACLE_CASES = [
+    (8, 1, 2000, 250, 0.0, 0.51),
+    (8, 2, 1000, 250, 0.0, 0.01),
+    (8, 1, 1300, 250, 0.0, 0.01),  # the last 50 steps run after the last probe
+    (8, 2, 1300, 250, 0.01, 0.01),
+    (8, 1, 2000, 100, 0.01, 0.51),
+    (20, 2, 1300, 250, 0.0, 0.01),
+    (3, 2, 1300, 250, 0.0, 0.01),  # d < k + 2: every step takes the d x d solve
+    (3, 2, 2000, 200, 0.01, 0.51),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES,
+                         ids=lambda c: "d{}-rank{}-cap{}-every{}-wd{}-stop{}".format(*c))
+def test_rlace_bit_identical_to_per_step_oracle(case):
+    d, rank, max_iters, eval_every, wd, stop = case
+    train, val = gen_toy(ToyConfig(n=800, d=d, rho=0.5, seed=d))
+    cfg = RlaceConfig(rank=rank, max_iters=max_iters, eval_every=eval_every, weight_decay=wd,
+                      stop_accuracy=stop)
+    U, iters, converged, acc = _per_step_rlace(train, val, cfg, 2)
+    res = rlace_fit(train, val, cfg, 2)
+    assert (res.iters, res.converged, res.val_accuracy) == (iters, converged, acc)
+    np.testing.assert_array_equal(res.removed.V, U)
+    assert converged == (stop == 0.51) and (converged or iters == max_iters)
+
+
 # --- the adversary's span solve ------------------------------------------------
 
 
@@ -152,7 +250,7 @@ def test_span_solve_matches_explicit_eigh(fallbacks, k, lr, seed):
     d = 20
     U = random_orthonormal(rng, d, k)
     g, w = rng.standard_normal(d), rng.standard_normal(d)
-    U_span = _span_solver(k, lr)(U, g, w)
+    U_span = _span_solver(d, k, lr)(U, g, w)
     assert fallbacks == []
     _assert_same_projector(U_span, _explicit_top_k(U, g, w, lr))
 
@@ -170,7 +268,7 @@ def test_span_solve_degenerate_spans(fallbacks, k, span):
         g = U @ rng.standard_normal(k)
     else:
         g = -2.5 * w
-    U_span = _span_solver(k, lr)(U, g, w)
+    U_span = _span_solver(d, k, lr)(U, g, w)
     assert fallbacks == []
     _assert_same_projector(U_span, _explicit_top_k(U, g, w, lr))
 
@@ -183,7 +281,7 @@ def test_span_solve_falls_back_when_top_k_reach_the_null_space(fallbacks, k):
     d, lr = 8, 4.0
     U = np.eye(d)[:, :k]
     g = w = U[:, 0].copy()
-    U_span = _span_solver(k, lr)(U, g, w)
+    U_span = _span_solver(d, k, lr)(U, g, w)
     assert fallbacks == [k]
     np.testing.assert_array_equal(U_span, _explicit_top_k(U, g, w, lr))
 
@@ -194,7 +292,7 @@ def test_span_solve_below_k_plus_2_dimensions_uses_the_explicit_solve(fallbacks,
     d = k + 1
     U = random_orthonormal(rng, d, k)
     g, w = rng.standard_normal(d), rng.standard_normal(d)
-    U_span = _span_solver(k, 0.3)(U, g, w)
+    U_span = _span_solver(d, k, 0.3)(U, g, w)
     assert fallbacks == [k]
     np.testing.assert_array_equal(U_span, _explicit_top_k(U, g, w, 0.3))
 
@@ -203,7 +301,7 @@ def test_span_solve_nan_raises_like_the_explicit_solve():
     U = np.eye(6)[:, :1]
     g = np.full(6, np.nan)
     with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        _span_solver(1, 0.01)(U, g, np.ones(6))
+        _span_solver(6, 1, 0.01)(U, g, np.ones(6))
 
 
 def test_rlace_rank_must_be_below_d():
