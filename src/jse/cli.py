@@ -29,6 +29,16 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .evaluate import METHODS
 
@@ -36,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--config", default=None, help="config file (key = value sections)")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="parallel worker processes (at least 1)")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -311,9 +311,53 @@ def write_results_csv(path: str, records: list[RunRecord]) -> None:
             )
 
 
+_RESULTS_ACCURACIES = ("acc_g1", "acc_g2", "acc_g3", "acc_g4",
+                       "worst_group", "average", "macro_average")
+
+
 def read_results_csv(path: str) -> list[dict]:
+    """The runs of a results CSV as dicts of the raw field strings.
+
+    The header must hold every ``RESULTS_COLUMNS`` name, and each row one field
+    per header column. Numeric fields must be finite numbers (``seed`` and the
+    dimensions integers); a failed run's accuracies are empty. Violations, and
+    a file with no runs, raise ``DataFormatError`` naming the file and line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header:
+            raise DataFormatError(f"{path}: no runs")
+        missing = [c for c in RESULTS_COLUMNS if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}:1: missing columns {', '.join(missing)}")
+        rows = []
+        for fields in reader:
+            if not fields:  # a blank line
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(fields) != len(header):
+                raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+            row = dict(zip(header, fields))
+            for col in ("x_value", "runtime_ms", *_RESULTS_ACCURACIES):
+                if col in _RESULTS_ACCURACIES and row["error"] and not row[col]:
+                    continue  # a failed run has no accuracies
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    raise DataFormatError(f"{where}: {col} is not a number: {row[col]!r}") from None
+                if not np.isfinite(value):
+                    raise DataFormatError(f"{where}: non-finite value {row[col]} in {col}")
+            for col in ("seed", "d_sp_hat", "d_mt_hat"):
+                try:
+                    int(row[col])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{where}: {col} is not an integer: {row[col]!r}") from None
+            rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: no runs")
+    return rows
 
 
 PLOT_COLUMNS = ["x", "method", "mean", "ci_low", "ci_high", "metric"]

@@ -14,9 +14,9 @@ They run one of two protocols:
 * The jse inner fits are solved on the full batch to their optimum.
   ``fit_1d_logreg`` runs IRLS (``_newton_logreg``, RLACE's probe solver)
   on the projected feature. ``fit_joint_orthogonal`` minimizes
-  ``joint_loss_and_grad`` plus a ``JOINT_RIDGE`` penalty on both weight
-  vectors with ``lbfgs``, from a seeded random init. Neither has a
-  validation split or a configuration: the solver constants are module
+  ``joint_objective`` (the two heads' BCEs plus a ``JOINT_RIDGE`` penalty on
+  both weight vectors) with ``lbfgs``, from a seeded random init. Neither has
+  a validation split or a configuration: the solver constants are module
   constants.
 
 The joint objective handles the orthogonality constraint through an
@@ -32,17 +32,32 @@ the gathered copy. The last uniform batch is ragged when ``batch_size`` does
 not divide ``n``.
 
 The arrays are small, so the time of the hot loops goes to Python's dispatch
-of numpy calls, not to arithmetic. The SGD step loops (``fit_logreg`` and
-RLACE's classifier step), ``lbfgs`` and ``joint_loss_and_grad`` are written
-for few numpy calls per step: in-place updates, reused buffers, Python floats
-for scalars, and ``np.add.reduce(x) / n`` for ``np.mean``. Their outputs are
-bit-identical to the plain formulation (index batches, a masked sigmoid, one
-allocation per update, numpy's wrappers): any rewrite must keep the same RNG
-calls and the same floating-point operations in the same order. In
-particular a pair of matrix-vector products must not be fused into one
-matrix-matrix product. ``tests/test_sgd.py`` (``fit_logreg``, the joint fit,
-``sigmoid``) and ``tests/test_rlace.py`` (RLACE) hold that formulation as an
-oracle and check equality with ``np.array_equal``.
+of numpy calls and to temporaries, not to arithmetic. The loops are written
+for few numpy calls and few allocations per step:
+
+* ``fit_logreg`` and RLACE's classifier step update in place and reuse
+  their batch buffers.
+* ``joint_objective`` is built once per fit. It stacks the two heads'
+  logits in one (2, n) array, so ``sigmoid``, ``bce`` and the residual run
+  once for both heads, and per-head sums are ``np.add.reduce(., axis=1)``.
+  Its per-fit workspace holds ``X @ w_sp``, the logits and the product
+  buffers; the gradient is assembled with ``out=`` into a new array on each
+  call, because ``lbfgs`` keeps it across its line search.
+* ``lbfgs`` runs its two-loop recursion and its max-|g| test in two
+  preallocated vectors; ``_newton_logreg`` fills a preallocated gradient
+  and Hessian and hoists ``ridge * I`` out of its loop.
+* Scalars are Python floats or 0-d float64 arrays, and ``np.add.reduce(x) /
+  n`` stands for ``np.mean``.
+
+Their outputs are bit-identical to the plain formulation (index batches, a
+masked sigmoid, each head evaluated separately, fresh arrays on every
+update, numpy's wrappers): any rewrite must keep the same RNG calls and the
+same floating-point operations in the same order. In particular a pair of
+matrix-vector products must not be fused into one matrix-matrix product: a
+gemm sums in a different order than two gemvs. The oracles are in
+``tests/test_sgd.py`` (``fit_logreg``, the joint objective and the joint fit,
+``_newton_logreg``, ``sigmoid``) and ``tests/test_rlace.py`` (RLACE); they
+check equality with ``np.array_equal`` or on the bytes.
 """
 
 from __future__ import annotations
@@ -121,15 +136,22 @@ class LinearModel:
         return sigmoid(np.asarray(Z) @ self.w + self.b)
 
 
+# 0-d float64 operands: numpy converts a Python scalar operand on every call,
+# and a 0-d array also fixes the result dtype at float64 for narrower input
+_ZERO, _ONE, _NEG_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
 
     Both branches share ``e = exp(-|x|)``, so it is computed once for all
     elements and the branch only picks the numerator; ``copysign(x, -1)`` is
-    ``-|x|`` bit for bit in one ufunc call.
+    ``-|x|`` bit for bit in one ufunc call. The result is float64 for bool,
+    integer and float input up to double precision, and equals the float64
+    formula applied to ``x`` cast to float64.
     """
-    e = np.exp(np.copysign(x, -1.0))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.copysign(x, _NEG_ONE))
+    return np.where(x >= _ZERO, _ONE, e) / (_ONE + e)
 
 
 def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -272,16 +294,31 @@ def _newton_logreg(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6, max_iter: 
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
+    ridge_eye = ridge * np.eye(d)
+    # workspace: every entry of g and H is rewritten on each iteration
+    z, r, s = np.empty(n), np.empty(n), np.empty(n)
+    Xs = np.empty((n, d))
+    XtXs = np.empty((d, d))
+    g = np.empty(d + 1)
+    H = np.empty((d + 1, d + 1))
     for _ in range(max_iter):
-        p = sigmoid(X @ w + b)
-        r = p - y
-        g = np.concatenate([X.T @ r / n + ridge * w, [float(np.mean(r))]])
-        s = np.maximum(p * (1 - p), 1e-12)
-        Xs = X * s[:, None]
-        H = np.empty((d + 1, d + 1))
-        H[:d, :d] = X.T @ Xs / n + ridge * np.eye(d)
-        H[:d, d] = H[d, :d] = Xs.mean(axis=0)
-        H[d, d] = float(np.mean(s))
+        np.matmul(X, w, out=z)
+        z += b
+        p = sigmoid(z)
+        np.subtract(p, y, out=r)
+        np.matmul(X.T, r, out=g[:d])
+        g[:d] /= n
+        g[:d] += ridge * w
+        g[d] = np.add.reduce(r) / n
+        np.subtract(1.0, p, out=s)
+        s *= p
+        np.maximum(s, 1e-12, out=s)
+        np.multiply(X, s[:, None], out=Xs)
+        np.matmul(X.T, Xs, out=XtXs)
+        XtXs /= n
+        np.add(XtXs, ridge_eye, out=H[:d, :d])
+        H[:d, d] = H[d, :d] = np.add.reduce(Xs, axis=0) / n
+        H[d, d] = np.add.reduce(s) / n
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
@@ -305,6 +342,9 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
     ``max |gradient| < LBFGS_GTOL``, after ``LBFGS_MAX_ITER`` iterations, or
     when the line search can no longer decrease the value. A non-finite value
     or gradient raises ``FloatingPointError`` naming ``trainer``.
+
+    The gradient at the current point is kept across the line search, so
+    ``fun`` must return a new gradient array on every call.
     """
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -315,27 +355,29 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
 
     f, g = evaluate(x)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
+    # the search direction and a product buffer, rewritten on every iteration
+    q, tmp = np.empty_like(x), np.empty_like(x)
     for _ in range(LBFGS_MAX_ITER):
-        if np.max(np.abs(g)) < LBFGS_GTOL:
+        if np.abs(g, out=tmp).max() < LBFGS_GTOL:
             break
-        q = g.copy()
+        np.copyto(q, g)
         alphas = []
         for s, y, rho in reversed(pairs):
             alphas.append(rho * float(s @ q))
-            q -= alphas[-1] * y
+            q -= np.multiply(y, alphas[-1], out=tmp)
         if pairs:  # initial inverse Hessian s.y / y.y from the newest pair
             _, y, rho = pairs[-1]
             q /= rho * float(y @ y)
         else:
             q /= max(1.0, float(np.linalg.norm(q)))
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * float(y @ q)) * s
+            q += np.multiply(s, a - rho * float(y @ q), out=tmp)
         slope = -float(g @ q)
         if slope >= 0.0:
             break
         t = 1.0
         while True:
-            x_new = x - t * q
+            x_new = x - np.multiply(q, t, out=tmp)
             f_new, g_new = evaluate(x_new)
             if f_new <= f + ARMIJO_C * t * slope:
                 break
@@ -350,76 +392,82 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
     return x
 
 
-def joint_loss_and_grad(
-    params: np.ndarray,
-    X: np.ndarray,
-    y_sp: np.ndarray,
-    y_mt: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the joint objective at packed params.
+def joint_objective(X: np.ndarray, y_sp: np.ndarray, y_mt: np.ndarray, ridge: float):
+    """The joint fit's objective on one training set: ``fun(theta) -> (value, grad)``.
 
-    Packing is ``[w_sp (d), w_mt (d), b_sp, b_mt]``. The objective is the sum
+    ``theta`` packs ``[w_sp (d), w_mt (d), b_sp, b_mt]``. The value is the sum
     of the two per-task mean BCEs, the main-task head predicting through
-    ``(I - P_{w_sp}) w_mt``.
+    ``(I - P_{w_sp}) w_mt``, plus ``0.5 * ridge * (|w_sp|^2 + |w_mt|^2)``.
+
+    Both heads' logits share one (2, n) array, so ``sigmoid``, ``bce`` and the
+    residual run once for both. The fixed-size buffers are allocated here,
+    once per fit; each call returns a new gradient array.
     """
-    d = X.shape[1]
-    w_sp, w_mt = params[:d], params[d : 2 * d]
-    b_sp, b_mt = params[2 * d], params[2 * d + 1]
-    n = X.shape[0]
+    n, d = X.shape
+    Xt = X.T
+    Y = np.stack([y_sp, y_mt]).astype(np.float64)
+    u = np.empty(n)  # X @ w_sp, shared by both heads' logits and the gradient
+    logits = np.empty((2, n))
+    tmp_n, tmp_d, tmp_2d = np.empty(n), np.empty(d), np.empty(2 * d)
 
-    u = X @ w_sp
-    p_sp = sigmoid(u + b_sp)
-    s = float(w_sp @ w_sp) + PROJ_EPS
-    c = float(w_sp @ w_mt)
-    logit_mt = X @ w_mt - u * (c / s) + b_mt
-    p_mt = sigmoid(logit_mt)
+    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        w_sp, w_mt, w = theta[:d], theta[d : 2 * d], theta[: 2 * d]
+        s = float(w_sp @ w_sp) + PROJ_EPS
+        c = float(w_sp @ w_mt)
+        np.matmul(X, w_sp, out=u)
+        np.add(u, theta[2 * d], out=logits[0])
+        np.matmul(X, w_mt, out=logits[1])
+        logits[1] -= np.multiply(u, c / s, out=tmp_n)
+        logits[1] += theta[2 * d + 1]
+        P = sigmoid(logits)
+        # np.add.reduce(.) / n is np.mean without its wrapper
+        head_loss = np.add.reduce(bce(P, Y), axis=1) / n
+        loss = float(head_loss[0] + head_loss[1]) + 0.5 * ridge * float(w @ w)
 
-    # np.add.reduce(.) / n and .sum() are np.mean and np.sum without their wrappers
-    loss = float(np.add.reduce(bce(p_sp, y_sp)) / n + np.add.reduce(bce(p_mt, y_mt)) / n)
+        R = np.subtract(P, Y, out=P)  # per-head residuals (p - y) / n, in place
+        R /= n
+        r_sp, r_mt = R
+        ru = float(r_mt @ u)
+        grad = np.empty(2 * d + 2)
+        g_wsp, g_wmt = grad[:d], grad[d : 2 * d]
+        # two matrix-vector products, not one matrix-matrix product: see the module docstring
+        np.matmul(Xt, r_mt, out=g_wmt)
+        np.matmul(Xt, r_sp, out=g_wsp)
+        g_wsp -= np.multiply(g_wmt, c / s, out=tmp_d)
+        g_wsp -= np.multiply(w_mt, ru / s, out=tmp_d)
+        g_wsp += np.multiply(w_sp, 2.0 * c * ru / s**2, out=tmp_d)
+        g_wmt -= np.multiply(w_sp, ru / s, out=tmp_d)
+        grad[: 2 * d] += np.multiply(w, ridge, out=tmp_2d)
+        np.add.reduce(R, axis=1, out=grad[2 * d :])
+        return loss, grad
 
-    r_sp = (p_sp - y_sp) / n
-    r_mt = (p_mt - y_mt) / n
-    Xr_mt = X.T @ r_mt
-    ru = float(r_mt @ u)
-    g_wsp = X.T @ r_sp - (c / s) * Xr_mt - (ru / s) * w_mt + (2.0 * c * ru / s**2) * w_sp
-    g_wmt = Xr_mt - (ru / s) * w_sp
-    grad = np.concatenate([g_wsp, g_wmt, [float(r_sp.sum()), float(r_mt.sum())]])
-    return loss, grad
+    return fun
 
 
 def fit_joint_orthogonal(train: LabeledEmbeddings, seed: int) -> tuple[LinearModel, LinearModel]:
     """Jointly fit the spurious and main-task logistic regressions with
     orthogonal coefficient vectors.
 
-    Minimizes ``joint_loss_and_grad`` plus ``0.5 * JOINT_RIDGE * (|w_sp|^2 +
-    |w_mt|^2)`` on the full training set with ``lbfgs``. Returns ``(sp_model,
-    mt_model)`` where the main-task model stores the already-projected
-    effective weights, so ``sp.w`` is orthogonal to ``mt.w``.
+    Minimizes ``joint_objective`` with the ``JOINT_RIDGE`` penalty on the full
+    training set with ``lbfgs``. Returns ``(sp_model, mt_model)`` where the
+    main-task model stores the already-projected effective weights, so
+    ``sp.w`` is orthogonal to ``mt.w``.
     """
     for target in ("sp", "mt"):
         y = train.labels(target)
         if y.min() == y.max():
             raise ValueError(f"target {target!r} has a single class in the training data")
-    X = train.Z
-    y_sp = train.y_sp.astype(np.float64)
-    y_mt = train.y_mt.astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = train.d
-    # packed [w_sp (d), w_mt (d), b_sp, b_mt], as in joint_loss_and_grad; the
+    # packed [w_sp (d), w_mt (d), b_sp, b_mt], as in joint_objective; the
     # small random init matters: when the two labels correlate strongly the
     # heads race for the same directions, and the systematic label-feature
     # asymmetry (not init noise) should decide near-ties
     theta = np.zeros(2 * d + 2)
     theta[:d] = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
     theta[d : 2 * d] = rng.normal(0.0, 0.1 / np.sqrt(d), size=d)
-
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad = joint_loss_and_grad(theta, X, y_sp, y_mt)
-        w = theta[: 2 * d]
-        grad[: 2 * d] += JOINT_RIDGE * w
-        return loss + 0.5 * JOINT_RIDGE * float(w @ w), grad
-
-    theta = lbfgs(objective, theta, "fit_joint_orthogonal")
+    fun = joint_objective(train.Z, train.y_sp, train.y_mt, JOINT_RIDGE)
+    theta = lbfgs(fun, theta, "fit_joint_orthogonal")
     w_sp, w_mt, (b_sp, b_mt) = theta[:d], theta[d : 2 * d], theta[2 * d :]
     s = float(w_sp @ w_sp) + PROJ_EPS
     w_mt_eff = w_mt - (float(w_sp @ w_mt) / s) * w_sp

@@ -149,6 +149,57 @@ def test_sweep_and_report(tmp_path, capsys):
     assert "Average" in text and "erm" in text
 
 
+_RESULTS_HEADER = ",".join(io_files.RESULTS_COLUMNS)
+_RESULTS_ROW = "erm,rho,0.5,0,90.0,80.0,70.0,60.0,60.0,75.0,75.0,0,0,12.5,,1"
+_FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
+
+
+@pytest.mark.parametrize("text,code,msg", [
+    pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n{_FAILED_ROW}\n", 0, "",
+                 id="good"),
+    pytest.param("method,x_value,x_name\nerm,0.5,rho\n", 3,
+                 ":1: missing columns seed, acc_g1, acc_g2, acc_g3, acc_g4, worst_group, "
+                 "average, macro_average, d_sp_hat, d_mt_hat, runtime_ms, error, "
+                 "schema_version", id="missing-columns"),
+    pytest.param("", 3, ": no runs", id="empty"),
+    pytest.param(f"{_RESULTS_HEADER}\n", 3, ": no runs", id="header-only"),
+    pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n"
+                 + _RESULTS_ROW.replace("0.5", "abc") + "\n", 3,
+                 ":3: x_value is not a number: 'abc'", id="bad-x-value"),
+    pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace("75.0,75.0", "nan,75.0") + "\n",
+                 3, ":2: non-finite value nan in average", id="nan-accuracy"),
+    pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace("90.0", "") + "\n", 3,
+                 ":2: acc_g1 is not a number: ''", id="empty-accuracy-without-error"),
+    pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace(",0,0,", ",1.5,0,") + "\n",
+                 3, ":2: d_sp_hat is not an integer: '1.5'", id="fractional-dimension"),
+    pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW},extra\n", 3,
+                 ":2: expected 16 fields, got 17", id="extra-field"),
+])
+def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
+    """A results CSV is checked against RESULTS_COLUMNS and its numeric fields
+    before the report: a bad file exits 3 naming file:line, an empty or
+    header-only one as having no runs."""
+    path = tmp_path / "results.csv"
+    path.write_text(text)
+    assert run_cli("report", "--results", str(path)) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: {path}{msg}\n" and captured.out == ""
+    else:
+        assert "Average" in captured.out and "75.00" in captured.out
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, value):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP_CFG)
+    out = tmp_path / "res"
+    assert run_cli("--workers", value, "--config", str(cfg_path), "--out", str(out),
+                   "sweep") == 2
+    assert f"--workers: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_determinism_modulo_runtime(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SWEEP_CFG)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jse import sgd
-from jse.data import LabeledEmbeddings
+from jse.data import LabeledEmbeddings, project_out
 from jse.sgd import (
     ARMIJO_C,
     BCE_EPS,
@@ -23,7 +23,7 @@ from jse.sgd import (
     fit_intercept_only,
     fit_joint_orthogonal,
     fit_logreg,
-    joint_loss_and_grad,
+    joint_objective,
     lbfgs,
     sigmoid,
 )
@@ -221,16 +221,16 @@ def test_gradient_check_against_finite_differences():
     y_sp = rng.integers(0, 2, n).astype(float)
     y_mt = rng.integers(0, 2, n).astype(float)
     h = 1e-5
+    fun = joint_objective(X, y_sp, y_mt, 0.0)
     for trial in range(20):
         params = rng.normal(0, 1.0, 2 * d + 2)
-        _, grad = joint_loss_and_grad(params, X, y_sp, y_mt)
+        _, grad = fun(params)
         num = np.empty_like(params)
         for i in range(len(params)):
             up, down = params.copy(), params.copy()
             up[i] += h
             down[i] -= h
-            num[i] = (joint_loss_and_grad(up, X, y_sp, y_mt)[0]
-                      - joint_loss_and_grad(down, X, y_sp, y_mt)[0]) / (2 * h)
+            num[i] = (fun(up)[0] - fun(down)[0]) / (2 * h)
         rel = np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12)
         assert rel <= 1e-4, f"trial {trial}: relative error {rel}"
 
@@ -277,9 +277,8 @@ def test_joint_fit_ends_at_stationary_point(toy_rho08):
     # the stored main-task weights are the projected ones: the same BCE, the
     # smallest ridge term, so the regularized objective is stationary there too
     theta = np.concatenate([sp.w, mt.w, [sp.b, mt.b]])
-    _, grad = joint_loss_and_grad(theta, train.Z, train.y_sp.astype(float),
-                                  train.y_mt.astype(float))
-    grad[: 2 * train.d] += JOINT_RIDGE * theta[: 2 * train.d]
+    _, grad = joint_objective(train.Z, train.y_sp.astype(float), train.y_mt.astype(float),
+                              JOINT_RIDGE)(theta)
     assert np.max(np.abs(grad)) < LBFGS_GTOL
 
 
@@ -459,12 +458,15 @@ def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
     return u, s, c, p_sp, p_mt
 
 
-def _oracle_lbfgs(fun, x):
-    """L-BFGS with the pairs in a plain list and every update a fresh array."""
+def _oracle_lbfgs(fun, x, stats=None):
+    """L-BFGS with the pairs in a plain list and every update a fresh array;
+    ``stats``, when given, receives the iteration count."""
     f, g = fun(x)
     pairs = []
-    for _ in range(LBFGS_MAX_ITER):
+    iters = 0
+    for iters in range(1, LBFGS_MAX_ITER + 1):
         if np.max(np.abs(g)) < LBFGS_GTOL:
+            iters -= 1
             break
         q, alphas = g, []
         for s, y in reversed(pairs):
@@ -486,18 +488,22 @@ def _oracle_lbfgs(fun, x):
         while f_new > f + ARMIJO_C * t * slope:
             t *= 0.5
             if t < 1e-10:
+                if stats is not None:
+                    stats["iters"] = iters
                 return x
             x_new = x - t * q
             f_new, g_new = fun(x_new)
         if float((x_new - x) @ (g_new - g)) > 1e-12:
             pairs = (pairs + [(x_new - x, g_new - g)])[-LBFGS_MEMORY:]
         x, f, g = x_new, f_new, g_new
+    if stats is not None:
+        stats["iters"] = iters
     return x
 
 
-def _oracle_joint(train, seed, ridge):
-    X, n, d = train.Z, train.n, train.d
-    y_sp, y_mt = train.y_sp.astype(np.float64), train.y_mt.astype(np.float64)
+def _oracle_joint_fun(X, y_sp, y_mt, ridge):
+    """The joint objective with each head evaluated on its own arrays."""
+    n, d = X.shape
 
     def fun(theta):
         w_sp, w_mt, b_sp, b_mt = theta[:d], theta[d : 2 * d], theta[2 * d], theta[2 * d + 1]
@@ -514,10 +520,27 @@ def _oracle_joint(train, seed, ridge):
                                [float(np.sum(r_sp)), float(np.sum(r_mt))]])
         return loss + 0.5 * ridge * float(w @ w), grad
 
+    return fun
+
+
+def _oracle_joint(train, seed, ridge, stats=None):
+    """The joint fit by the oracle; ``stats``, when given, receives the
+    objective evaluations and L-BFGS iterations."""
+    d = train.d
+    fun = _oracle_joint_fun(train.Z, train.y_sp.astype(np.float64),
+                            train.y_mt.astype(np.float64), ridge)
+    evals = [0]
+
+    def counted(theta):
+        evals[0] += 1
+        return fun(theta)
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     init = np.concatenate([rng.normal(0.0, 0.1 / np.sqrt(d), size=d),
                            rng.normal(0.0, 0.1 / np.sqrt(d), size=d), [0.0, 0.0]])
-    theta = _oracle_lbfgs(fun, init)
+    theta = _oracle_lbfgs(counted, init, stats)
+    if stats is not None:
+        stats["evals"] = evals[0]
     w_sp, w_mt, b_sp, b_mt = theta[:d], theta[d : 2 * d], theta[2 * d], theta[2 * d + 1]
     s = float(w_sp @ w_sp) + PROJ_EPS
     return w_sp, b_sp, w_mt - (float(w_sp @ w_mt) / s) * w_sp, b_mt
@@ -553,6 +576,108 @@ def test_fit_joint_bit_identical_to_oracle(ragged_toy, monkeypatch, mode, wd, me
         assert _oracle_score(metric, p, y) < _oracle_score(metric, chance, y)
 
 
+# odd n, n below the 2d + 2 parameters, and theta scales from nearly zero to
+# saturated heads (clipped BCE)
+@pytest.mark.parametrize("n,d", [(37, 6), (13, 6), (601, 7), (999, 13), (1600, 20)])
+@pytest.mark.parametrize("ridge", [0.0, JOINT_RIDGE])
+def test_joint_objective_bit_identical_to_oracle(n, d, ridge):
+    rng = np.random.default_rng(n * d)
+    X = rng.standard_normal((n, d))
+    y_sp = rng.integers(0, 2, n).astype(np.float64)
+    y_mt = rng.integers(0, 2, n).astype(np.float64)
+    fun = joint_objective(X, y_sp, y_mt, ridge)
+    want = _oracle_joint_fun(X, y_sp, y_mt, ridge)
+    prev = None
+    for scale in (0.01, 0.1, 1.0, 3.0, 30.0):
+        for _ in range(6):
+            theta = rng.normal(0.0, scale, 2 * d + 2)
+            f, g = fun(theta)
+            f0, g0 = want(theta)
+            assert f == f0 and g.dtype == g0.dtype and g.tobytes() == g0.tobytes()
+            # lbfgs keeps a returned gradient across its line search
+            if prev is not None:
+                assert prev[0].tobytes() == prev[1]
+            prev = (g, g0.tobytes())
+
+
+@pytest.fixture(scope="module")
+def projected_rho0():
+    """The data of jse's second outer step: a rho = 0 split with the unit
+    direction of a first joint fit projected out (rank d - 1). Fits here take
+    far more evaluations than on the full split."""
+    train, _ = gen_toy(ToyConfig(n=1001, d=20, rho=0.0, seed=2))
+    w_sp = _oracle_joint(train, 1, JOINT_RIDGE)[0]
+    data = train.with_Z(project_out(train.Z, (w_sp / np.linalg.norm(w_sp))[:, None]))
+    assert np.linalg.matrix_rank(data.Z) == data.d - 1
+    return data
+
+
+# seed 0 converges after 83 iterations; seed 1 stops at the iteration cap
+@pytest.mark.parametrize("seed,capped", [(0, False), (1, True)])
+def test_fit_joint_bit_identical_on_rank_deficient_data(projected_rho0, seed, capped):
+    stats = {}
+    sp, mt = fit_joint_orthogonal(projected_rho0, seed)
+    w_sp, b_sp, w_mt, b_mt = _oracle_joint(projected_rho0, seed, JOINT_RIDGE, stats)
+    assert np.array_equal(sp.w, w_sp) and sp.b == b_sp
+    assert np.array_equal(mt.w, w_mt) and mt.b == b_mt
+    assert stats["evals"] > stats["iters"] + 1  # the line search backtracked
+    assert (stats["iters"] == LBFGS_MAX_ITER) == capped
+
+
+def _oracle_newton_logreg(X, y, ridge=1e-6, max_iter=50):
+    """IRLS with fresh arrays for every intermediate, numpy's mean and the
+    masked sigmoid."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(max_iter):
+        p = _masked_sigmoid(X @ w + b)
+        r = p - y
+        g = np.concatenate([X.T @ r / n + ridge * w, [float(np.mean(r))]])
+        s = np.maximum(p * (1 - p), 1e-12)
+        Xs = X * s[:, None]
+        H = np.empty((d + 1, d + 1))
+        H[:d, :d] = X.T @ Xs / n + ridge * np.eye(d)
+        H[:d, d] = H[d, :d] = Xs.mean(axis=0)
+        H[d, d] = float(np.mean(s))
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            break
+        nrm = float(np.max(np.abs(step)))
+        if nrm > 10.0:
+            step *= 10.0 / nrm
+        w -= step[:d]
+        b -= float(step[d])
+        if nrm < 1e-9:
+            break
+    return w, b
+
+
+# d = 1 is a 1-d fit on a projected feature (the separable one takes steps
+# cut back to length 10), d = 3 stops at its iteration cap, d = 20 is RLACE's
+# probe after removing a rank-2 subspace
+@pytest.mark.parametrize("case", ["1d", "1d-separable", "3d", "probe-20d"])
+def test_newton_logreg_bit_identical_to_oracle(toy_rho08, case):
+    _, train, _, _ = toy_rho08
+    X, y = train.Z, train.y_sp.astype(np.float64)
+    kwargs = {}
+    if case == "1d":
+        v = np.full(train.d, 1.0 / np.sqrt(train.d))
+        X = (X @ v)[:, None]
+    elif case == "1d-separable":
+        X = X[:, :1]
+        y = (X[:, 0] > 0).astype(np.float64)
+    elif case == "3d":
+        X, kwargs = X[:, 1:4], {"ridge": 1e-2, "max_iter": 7}
+    else:
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((train.d, 2)))[0]
+        X = X @ (np.eye(train.d) - Q @ Q.T)
+    w, b = _newton_logreg(X, y, **kwargs)
+    w0, b0 = _oracle_newton_logreg(X, y, **kwargs)
+    assert w.tobytes() == w0.tobytes() and b == b0
+
+
 # --- sigmoid ------------------------------------------------------------------
 
 _FLOATS = st.one_of(
@@ -570,6 +695,17 @@ def test_sigmoid_bitwise_equals_masked_formula(x):
     assert np.shape(got) == x.shape
     assert np.asarray(got).dtype == np.float64
     assert np.asarray(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=9),
+                  elements=st.floats(width=32, allow_nan=False)))
+def test_sigmoid_float32_input_gives_float64_of_the_cast(x):
+    """Narrower input is computed and returned in float64: the result is the
+    float64 formula on ``x.astype(float64)``."""
+    got = np.asarray(sigmoid(x))
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == _masked_sigmoid(x.astype(np.float64)).tobytes()
 
 
 def test_sigmoid_propagates_nan_and_keeps_shape():
