@@ -461,13 +461,14 @@ def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
 def _oracle_lbfgs(fun, x, stats=None):
     """L-BFGS with the pairs in a plain list and every update a fresh array;
     ``stats``, when given, receives the iteration count."""
+    stats = {} if stats is None else stats
+    stats["iters"] = 0
     f, g = fun(x)
     pairs = []
-    iters = 0
-    for iters in range(1, LBFGS_MAX_ITER + 1):
+    for _ in range(LBFGS_MAX_ITER):
         if np.max(np.abs(g)) < LBFGS_GTOL:
-            iters -= 1
             break
+        stats["iters"] += 1
         q, alphas = g, []
         for s, y in reversed(pairs):
             alphas.append((1.0 / float(s @ y)) * (s @ q))
@@ -488,16 +489,12 @@ def _oracle_lbfgs(fun, x, stats=None):
         while f_new > f + ARMIJO_C * t * slope:
             t *= 0.5
             if t < 1e-10:
-                if stats is not None:
-                    stats["iters"] = iters
                 return x
             x_new = x - t * q
             f_new, g_new = fun(x_new)
         if float((x_new - x) @ (g_new - g)) > 1e-12:
             pairs = (pairs + [(x_new - x, g_new - g)])[-LBFGS_MEMORY:]
         x, f, g = x_new, f_new, g_new
-    if stats is not None:
-        stats["iters"] = iters
     return x
 
 
