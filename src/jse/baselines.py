@@ -28,6 +28,15 @@ holds only while nothing else draws from that generator inside the loop: the
 probe and the span solve take no randomness, and a new random draw there
 needs a generator of its own. ``tests/test_rlace.py`` checks the fit bit for
 bit against the one-draw-per-step loop.
+
+The step's arrays are small (a 128 x 20 batch), so its time goes to the
+wrappers of its numpy calls, not to arithmetic. It gathers each batch
+with ``X.take(idx, axis=0)`` rather than ``X[idx]``, computes every matrix
+product with ``np.dot`` rather than ``@`` (the same BLAS routine, so the same
+bits, behind a cheaper wrapper; for k = 1 ``@`` also takes a slow non-BLAS
+path on the (n, 1) x (1, d) product), and sums with ``np.add.reduce``. The
+probe and the span solve run once per interval or call LAPACK directly,
+and keep ``@``.
 """
 
 from __future__ import annotations
@@ -204,6 +213,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
         wp, bp = _newton_logreg(X @ P, y)
         return float(np.mean((sigmoid((val.Z @ P) @ wp + bp) >= 0.5) == val.y_sp))
 
+    lr, mom, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
     while it < cfg.max_iters:
         # one draw for the batches of every step up to the next probe; nothing
         # else draws from rng in this loop (see the module docstring)
@@ -211,20 +221,19 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
         batches = rng.integers(0, n, size=(chunk, bs))
         y_batches = y[batches]
         for idx, yb in zip(batches, y_batches):
-            Xb = X[idx]
-            # np.dot, not @: for k = 1 the matmul operator takes a slow non-BLAS path
-            Xp = Xb - np.dot(Xb @ U, U.T)
+            Xb = X.take(idx, axis=0)  # take and np.dot: see the module docstring
+            Xp = Xb - np.dot(np.dot(Xb, U), U.T)
 
             # classifier step: descend the BCE
-            r = (sigmoid(Xp @ w + b) - yb) / bs
-            gw = Xp.T @ r
-            if cfg.weight_decay:
-                gw += cfg.weight_decay * w
-            vw *= cfg.momentum
+            r = (sigmoid(np.dot(Xp, w) + b) - yb) / bs
+            gw = np.dot(Xp.T, r)
+            if wd:
+                gw += wd * w
+            vw *= mom
             vw += gw
-            vb = cfg.momentum * vb + float(r.sum())
-            w -= cfg.learning_rate * vw
-            b -= cfg.learning_rate * vb
+            vb = mom * vb + float(np.add.reduce(r))
+            w -= lr * vw
+            b -= lr * vb
 
             # adversary step on the symmetric removal matrix, then truncate back to
             # a hard rank-k projection; the BCE gradient w.r.t. M = U U^T is
@@ -232,8 +241,8 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
             # The stepped matrix lies on span[U, g, w], so its top k come from a
             # (k+2)-square eigenproblem (d x d only if they reach its null space);
             # U has not moved since the classifier step, so Xp is still current
-            r = (sigmoid(Xp @ w + b) - yb) / bs
-            U = adversary_top_k(U, Xb.T @ r, w)
+            r = (sigmoid(np.dot(Xp, w) + b) - yb) / bs
+            U = adversary_top_k(U, np.dot(Xb.T, r), w)
         it += chunk
 
         if it % cfg.eval_every == 0:

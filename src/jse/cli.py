@@ -173,10 +173,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .io_files import format_report, read_results_csv
+    from .io_files import DataFormatError, format_report, read_results_csv
 
     rows = read_results_csv(args.results)
     ok = [r for r in rows if not r.get("error")]
+    if not ok:
+        raise DataFormatError(f"{args.results}: no successful runs")
     print(format_report(ok), end="")
     return EXIT_OK
 

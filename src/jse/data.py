@@ -33,11 +33,17 @@ def make_group_ids(y_mt: np.ndarray, y_sp: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"label length mismatch: y_mt has shape {y_mt.shape}, y_sp has shape {y_sp.shape}"
         )
-    for name, y in (("y_mt", y_mt), ("y_sp", y_sp)):
-        if not np.isin(y, (0, 1)).all():
-            bad = y[~np.isin(y, (0, 1))][0]
-            raise ValueError(f"non-binary entry {bad!r} in {name}")
-    return (1 + 2 * y_mt.astype(np.int64) + y_sp.astype(np.int64)).astype(np.int64)
+    return 1 + 2 * _binary_labels(y_mt, "y_mt") + _binary_labels(y_sp, "y_sp")
+
+
+def _binary_labels(y, name: str) -> np.ndarray:
+    """``y`` as int64, after checking that every entry equals 0 or 1: the check
+    comes before the cast, so 0.5 or NaN is rejected, not truncated."""
+    y = np.asarray(y)
+    ok = (y == 0) | (y == 1)
+    if not ok.all():
+        raise ValueError(f"non-binary entry {y[~ok][0].item()!r} in {name}")
+    return np.asarray(y, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -51,11 +57,11 @@ class LabeledEmbeddings:
 
     def __post_init__(self) -> None:
         Z = _embedding_matrix(self.Z)
-        y_mt = np.asarray(self.y_mt, dtype=np.int64)
-        y_sp = np.asarray(self.y_sp, dtype=np.int64)
-        if len(y_mt) != Z.shape[0] or len(y_sp) != Z.shape[0]:
+        y_mt = _binary_labels(self.y_mt, "y_mt")
+        y_sp = _binary_labels(self.y_sp, "y_sp")
+        if y_mt.shape != (Z.shape[0],) or y_sp.shape != (Z.shape[0],):
             raise ValueError("labels must match the number of rows of Z")
-        group = make_group_ids(y_mt, y_sp)
+        group = 1 + 2 * y_mt + y_sp  # make_group_ids' encoding, on checked labels
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "y_mt", y_mt)
         object.__setattr__(self, "y_sp", y_sp)

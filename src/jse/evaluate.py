@@ -224,7 +224,6 @@ class CellAggregate:
     method: str
     x_name: str
     x_value: float
-    n_failed: int
     mean: dict  # metric -> mean over successful seeds
     se: dict  # metric -> standard error (None with a single run)
 
@@ -266,7 +265,7 @@ def aggregate_cell(
         se[m] = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else None
     mean["d_sp_hat"] = float(np.mean([r.d_sp_hat for r in ok])) if ok else float("nan")
     se["d_sp_hat"] = None
-    return CellAggregate(method, x_name, x_value, n_failed, mean, se)
+    return CellAggregate(method, x_name, x_value, mean, se)
 
 
 def run_sweep(

@@ -31,12 +31,27 @@ the training rows in that order once, and slices consecutive batches from
 the gathered copy. The last uniform batch is ragged when ``batch_size`` does
 not divide ``n``.
 
+The balanced draw is ``Generator.choice(n, size, replace=True, p=probs)``
+without its per-call cost: choice checks ``p`` and builds its CDF on every
+call, about a third of its time at n = 1600. ``fit_logreg`` builds
+the CDF once per fit the way choice builds it (``cdf = p.cumsum(); cdf /=
+cdf[-1]``, so it ends at exactly 1.0) and each epoch takes
+``cdf.searchsorted(rng.random(size), side="right")``: choice's own inverse-CDF
+step, reading the same uniform draws from the generator.
+``tests/test_sgd.py`` checks the CDF and every epoch's order against
+``choice`` itself, so a numpy release that changes ``choice`` fails there.
+
 The arrays are small, so the time of the hot loops goes to Python's dispatch
 of numpy calls and to temporaries, not to arithmetic. The loops are written
 for few numpy calls and few allocations per step:
 
 * ``fit_logreg`` and RLACE's classifier step update in place and reuse
-  their batch buffers.
+  their batch buffers. They gather rows with ``take`` (``X[idx]`` costs
+  about three times as much on a 128-row batch) and compute every product
+  with ``np.dot``, whose wrapper costs less than the ``@`` gufunc's on these
+  shapes; both reach the same BLAS routine here, and the oracles below
+  check that the bits are the same.
+  Their loop constants are read into locals once per fit.
 * ``joint_objective`` is built once per fit. It stacks the two heads'
   logits in one (2, n) array, so ``sigmoid``, ``bce`` and the residual run
   once for both heads, and per-head sums are ``np.add.reduce(., axis=1)``.
@@ -46,8 +61,8 @@ for few numpy calls and few allocations per step:
 * ``lbfgs`` runs its two-loop recursion and its max-|g| test in two
   preallocated vectors; ``_newton_logreg`` fills a preallocated gradient
   and Hessian and hoists ``ridge * I`` out of its loop.
-* Scalars are Python floats or 0-d float64 arrays, and ``np.add.reduce(x) /
-  n`` stands for ``np.mean``.
+* Scalars are Python floats or 0-d float64 arrays, and ``np.add.reduce(x)``
+  stands for ``x.sum()`` (and ``np.add.reduce(x) / n`` for ``np.mean``).
 
 Their outputs are bit-identical to the plain formulation (index batches, a
 masked sigmoid, each head evaluated separately, fresh arrays on every
@@ -177,17 +192,19 @@ def fit_intercept_only(train: LabeledEmbeddings, target: str) -> LinearModel:
 
 
 def _epoch_order(
-    rng: np.random.Generator, n: int, batch_size: int, probs: np.ndarray | None
+    rng: np.random.Generator, n: int, batch_size: int, cdf: np.ndarray | None
 ) -> np.ndarray:
     """Row order of one epoch; batch i is ``order[i * batch_size : (i + 1) * batch_size]``.
 
-    Uniform mode shuffles without replacement; balanced modes draw every batch
-    with replacement under the given sampling probabilities.
+    Uniform mode (``cdf`` None) shuffles without replacement; balanced modes
+    draw every batch with replacement by inverting the sampling CDF, which is
+    ``Generator.choice(n, size, replace=True, p=probs)`` without rebuilding
+    the CDF on every call (see the module docstring).
     """
-    if probs is None:
+    if cdf is None:
         return rng.permutation(n)
     n_batches = (n + batch_size - 1) // batch_size
-    return rng.choice(n, size=n_batches * batch_size, replace=True, p=probs)
+    return cdf.searchsorted(rng.random(n_batches * batch_size), side="right")
 
 
 def _sampling_probs(data: LabeledEmbeddings, target: str, mode: str) -> np.ndarray | None:
@@ -225,13 +242,17 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     X, Xval = train.Z, val.Z
     yval = val.labels(target).astype(np.float64)
     probs = _sampling_probs(train, target, cfg.balance_sampling)
+    cdf = None
+    if probs is not None:  # built as Generator.choice builds it
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     w = np.zeros(train.d)
     b = 0.0
     vw = np.zeros(train.d)
     vb = 0.0
-    bs = cfg.batch_size
+    bs, lr, mom, wd = cfg.batch_size, cfg.learning_rate, cfg.momentum, cfg.weight_decay
     # every epoch's order has the same length (n, or whole batches when
     # balanced), so its rows are gathered into one buffer reused across epochs;
     # mode="clip" skips take's bounds-check copy, and the order is always in range
@@ -240,21 +261,21 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     # the best post-epoch snapshot, ties keeping the earliest epoch
     best, best_score, since = None, np.inf, 0
     for epoch in range(1, cfg.max_epochs + 1):
-        order = _epoch_order(rng, train.n, bs, probs)
+        order = _epoch_order(rng, train.n, bs, cdf)
         np.take(X, order, axis=0, out=Xo, mode="clip")
         np.take(y, order, out=yo, mode="clip")
         for i in range(0, rows, bs):
             Xb, yb = Xo[i : i + bs], yo[i : i + bs]
             nb = len(yb)
-            r = sigmoid(Xb @ w + b) - yb
-            gw = Xb.T @ r / nb
-            if cfg.weight_decay:
-                gw += cfg.weight_decay * w
-            vw *= cfg.momentum
+            r = sigmoid(np.dot(Xb, w) + b) - yb
+            gw = np.dot(Xb.T, r) / nb
+            if wd:
+                gw += wd * w
+            vw *= mom
             vw += gw
-            vb = cfg.momentum * vb + float(r.sum() / nb)
-            w -= cfg.learning_rate * vw
-            b -= cfg.learning_rate * vb
+            vb = mom * vb + float(np.add.reduce(r) / nb)
+            w -= lr * vw
+            b -= lr * vb
         # a finite earlier snapshot must not hide a divergence
         if not (np.isfinite(w).all() and np.isfinite(b)):
             raise FloatingPointError(f"fit_logreg: non-finite parameters after epoch {epoch}")

@@ -163,6 +163,8 @@ _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
                  "schema_version", id="missing-columns"),
     pytest.param("", 3, ": no runs", id="empty"),
     pytest.param(f"{_RESULTS_HEADER}\n", 3, ": no runs", id="header-only"),
+    pytest.param(f"{_RESULTS_HEADER}\n{_FAILED_ROW}\n", 3, ": no successful runs",
+                 id="every-run-failed"),
     pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n"
                  + _RESULTS_ROW.replace("0.5", "abc") + "\n", 3,
                  ":3: x_value is not a number: 'abc'", id="bad-x-value"),
@@ -178,7 +180,8 @@ _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
 def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
     """A results CSV is checked against RESULTS_COLUMNS and its numeric fields
     before the report: a bad file exits 3 naming file:line, an empty or
-    header-only one as having no runs."""
+    header-only one as having no runs, and one whose every run failed as
+    having no successful runs."""
     path = tmp_path / "results.csv"
     path.write_text(text)
     assert run_cli("report", "--results", str(path)) == code

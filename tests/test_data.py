@@ -58,6 +58,36 @@ def test_labeled_embeddings_validation():
     assert data.n == 2 and data.d == 2
 
 
+@pytest.mark.parametrize("y_mt,y_sp,msg", [
+    ([0.5, 1.0, 1.7], [0, 1, 0], "non-binary entry 0.5 in y_mt"),
+    ([1.0, 0.0, 1.7], [0, 1, 0], "non-binary entry 1.7 in y_mt"),
+    ([np.nan, 0, 1], [0, 1, 0], "non-binary entry nan in y_mt"),
+    ([0, 1, 0], [0, 1, np.inf], "non-binary entry inf in y_sp"),
+    ([0, 1, 0], [0, 2, 1], "non-binary entry 2 in y_sp"),
+    ([0, -1, 0], [0, 1, 1], "non-binary entry -1 in y_mt"),
+    (["0", "1", "1"], [0, 1, 0], "non-binary entry '0' in y_mt"),
+])
+def test_labeled_embeddings_rejects_non_binary_labels(y_mt, y_sp, msg):
+    """Labels are checked before the int64 cast, so 0.5 or NaN is an error that
+    names the field, not a truncated label."""
+    with pytest.raises(ValueError) as exc:
+        LabeledEmbeddings(np.zeros((3, 2)), y_mt, y_sp)
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("y_mt,y_sp", [
+    ([0.0, 1.0, 1.0], [1.0, 0.0, 1.0]),
+    ([False, True, True], [True, False, True]),
+    (np.array([0, 1, 1], dtype=np.uint8), np.array([1, 0, 1], dtype=np.int32)),
+])
+def test_labeled_embeddings_casts_binary_labels_to_int64(y_mt, y_sp):
+    data = LabeledEmbeddings(np.zeros((3, 2)), y_mt, y_sp)
+    for y in (data.y_mt, data.y_sp, data.group):
+        assert y.dtype == np.int64
+    assert data.y_mt.tolist() == [0, 1, 1] and data.y_sp.tolist() == [1, 0, 1]
+    assert data.group.tolist() == [2, 3, 4]
+
+
 def test_with_Z_equals_a_fresh_instance_bit_for_bit():
     rng = np.random.default_rng(5)
     data = LabeledEmbeddings(rng.standard_normal((30, 4)), rng.integers(0, 2, 30),

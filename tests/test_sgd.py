@@ -449,6 +449,58 @@ def test_fit_logreg_early_stopping_keeps_earliest_best_epoch(ragged_toy, monkeyp
     assert np.array_equal(m.w, best.w) and m.b == best.b
 
 
+def _skewed_split():
+    # 250 rows, 26 in the last batch of 32; about one row in five has y_mt = 1
+    rng = np.random.default_rng(11)
+    data = LabeledEmbeddings(rng.standard_normal((250, 4)), rng.random(250) < 0.2,
+                             rng.random(250) < 0.6)
+    return data, data
+
+
+@pytest.mark.parametrize("mode", ["class-balanced", "group-balanced"])
+@pytest.mark.parametrize("split,batch_size", [("ragged_toy", 128), ("skewed", 32)])
+@pytest.mark.parametrize("seed", [0, 4, 2023])
+def test_balanced_epoch_order_equals_generator_choice(request, monkeypatch, mode, split,
+                                                      batch_size, seed):
+    """fit_logreg inverts a CDF it builds once per fit; every epoch's order must
+    be what ``Generator.choice`` draws from the same generator with the
+    sampling probabilities, bit for bit, epoch after epoch. A numpy release
+    whose ``choice`` draws differently fails here.
+
+    A CDF that differs from choice's by an ulp would change a draw only once
+    in ~1e14, so the CDF is also checked: it is the one choice builds
+    (``cdf = p.cumsum(); cdf /= cdf[-1]``), which ends at exactly 1.0 and so
+    maps every uniform draw in [0, 1) to a row."""
+    train, val = request.getfixturevalue("ragged_toy") if split == "ragged_toy" else _skewed_split()
+    assert train.n % batch_size
+    orders, cdfs = [], []
+    epoch_order = sgd._epoch_order
+
+    def spy(rng, n, bs, cdf):
+        cdfs.append(cdf)
+        orders.append(epoch_order(rng, n, bs, cdf))
+        return orders[-1]
+
+    monkeypatch.setattr(sgd, "_epoch_order", spy)
+    monkeypatch.setattr(sgd, "_val_score", lambda p, y: 0.0)  # never improves: no early stop
+    cfg = OptimizerConfig(batch_size=batch_size, max_epochs=24, early_stop_patience=24,
+                          balance_sampling=mode)
+    fit_logreg(train, "mt", val, cfg, seed)
+    assert len(orders) == 24
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    probs = _sampling_probs(train, "mt", mode)
+    assert len(np.unique(probs)) > 1  # the probabilities are not uniform
+    want_cdf = probs.cumsum()
+    want_cdf /= want_cdf[-1]
+    assert all(cdf is cdfs[0] for cdf in cdfs)  # built once per fit
+    assert cdfs[0][-1] == 1.0 and np.array_equal(cdfs[0], want_cdf)
+    size = -(-train.n // batch_size) * batch_size
+    for order in orders:
+        want = rng.choice(train.n, size=size, replace=True, p=probs)
+        assert order.dtype == want.dtype and np.array_equal(order, want)
+
+
 def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
     u = X @ w_sp
     s = float(w_sp @ w_sp) + PROJ_EPS
