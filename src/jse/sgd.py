@@ -197,9 +197,8 @@ def _epoch_order(
     """Row order of one epoch; batch i is ``order[i * batch_size : (i + 1) * batch_size]``.
 
     Uniform mode (``cdf`` None) shuffles without replacement; balanced modes
-    draw every batch with replacement by inverting the sampling CDF, which is
-    ``Generator.choice(n, size, replace=True, p=probs)`` without rebuilding
-    the CDF on every call (see the module docstring).
+    draw every batch with replacement by inverting the sampling CDF, as
+    ``Generator.choice`` does (see the module docstring).
     """
     if cdf is None:
         return rng.permutation(n)
