@@ -29,7 +29,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--config", default=None, help="config file (key = value sections)")
-    p.add_argument("--workers", type=_worker_count, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel worker processes (at least 1)")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--train", required=True)
     f.add_argument("--val", required=True)
     f.add_argument("--artifact", default=None, help="output path (default <out>/<method>.artifact)")
-    f.add_argument("--pca", type=int, default=None, metavar="K",
+    f.add_argument("--pca", type=_positive_int, default=None, metavar="K",
                    help="reduce to K dims with train-fitted PCA (includes demeaning)")
 
     t = sub.add_parser("transform", help="apply a fitted artifact to embeddings")

@@ -162,7 +162,8 @@ def build_experiment(
     The sweep's ``seeds`` and ``base_seed`` start from the experiment's (the
     ``base`` config, then ``[experiment]``); ``[sweep]`` overrides them. The
     ``[toy]`` field named by the sweep's ``x_name`` is set by each run's x
-    value, so setting it in ``[toy]`` is an error.
+    value, so setting it in ``[toy]`` is an error, and an x value the
+    ``ToyConfig`` rejects is one here.
     """
     cfg = base or ExperimentConfig(method="jse")
     for section, paths in TARGETS.items():
@@ -176,6 +177,11 @@ def build_experiment(
     if sweep.x_name in sections.get("toy", {}):
         raise ConfigError(f"[toy] {sweep.x_name}: set by the sweep's x values "
                           f"([sweep] x_name = {sweep.x_name}), not by the config")
+    for x in sweep.x_values:  # each run sets its x value on the [toy] config
+        try:
+            replace(cfg.toy, **{sweep.x_name: x})
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] x_values: {sweep.x_name} = {x}: {exc}") from exc
     cfg = replace(cfg, seeds=sweep.seeds, base_seed=sweep.base_seed)
     return cfg, sweep
 

@@ -89,6 +89,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.test_n is not None and self.test_n < 1:
+            raise ValueError(f"test_n must be >= 1 or none, got {self.test_n}")
 
 
 @dataclass(frozen=True)

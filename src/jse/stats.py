@@ -119,9 +119,6 @@ class EmptyGroupError(ValueError):
 class WeightedDiff:
     d_bar_w: float
     var_hat: float
-    group_means: np.ndarray
-    group_vars: np.ndarray
-    group_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def weighted_diff(d: np.ndarray, group: np.ndarray) -> WeightedDiff:
         counts[g - 1] = len(dg)
     d_bar_w = float(means.mean())
     var_hat = float(np.sum(variances / counts) / 16.0)
-    return WeightedDiff(d_bar_w, var_hat, means, variances, counts)
+    return WeightedDiff(d_bar_w, var_hat)
 
 
 def simple_diff(d: np.ndarray) -> WeightedDiff:
@@ -180,14 +177,7 @@ def simple_diff(d: np.ndarray) -> WeightedDiff:
     d = np.asarray(d, dtype=np.float64)
     if len(d) < 2:
         raise EmptyGroupError("need at least 2 samples")
-    fill = np.full(4, np.nan)
-    return WeightedDiff(
-        float(d.mean()),
-        float(d.var(ddof=1) / len(d)),
-        fill,
-        fill,
-        np.array([len(d), 0, 0, 0]),
-    )
+    return WeightedDiff(float(d.mean()), float(d.var(ddof=1) / len(d)))
 
 
 def _t_statistic(wd: WeightedDiff, delta: float, scale: str) -> float:

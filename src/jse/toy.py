@@ -42,6 +42,8 @@ class ToyConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= abs(self.rho) < 1.0):
             raise ValueError("|rho| must be < 1")
+        if self.n < 2:  # the train/val split needs a row on each side
+            raise ValueError(f"n must be >= 2, got {self.n}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if not (0.0 < self.split_fraction < 1.0):
@@ -92,6 +94,8 @@ def gen_toy_test(cfg: ToyConfig, n: int | None = None) -> LabeledEmbeddings:
 
     Size defaults to cfg.n (the test set scales with the training draw).
     """
+    if n is not None and n < 1:
+        raise ValueError(f"test set size must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     test_cfg = replace(cfg, rho=0.0)
     return _draw(test_cfg, cfg.n if n is None else n, 0.0, rng)

@@ -192,14 +192,43 @@ def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
         assert "Average" in captured.out and "75.00" in captured.out
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_workers_below_one_is_a_usage_error(tmp_path, capsys, value):
+# --pca above min(n, d) depends on the data, so it stays a data error (exit 3)
+@pytest.mark.parametrize("flag,value", [
+    *(pytest.param("--workers", v, id=v) for v in ("0", "-1", "two")),
+    *(pytest.param("--pca", v, id=f"pca{v}") for v in ("0", "-1")),
+])
+def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, value):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SWEEP_CFG)
     out = tmp_path / "res"
-    assert run_cli("--workers", value, "--config", str(cfg_path), "--out", str(out),
-                   "sweep") == 2
-    assert f"--workers: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+    if flag == "--workers":
+        argv = ["--workers", value, "--config", str(cfg_path), "--out", str(out), "sweep"]
+    else:
+        argv = ["--out", str(out), "fit", "--method", "erm", "--pca", value,
+                "--train", str(toy_files / "toy_train.csv"),
+                "--val", str(toy_files / "toy_val.csv")]
+    assert run_cli(*argv) == 2
+    assert f"{flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sizes below what one run can split or test on: exit 3 naming the value,
+# before any file is written
+@pytest.mark.parametrize("command,cfg_text,msg", [
+    ("gen-toy --n 1", "", "error: n must be >= 2, got 1\n"),
+    ("gen-toy --test-n 0", "", "error: test set size must be >= 1, got 0\n"),
+    ("sweep", "[sweep]\nmethods = erm\nx_name = n\nx_values = 1, 200\n",
+     "error: [sweep] x_values: n = 1.0: n must be >= 2, got 1.0\n"),
+    ("sweep", "[sweep]\nmethods = erm\n[toy]\nn = 1\n", "error: [toy] n: n must be >= 2, got 1\n"),
+    ("sweep", "[sweep]\nmethods = erm\n[experiment]\ntest_n = 0\n",
+     "error: [experiment] test_n: test_n must be >= 1 or none, got 0\n"),
+], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n", "toy-n", "experiment-test-n"])
+def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_text, msg):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert run_cli("--config", str(cfg_path), "--out", str(out), *shlex.split(command)) == 3
+    assert capsys.readouterr().err == msg
     assert not out.exists()
 
 

@@ -197,6 +197,9 @@ BAD_VALUES = [
     ("sweep", "seeds", "abc", "sweep"),
     ("sweep", "methods", ",", "sweep"),
     ("sweep", "x_values", "0.5, high", "sweep"),
+    ("sweep", "x_values", "0.0, 1.5", "sweep"),  # rho 1.5, checked at load
+    ("toy", "n", "1", "sweep"),
+    ("experiment", "test_n", "0", "sweep"),
     ("optimizer", "max_epochs", "3", "sweep"),  # below the default patience 5
     ("optimizer", "momentum", "1.5", "sweep"),
     ("downstream.optimizer", "momentum", "-0.1", "sweep"),
@@ -307,13 +310,30 @@ def test_ignored_key_exits_3_naming_it(tmp_path, capsys, section, key, value):
     ("n", "n", 300, False), ("angle_deg", "angle_deg", 60, False), ("n", "rho", 0.5, True),
 ])
 def test_toy_key_named_by_x_name_is_rejected(x_name, key, value, ok):
-    lines = ["[toy]", f"{key} = {value}", "[sweep]", f"x_name = {x_name}"]
+    # x value 60 is in range for both n and angle_deg
+    lines = ["[toy]", f"{key} = {value}", "[sweep]", f"x_name = {x_name}", "x_values = 60"]
     if ok:
         cfg, _ = build_experiment(parse_config_lines(lines))
         assert getattr(cfg.toy, key) == value
     else:
         with pytest.raises(ConfigError, match=rf"^\[toy\] {key}: set by the sweep's x values"):
             build_experiment(parse_config_lines(lines))
+
+
+# (x_name, x values with one out of the ToyConfig's range, the message, the
+# x values without it)
+@pytest.mark.parametrize("x_name,bad,msg,good", [
+    ("rho", "0.0, 1.5", "rho = 1.5: |rho| must be < 1", "0.0"),
+    ("n", "1, 200", "n = 1.0: n must be >= 2, got 1.0", "200"),
+    ("angle_deg", "45, 0", "angle_deg = 0.0: angle_deg must be in (0, 90]", "45"),
+], ids=["rho", "n", "angle_deg"])
+def test_x_values_are_checked_against_the_toy_config(x_name, bad, msg, good):
+    lines = ["[sweep]", f"x_name = {x_name}"]
+    with pytest.raises(ConfigError) as err:
+        build_experiment(parse_config_lines([*lines, f"x_values = {bad}"]))
+    assert str(err.value) == f"[sweep] x_values: {msg}"
+    _, sweep = build_experiment(parse_config_lines([*lines, f"x_values = {good}"]))
+    assert sweep.x_values == [float(good)]
 
 
 def test_unknown_sweep_key():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jse import sgd
-from jse.data import LabeledEmbeddings, project_out
+from jse.data import LabeledEmbeddings, normalize_against, project_out
 from jse.sgd import (
     ARMIJO_C,
     BCE_EPS,
@@ -652,25 +652,47 @@ def test_joint_objective_bit_identical_to_oracle(n, d, ridge):
 @pytest.fixture(scope="module")
 def projected_rho0():
     """The data of jse's second outer step: a rho = 0 split with the unit
-    direction of a first joint fit projected out (rank d - 1). Fits here take
-    far more evaluations than on the full split."""
+    direction of a first joint fit projected out (rank d - 1), and that
+    direction. Fits here take far more evaluations than on the full split."""
     train, _ = gen_toy(ToyConfig(n=1001, d=20, rho=0.0, seed=2))
     w_sp = _oracle_joint(train, 1, JOINT_RIDGE)[0]
-    data = train.with_Z(project_out(train.Z, (w_sp / np.linalg.norm(w_sp))[:, None]))
+    removed = w_sp / np.linalg.norm(w_sp)
+    data = train.with_Z(project_out(train.Z, removed[:, None]))
     assert np.linalg.matrix_rank(data.Z) == data.d - 1
-    return data
+    return data, removed
 
 
-# seed 0 converges after 83 iterations; seed 1 stops at the iteration cap
-@pytest.mark.parametrize("seed,capped", [(0, False), (1, True)])
+# seed 7 converges after 45 iterations (54 evaluations); seed 1 stops at the
+# iteration budget, and ran to 200 iterations without converging before it
+@pytest.mark.parametrize("seed,capped", [(7, False), (1, True)])
 def test_fit_joint_bit_identical_on_rank_deficient_data(projected_rho0, seed, capped):
+    data, _ = projected_rho0
     stats = {}
-    sp, mt = fit_joint_orthogonal(projected_rho0, seed)
-    w_sp, b_sp, w_mt, b_mt = _oracle_joint(projected_rho0, seed, JOINT_RIDGE, stats)
+    sp, mt = fit_joint_orthogonal(data, seed)
+    w_sp, b_sp, w_mt, b_mt = _oracle_joint(data, seed, JOINT_RIDGE, stats)
     assert np.array_equal(sp.w, w_sp) and sp.b == b_sp
     assert np.array_equal(mt.w, w_mt) and mt.b == b_mt
     assert stats["evals"] > stats["iters"] + 1  # the line search backtracked
     assert (stats["iters"] == LBFGS_MAX_ITER) == capped
+
+
+# seeds whose fits stop at the budget here and converge within 76-200
+# iterations without it; measured turns of the main-task candidate 0.02-0.72
+# degrees
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_budgeted_joint_fit_keeps_the_main_task_candidate(projected_rho0, monkeypatch, seed):
+    data, removed = projected_rho0
+    budgeted = fit_joint_orthogonal(data, seed)
+    monkeypatch.setattr(sgd, "LBFGS_MAX_ITER", 200)
+    longer = fit_joint_orthogonal(data, seed)
+    assert not np.array_equal(budgeted[1].w, longer[1].w)
+    # the candidates jse proposes: each head cleaned of the removed direction.
+    # The spurious head is not compared: with the spurious signal projected
+    # out its cleaned norm is ~0.13 and its direction is noise, which turned
+    # by up to 23 degrees (seed 1) between the two fits
+    a, _ = normalize_against(budgeted[1].w, [removed])
+    b, _ = normalize_against(longer[1].w, [removed])
+    assert np.degrees(np.arccos(min(1.0, float(a @ b)))) < 1.0
 
 
 def _oracle_newton_logreg(X, y, ridge=1e-6, max_iter=50):

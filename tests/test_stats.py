@@ -37,11 +37,17 @@ def test_weighted_diff_constant():
 
 
 def test_weighted_diff_group_means():
-    d = np.concatenate([np.full(5, 1.0), np.full(9, 2.0), np.full(3, 3.0), np.full(7, 4.0)])
-    wd = weighted_diff(d, groups(5, 9, 3, 7))
-    assert wd.d_bar_w == 2.5
-    assert wd.var_hat == 0.0
-    np.testing.assert_array_equal(wd.group_counts, [5, 9, 3, 7])
+    # unequal groups: each group's mean weighs 1/4 and its variance of the
+    # mean 1/16, whatever its size
+    sizes = (5, 9, 3, 7)
+    d = np.concatenate([g + 1.0 + 0.5 * np.arange(m) for g, m in enumerate(sizes)])
+    g = groups(*sizes)
+    wd = weighted_diff(d, g)
+    means = [d[g == k].mean() for k in range(1, 5)]
+    var_of_means = [d[g == k].var(ddof=1) / m for k, m in zip(range(1, 5), sizes)]
+    assert wd.d_bar_w == np.mean(means)
+    assert wd.var_hat == sum(var_of_means) / 16.0
+    assert wd.d_bar_w != d.mean()
 
 
 def test_weighted_diff_brute_force_oracle():
