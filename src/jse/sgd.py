@@ -90,12 +90,13 @@ PROJ_EPS = 1e-12
 # the joint fit's full-batch solve, chosen on the acceptance cells
 JOINT_RIDGE = 1e-3  # L2 penalty 0.5 * JOINT_RIDGE * (|w_sp|^2 + |w_mt|^2)
 LBFGS_MEMORY = 10  # curvature pairs kept
-# Over 726 joint fits of jse runs on the default toy (rho 0, 0.5, 0.9), every
-# fit met LBFGS_GTOL, at 28 iterations at the median and 44 at p90. Fits that
-# run past 60 all follow a removed spurious direction: on that rank-deficient
-# data the spurious head has almost nothing left to fit, only the ridge curves
-# the valley it crawls along, and the extra iterations (up to 195) do not
-# change a decision or an accuracy of the acceptance cells.
+# The budget: over 1211 joint fits in 300 jse runs on the default toy (rho 0,
+# 0.5, 0.9) the fits took 29 iterations at the median, 45 at p90 and 138 at
+# p99. All 77 fits past 60 ran on data with a removed direction, where the
+# spurious head has almost nothing left to fit and only the ridge curves the
+# valley the solver crawls along (3 of them did not meet LBFGS_GTOL within 200
+# either). Stopping them at 60 changed no group accuracy of the 1300 jse runs
+# of the acceptance cells.
 LBFGS_MAX_ITER = 60
 LBFGS_GTOL = 1e-5  # stop once max |gradient| falls below this
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search

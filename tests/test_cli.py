@@ -213,16 +213,14 @@ def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, v
 
 
 # sizes below what one run can split or test on: exit 3 naming the value,
-# before any file is written
+# before any file is written ([toy] n and [experiment] test_n are rows of
+# tests/test_config.py's BAD_VALUES)
 @pytest.mark.parametrize("command,cfg_text,msg", [
     ("gen-toy --n 1", "", "error: n must be >= 2, got 1\n"),
     ("gen-toy --test-n 0", "", "error: test set size must be >= 1, got 0\n"),
     ("sweep", "[sweep]\nmethods = erm\nx_name = n\nx_values = 1, 200\n",
      "error: [sweep] x_values: n = 1.0: n must be >= 2, got 1.0\n"),
-    ("sweep", "[sweep]\nmethods = erm\n[toy]\nn = 1\n", "error: [toy] n: n must be >= 2, got 1\n"),
-    ("sweep", "[sweep]\nmethods = erm\n[experiment]\ntest_n = 0\n",
-     "error: [experiment] test_n: test_n must be >= 1 or none, got 0\n"),
-], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n", "toy-n", "experiment-test-n"])
+], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n"])
 def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_text, msg):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(cfg_text)

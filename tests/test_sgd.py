@@ -663,7 +663,7 @@ def projected_rho0():
 
 
 # seed 7 converges after 45 iterations (54 evaluations); seed 1 stops at the
-# iteration budget, and ran to 200 iterations without converging before it
+# iteration budget (it does not converge within 200 iterations either)
 @pytest.mark.parametrize("seed,capped", [(7, False), (1, True)])
 def test_fit_joint_bit_identical_on_rank_deficient_data(projected_rho0, seed, capped):
     data, _ = projected_rho0
@@ -676,9 +676,8 @@ def test_fit_joint_bit_identical_on_rank_deficient_data(projected_rho0, seed, ca
     assert (stats["iters"] == LBFGS_MAX_ITER) == capped
 
 
-# seeds whose fits stop at the budget here and converge within 76-200
-# iterations without it; measured turns of the main-task candidate 0.02-0.72
-# degrees
+# seeds whose fits stop at the budget here and run 76-200 iterations without
+# it; the main-task candidate turned by 0.02-0.72 degrees
 @pytest.mark.parametrize("seed", [0, 1, 3, 4])
 def test_budgeted_joint_fit_keeps_the_main_task_candidate(projected_rho0, monkeypatch, seed):
     data, removed = projected_rho0
