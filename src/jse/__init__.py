@@ -16,10 +16,8 @@ from .baselines import (
     rlace_fit,
 )
 from .data import (
-    Direction,
     LabeledEmbeddings,
     SubspaceBasis,
-    make_group_ids,
     orthonormal_check,
     project_onto,
     project_out,
@@ -30,13 +28,12 @@ from .evaluate import (
     ExperimentConfig,
     RunRecord,
     SweepResult,
-    evaluate,
     fit_and_evaluate,
     fit_method,
     run_single,
     run_sweep,
 )
-from .pca import PcaModel, pca_apply, pca_fit
+from .pca import pca_apply, pca_fit
 from .sgd import (
     LinearModel,
     OptimizerConfig,
@@ -45,6 +42,7 @@ from .sgd import (
     fit_intercept_only,
     fit_joint_orthogonal,
     fit_logreg,
+    predict_1d,
 )
 from .stats import TestReport, WeightedDiff, delta_heuristic, t_relative, t_vs_random, weighted_diff
 from .toy import ToyConfig, gen_toy, gen_toy_test

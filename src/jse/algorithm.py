@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Direction, LabeledEmbeddings, SubspaceBasis, normalize_against, project_out
-from .sgd import child_seed, fit_1d_logreg, fit_intercept_only, fit_joint_orthogonal
+from .data import LabeledEmbeddings, SubspaceBasis, normalize_against, project_out
+from .sgd import child_seed, fit_1d_logreg, fit_intercept_only, fit_joint_orthogonal, predict_1d
 from .stats import TestReport, delta_heuristic, t_relative, t_vs_random
 
 DELTA_AUTO = "auto"
@@ -117,12 +117,13 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
               val_cur: LabeledEmbeddings) -> tuple[TestReport, TestReport]:
         """Run and record a target-concept candidate's two tests: against the
         intercept-only classifier, then against the other concept's 1-d fit on v."""
-        own = Direction(v, gamma, b)
         other = "mt" if target == "sp" else "sp"
-        cross = fit_1d_logreg(Ztr, v, train.labels(other))
-        rep_rnd = t_vs_random(own, val_cur, target, random_models[target], cfg.alpha, gw)
-        sp_fit, mt_fit = (own, cross) if target == "sp" else (cross, own)
-        rep_rel = t_relative(sp_fit, mt_fit, val_cur, "v_" + target, delta, cfg.alpha, gw,
+        p_own = predict_1d(val_cur.Z, v, gamma, b)
+        p_cross = predict_1d(val_cur.Z, v, *fit_1d_logreg(Ztr, v, train.labels(other)))
+        rep_rnd = t_vs_random(p_own, random_models[target].predict(val_cur.Z), val_cur, target,
+                              cfg.alpha, gw)
+        p_sp, p_mt = (p_own, p_cross) if target == "sp" else (p_cross, p_own)
+        rep_rel = t_relative(p_sp, p_mt, val_cur, "v_" + target, delta, cfg.alpha, gw,
                              cfg.relative_test_scale)
         reports[target].append((rep_rnd, rep_rel))
         return rep_rnd, rep_rel
@@ -153,8 +154,8 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
                 # heuristic from the very first joint solve, held fixed afterwards; a
                 # vanished w keeps its norm as the scale along e1
                 own = [
-                    Direction(*(normalize_against(m.w, []) or (np.eye(d)[0], np.linalg.norm(m.w))),
-                              m.b)
+                    predict_1d(val_in.Z, *(normalize_against(m.w, [])
+                                           or (np.eye(d)[0], np.linalg.norm(m.w))), m.b)
                     for m in (sp_m, mt_m)
                 ]
                 delta = delta_heuristic(*own, val_in, gw)

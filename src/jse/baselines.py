@@ -13,30 +13,23 @@ eigendecomposition truncation. It stops when a freshly trained probe's
 validation accuracy drops below the target (51% by default).
 
 The adversary's step matrix ``M = U U^T - (lr/2)(g w^T + w g^T)`` lies on
-span[U, g, w], so its top-k eigenspace is solved there: a QR of the d x (k+2)
-matrix ``[U g w]`` and an eigendecomposition of a (k+2)-square matrix replace
-the d x d one. Only when the top k reach M's null space (the k-th eigenvalue
-of the small problem is not positive) is the d x d matrix formed and
-decomposed, which keeps that case exact.
+span[U, g, w], so its top-k eigenspace is solved there (``_span_solver``),
+falling back to the d x d solve only when the top k reach M's null space.
 
-The batch indices of all steps up to the next probe come from one
-``rng.integers(0, n, size=(steps, batch_size))`` call. numpy's bounded
-integer draws read the generator's output as one continuous stream (32-bit
-words for n below 2**32), so row i of that draw holds exactly the indices a
-separate ``integers(0, n, size=batch_size)`` call at step i would give. This
-holds only while nothing else draws from that generator inside the loop: the
-probe and the span solve take no randomness, and a new random draw there
-needs a generator of its own. ``tests/test_rlace.py`` checks the fit bit for
-bit against the one-draw-per-step loop.
+Rules for any rewrite of the step; ``tests/test_rlace.py`` checks the fit
+bit for bit against a one-draw-per-step loop:
 
-The step's arrays are small (a 128 x 20 batch), so its time goes to the
-wrappers of its numpy calls, not to arithmetic. It gathers each batch
-with ``X.take(idx, axis=0)`` rather than ``X[idx]``, computes every matrix
-product with ``np.dot`` rather than ``@`` (the same BLAS routine, so the same
-bits, behind a cheaper wrapper; for k = 1 ``@`` also takes a slow non-BLAS
-path on the (n, 1) x (1, d) product), and sums with ``np.add.reduce``. The
-probe and the span solve run once per interval or call LAPACK directly,
-and keep ``@``.
+* Keep the same RNG calls. The batch indices of all steps up to the next
+  probe come from one ``rng.integers(0, n, size=(steps, batch_size))`` call,
+  whose row i equals a separate ``integers(0, n, size=batch_size)`` call at
+  step i only while nothing else draws from that generator inside the loop.
+  A new random draw there needs a generator of its own.
+* Keep the same floating-point operations in the same order; fuse no two
+  matrix-vector products into a matrix-matrix product (see ``sgd``).
+* Gather batches with ``X.take(idx, axis=0)`` and multiply with ``np.dot``,
+  not ``X[idx]`` and ``@``: the step's arrays are small, so their wrappers
+  cost more than the arithmetic, and ``np.dot`` reaches the same BLAS routine
+  (for k = 1 ``@`` also takes a slow non-BLAS path).
 """
 
 from __future__ import annotations
@@ -105,7 +98,6 @@ class RlaceResult:
     removed: SubspaceBasis  # the rank-k removed subspace; apply with data.project_out
     converged: bool
     iters: int
-    val_accuracy: float
 
 
 def inlp_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: InlpConfig,
@@ -121,8 +113,8 @@ def inlp_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: InlpConfig,
     for r in range(max_rounds):
         val_r = val.with_Z(Zval)
         model = fit_logreg(train.with_Z(Ztr), "sp", val_r, cfg.optimizer, child_seed(seed, r))
-        if not t_vs_random(model, val_r, "sp", random_model, cfg.alpha,
-                           cfg.group_weighted_test).decision:
+        if not t_vs_random(model.predict(val_r.Z), random_model.predict(val_r.Z), val_r, "sp",
+                           cfg.alpha, cfg.group_weighted_test).decision:
             break  # no longer significantly better than the intercept-only classifier
         unit = normalize_against(model.w, accepted)
         if unit is None:
@@ -204,7 +196,6 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
     vb = 0.0
     best: tuple[float, np.ndarray] | None = None
     converged = False
-    acc = 1.0
     it = 0
 
     def probe_accuracy(Ucur: np.ndarray) -> float:
@@ -254,8 +245,8 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
                 break
 
     if not converged and best is not None:
-        acc, U = best
-    return RlaceResult(SubspaceBasis(U, "spurious"), converged, it, acc)
+        U = best[1]
+    return RlaceResult(SubspaceBasis(U, "spurious"), converged, it)
 
 
 def erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConfig,

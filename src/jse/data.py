@@ -1,4 +1,4 @@
-"""Shared data model: labeled embeddings, directions, subspace bases, projections.
+"""Shared data model: labeled embeddings, subspace bases, projections.
 
 Conventions used throughout the package:
 
@@ -19,21 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ORTHO_TOL = 1e-6
-UNIT_TOL = 1e-8
-
-
-def make_group_ids(y_mt: np.ndarray, y_sp: np.ndarray) -> np.ndarray:
-    """Map the label pair to group ids 1..4.
-
-    Encoding: (0,0) -> 1, (0,1) -> 2, (1,0) -> 3, (1,1) -> 4.
-    """
-    y_mt = np.asarray(y_mt)
-    y_sp = np.asarray(y_sp)
-    if y_mt.shape != y_sp.shape or y_mt.ndim != 1:
-        raise ValueError(
-            f"label length mismatch: y_mt has shape {y_mt.shape}, y_sp has shape {y_sp.shape}"
-        )
-    return 1 + 2 * _binary_labels(y_mt, "y_mt") + _binary_labels(y_sp, "y_sp")
 
 
 def _binary_labels(y, name: str) -> np.ndarray:
@@ -53,7 +38,7 @@ class LabeledEmbeddings:
     Z: np.ndarray
     y_mt: np.ndarray
     y_sp: np.ndarray
-    group: np.ndarray = field(default=None)  # type: ignore[assignment]
+    group: np.ndarray = field(init=False)  # 1..4, from the label pair
 
     def __post_init__(self) -> None:
         Z = _embedding_matrix(self.Z)
@@ -61,7 +46,7 @@ class LabeledEmbeddings:
         y_sp = _binary_labels(self.y_sp, "y_sp")
         if y_mt.shape != (Z.shape[0],) or y_sp.shape != (Z.shape[0],):
             raise ValueError("labels must match the number of rows of Z")
-        group = 1 + 2 * y_mt + y_sp  # make_group_ids' encoding, on checked labels
+        group = 1 + 2 * y_mt + y_sp  # the module docstring's encoding, on checked labels
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "y_mt", y_mt)
         object.__setattr__(self, "y_sp", y_sp)
@@ -102,34 +87,6 @@ def _embedding_matrix(Z) -> np.ndarray:
     if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"Z must be a nonempty 2-d matrix, got shape {np.shape(Z)}")
     return out
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector with the scale and intercept of a 1-d logistic model.
-
-    The model predicts ``sigmoid(gamma * z @ v + b)``.
-    """
-
-    v: np.ndarray
-    gamma: float
-    b: float
-    warn: str | None = None
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("v must be a vector")
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-            raise ValueError(f"v must be unit-norm within {UNIT_TOL}, got norm {np.linalg.norm(v)}")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "b", float(self.b))
-
-    def predict(self, Z: np.ndarray) -> np.ndarray:
-        from .sgd import sigmoid
-
-        return sigmoid(self.gamma * (np.asarray(Z) @ self.v) + self.b)
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,7 @@ def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbe
     a model."""
     pre_mean = pre_components = None
     if pca is not None:
-        pca_model = pca_fit(train.Z, pca)
-        pre_mean, pre_components = pca_model.mean, pca_model.components
+        pre_mean, pre_components = pca_fit(train.Z, pca)
     elif cfg.demean:
         pre_mean = train.Z.mean(axis=0)
     d = train.d if pca is None else pca

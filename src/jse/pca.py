@@ -2,30 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import orthonormal_check
 
-
-@dataclass(frozen=True)
-class PcaModel:
-    mean: np.ndarray  # (d,) training mean
-    components: np.ndarray  # (d, k), orthonormal columns, descending variance
-    explained_variance: np.ndarray  # (k,)
-
-    def __post_init__(self) -> None:
-        if not orthonormal_check(self.components, 1e-6):
-            raise ValueError("components must be orthonormal")
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[1]
-
-
-def pca_fit(Z: np.ndarray, k: int) -> PcaModel:
-    """Fit mean and top-k principal directions on the training split only."""
+def pca_fit(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fit on the training split only: the ``(d,)`` mean and the ``(d, k)``
+    orthonormal top-k principal directions, in descending variance."""
     Z = np.asarray(Z, dtype=np.float64)
     n, d = Z.shape
     if not (1 <= k <= min(n, d)):
@@ -33,14 +15,12 @@ def pca_fit(Z: np.ndarray, k: int) -> PcaModel:
     mean = Z.mean(axis=0)
     Zc = Z - mean
     # SVD of the centered data; right singular vectors are the principal axes
-    _, s, vt = np.linalg.svd(Zc, full_matrices=False)
+    _, _, vt = np.linalg.svd(Zc, full_matrices=False)
     components = vt[:k].T
     # deterministic sign: largest-magnitude coordinate of each component positive
     flips = np.sign(components[np.abs(components).argmax(axis=0), np.arange(k)])
     flips[flips == 0] = 1.0
-    components = components * flips
-    explained = (s[:k] ** 2) / max(n - 1, 1)
-    return PcaModel(mean, components, explained)
+    return mean, components * flips
 
 
 def pca_apply(Z: np.ndarray, mean: np.ndarray, components: np.ndarray) -> np.ndarray:

@@ -1,78 +1,29 @@
 """Logistic-regression trainers: full, intercept-only, 1-d, and jointly-orthogonal.
 
-They run one of two protocols:
+``fit_logreg`` (ERM, gw-ERM, INLP and the downstream classifier) is
+minibatch SGD with momentum, early-stopped on validation accuracy; the jse
+inner fits are full-batch solves to the optimum: ``fit_1d_logreg`` by IRLS
+(``_newton_logreg``, also RLACE's probe), ``fit_joint_orthogonal`` by
+``lbfgs`` on ``joint_objective``, whose main-task head predicts through
+``(I - P_{w_sp}) w_mt`` so the two heads are orthogonal by construction.
 
-* ``fit_logreg`` (ERM, gw-ERM, INLP and the downstream classifier) runs the
-  benchmark protocol: minibatch SGD with momentum and optional weight
-  decay, validation accuracy evaluated after every epoch, and early stopping
-  that returns the snapshot with the highest validation accuracy (earliest
-  epoch on ties), stopping after ``early_stop_patience`` epochs without
-  improvement. Its settings are an ``OptimizerConfig``; the seed of its batch
-  order is an argument, so one config serves every run. RLACE's classifier
-  step takes its own momentum-SGD keys from ``RlaceConfig``, range-checked
-  by the same ``check_sgd``.
-* The jse inner fits are solved on the full batch to their optimum.
-  ``fit_1d_logreg`` runs IRLS (``_newton_logreg``, RLACE's probe solver)
-  on the projected feature. ``fit_joint_orthogonal`` minimizes
-  ``joint_objective`` (the two heads' BCEs plus a ``JOINT_RIDGE`` penalty on
-  both weight vectors) with ``lbfgs``, from a seeded random init. Neither has
-  a validation split or a configuration: the solver constants are module
-  constants.
+Rules for any rewrite; every output is checked bit for bit:
 
-The joint objective handles the orthogonality constraint through an
-unconstrained reparameterization: the main-task head predicts with
-``(I - P) w_mt`` where ``P = w_sp w_sp^T / (w_sp^T w_sp)``, so the two
-effective coefficient vectors are orthogonal by construction.
+* Keep the same RNG calls. A balanced epoch inverts the sampling CDF
+  (``cdf.searchsorted(rng.random(size), side="right")``, the CDF built once
+  per fit as ``Generator.choice`` builds it), which is ``choice``'s own step
+  on the same uniform draws.
+* Keep the same floating-point operations in the same order. Never fuse two
+  matrix-vector products into one matrix-matrix product: a gemm sums in a
+  different order than two gemvs.
+* The hot loops run on small arrays, where numpy's call wrappers cost more
+  than the arithmetic. They gather rows with ``take`` (``X[idx]`` costs
+  about three times as much on a 128-row batch) and multiply with
+  ``np.dot``, whose wrapper is cheaper than ``@``'s on the same BLAS routine.
 
-SGD batches: each epoch draws its row order with one RNG call (a permutation
-in uniform mode; ``ceil(n / batch_size) * batch_size`` indices drawn with
-replacement under the sampling probabilities in the balanced modes), gathers
-the training rows in that order once, and slices consecutive batches from
-the gathered copy. The last uniform batch is ragged when ``batch_size`` does
-not divide ``n``.
-
-The balanced draw is ``Generator.choice(n, size, replace=True, p=probs)``
-without its per-call cost: choice checks ``p`` and builds its CDF on every
-call, about a third of its time at n = 1600. ``fit_logreg`` builds
-the CDF once per fit the way choice builds it (``cdf = p.cumsum(); cdf /=
-cdf[-1]``, so it ends at exactly 1.0) and each epoch takes
-``cdf.searchsorted(rng.random(size), side="right")``: choice's own inverse-CDF
-step, reading the same uniform draws from the generator.
-``tests/test_sgd.py`` checks the CDF and every epoch's order against
-``choice`` itself, so a numpy release that changes ``choice`` fails there.
-
-The arrays are small, so the time of the hot loops goes to Python's dispatch
-of numpy calls and to temporaries, not to arithmetic. The loops are written
-for few numpy calls and few allocations per step:
-
-* ``fit_logreg`` and RLACE's classifier step update in place and reuse
-  their batch buffers. They gather rows with ``take`` (``X[idx]`` costs
-  about three times as much on a 128-row batch) and compute every product
-  with ``np.dot``, whose wrapper costs less than the ``@`` gufunc's on these
-  shapes; both reach the same BLAS routine here, and the oracles below
-  check that the bits are the same.
-  Their loop constants are read into locals once per fit.
-* ``joint_objective`` is built once per fit. It stacks the two heads'
-  logits in one (2, n) array, so ``sigmoid``, ``bce`` and the residual run
-  once for both heads, and per-head sums are ``np.add.reduce(., axis=1)``.
-  Its per-fit workspace holds ``X @ w_sp``, the logits and the product
-  buffers; the gradient is assembled with ``out=`` into a new array on each
-  call, because ``lbfgs`` keeps it across its line search.
-* ``lbfgs`` runs its two-loop recursion and its max-|g| test in two
-  preallocated vectors; ``_newton_logreg`` fills a preallocated gradient
-  and Hessian and hoists ``ridge * I`` out of its loop.
-* Scalars are Python floats or 0-d float64 arrays, and ``np.add.reduce(x)``
-  stands for ``x.sum()`` (and ``np.add.reduce(x) / n`` for ``np.mean``).
-
-Their outputs are bit-identical to the plain formulation (index batches, a
-masked sigmoid, each head evaluated separately, fresh arrays on every
-update, numpy's wrappers): any rewrite must keep the same RNG calls and the
-same floating-point operations in the same order. In particular a pair of
-matrix-vector products must not be fused into one matrix-matrix product: a
-gemm sums in a different order than two gemvs. The oracles are in
-``tests/test_sgd.py`` (``fit_logreg``, the joint objective and the joint fit,
-``_newton_logreg``, ``sigmoid``) and ``tests/test_rlace.py`` (RLACE); they
-check equality with ``np.array_equal`` or on the bytes.
+The oracles are in ``tests/test_sgd.py`` (``fit_logreg`` and its epoch
+order, the joint objective and fit, ``_newton_logreg``, ``sigmoid``) and
+``tests/test_rlace.py`` (RLACE).
 """
 
 from __future__ import annotations
@@ -82,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Direction, LabeledEmbeddings
+from .data import LabeledEmbeddings
 
 BCE_EPS = 1e-7
 PROJ_EPS = 1e-12
@@ -145,7 +96,6 @@ class LinearModel:
 
     w: np.ndarray
     b: float
-    warn: str | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=np.float64)
@@ -242,8 +192,7 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
         raise ValueError("train and val must share d")
     y = train.labels(target).astype(np.float64)
     if y.min() == y.max():
-        m = fit_intercept_only(train, target)
-        return LinearModel(m.w, m.b, warn="single-class target; intercept-only fit")
+        return fit_intercept_only(train, target)
 
     X, Xval = train.Z, val.Z
     yval = val.labels(target).astype(np.float64)
@@ -295,21 +244,26 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     return LinearModel(*best)
 
 
-def fit_1d_logreg(Z: np.ndarray, v: np.ndarray, y: np.ndarray) -> Direction:
+def fit_1d_logreg(Z: np.ndarray, v: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Fit scale gamma and intercept b on the projected feature s = Z @ v, v held fixed,
-    by IRLS to the optimum."""
+    by IRLS to the optimum; gamma is 0 when s is constant."""
     v = np.asarray(v, dtype=np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ValueError("v must be unit-norm")
     s = np.asarray(Z, dtype=np.float64) @ v
     y = np.asarray(y, dtype=np.float64)
     if s.std() < 1e-12:
-        b = _logit(float(np.mean(y)))
-        return Direction(v, 0.0, b, warn="constant projected feature; gamma undefined")
+        return 0.0, _logit(float(np.mean(y)))
     w, b = _newton_logreg(s[:, None], y)
     if not (np.isfinite(w[0]) and np.isfinite(b)):
         raise FloatingPointError("fit_1d_logreg: non-finite solution")
-    return Direction(v, w[0], b)
+    return float(w[0]), b
+
+
+def predict_1d(Z: np.ndarray, v: np.ndarray, gamma: float, b: float) -> np.ndarray:
+    """The 1-d model's probabilities ``sigmoid(gamma * (Z @ v) + b)``, in that
+    operation order: ``Z @ (gamma * v)`` rounds differently."""
+    return sigmoid(gamma * (Z @ v) + b)
 
 
 def _newton_logreg(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6, max_iter: int = 50):

@@ -14,7 +14,8 @@ pure-Python port of the Cephes inverse normal CDF: the same bits as
 start of the package.
 
 This module is the one place that computes a statistic and picks a test's
-side. Four test kinds are used by the subspace-estimation loop, and the
+side. The tests take the models' predicted probabilities on the validation
+split, not the models. Four test kinds are used by the subspace-estimation loop, and the
 first by INLP's stopping rule (``baselines.inlp_fit``):
 
 * ``sp_vs_random`` / ``mt_vs_random``: a candidate direction beats the
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Direction, LabeledEmbeddings
-from .sgd import LinearModel, bce
+from .data import LabeledEmbeddings
+from .sgd import bce
 
 T_SENTINEL = 1e12  # stand-in for +/- infinity when the variance estimate is zero
 
@@ -137,10 +138,6 @@ class TestReport:
             raise ValueError(f"unknown test kind {self.kind!r}; expected one of "
                              f"{', '.join(SIDES)}")
 
-    @property
-    def side(self) -> str:
-        return SIDES[self.kind]
-
     def csv_row(self) -> str:
         return (
             f"{self.kind},{self.statistic!r},{self.threshold!r},"
@@ -202,26 +199,27 @@ def _report(
 
 
 def t_vs_random(
-    v: Direction | LinearModel,
+    p: np.ndarray,
+    p_random: np.ndarray,
     val: LabeledEmbeddings,
     target: str,
-    random_model: LinearModel,
     alpha: float = 0.05,
     group_weighted: bool = True,
 ) -> TestReport:
-    """Is the model v (a 1-d model along a direction, or INLP's round
-    classifier) more informative about its label than the intercept-only
-    classifier? H1: the weighted mean BCE difference is < 0."""
+    """Is a model with validation predictions ``p`` (a 1-d model along a
+    direction, or INLP's round classifier) more informative about its label
+    than the intercept-only classifier, which predicts ``p_random``?
+    H1: the weighted mean BCE difference is < 0."""
     y = val.labels(target)
-    d = bce(v.predict(val.Z), y) - bce(random_model.predict(val.Z), y)
+    d = bce(p, y) - bce(p_random, y)
     wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     kind = "sp_vs_random" if target == "sp" else "mt_vs_random"
     return _report(kind, wd, 0.0, alpha)
 
 
 def t_relative(
-    sp_fit: Direction,
-    mt_fit: Direction,
+    p_sp: np.ndarray,
+    p_mt: np.ndarray,
     val: LabeledEmbeddings,
     on: str,
     delta: float = 0.0,
@@ -231,9 +229,10 @@ def t_relative(
 ) -> TestReport:
     """Is a candidate direction more predictive of one concept than the other?
 
-    ``sp_fit`` and ``mt_fit`` are the two 1-d models trained on the same
-    candidate vector; ``d_i = BCE(sp) - BCE(mt)``. For ``on='v_sp'`` the
-    alternative is mean < Delta, for ``on='v_mt'`` mean > Delta.
+    ``p_sp`` and ``p_mt`` are the validation predictions of the two 1-d
+    models trained on the same candidate vector; ``d_i = BCE(sp) - BCE(mt)``.
+    For ``on='v_sp'`` the alternative is mean < Delta, for ``on='v_mt'``
+    mean > Delta.
 
     ``scale`` picks the statistic's denominator: 'se' (the asymptotically
     standard-normal form) or 'variance' (divides by the variance estimate
@@ -243,20 +242,21 @@ def t_relative(
     """
     if on not in ("v_sp", "v_mt"):
         raise ValueError(f"on must be 'v_sp' or 'v_mt', got {on!r}")
-    d = bce(sp_fit.predict(val.Z), val.y_sp) - bce(mt_fit.predict(val.Z), val.y_mt)
+    d = bce(p_sp, val.y_sp) - bce(p_mt, val.y_mt)
     wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     kind = "sp_vs_mt_on_vsp" if on == "v_sp" else "sp_vs_mt_on_vmt"
     return _report(kind, wd, delta, alpha, scale)
 
 
 def delta_heuristic(
-    vhat_sp: Direction,
-    vhat_mt: Direction,
+    p_sp: np.ndarray,
+    p_mt: np.ndarray,
     val: LabeledEmbeddings,
     group_weighted: bool = True,
 ) -> float:
     """Null offset compensating for unequal label difficulty: the weighted mean
-    of BCE(sp model on its own direction) - BCE(mt model on its own direction)."""
-    d = bce(vhat_sp.predict(val.Z), val.y_sp) - bce(vhat_mt.predict(val.Z), val.y_mt)
+    of BCE(sp model on its own direction) - BCE(mt model on its own direction),
+    from those models' validation predictions ``p_sp`` and ``p_mt``."""
+    d = bce(p_sp, val.y_sp) - bce(p_mt, val.y_mt)
     wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     return wd.d_bar_w

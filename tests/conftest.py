@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jse.data import LabeledEmbeddings
+from jse.sgd import _newton_logreg, sigmoid
 from jse.toy import ToyConfig, gen_toy, gen_toy_test
 
 
@@ -33,3 +34,12 @@ def random_labeled(rng: np.random.Generator, n: int = 40, d: int = 5) -> Labeled
         rng.integers(0, 2, n),
         rng.integers(0, 2, n),
     )
+
+
+def rlace_probe_accuracy(train: LabeledEmbeddings, val: LabeledEmbeddings,
+                         V: np.ndarray) -> float:
+    """RLACE's stopping probe on the removed basis V: the validation accuracy
+    of a converged spurious classifier on the projected data."""
+    P = np.eye(train.d) - V @ V.T
+    wp, bp = _newton_logreg(train.Z @ P, train.y_sp.astype(np.float64))
+    return float(np.mean((sigmoid((val.Z @ P) @ wp + bp) >= 0.5) == val.y_sp))

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jse.data import (
-    Direction,
     LabeledEmbeddings,
     SubspaceBasis,
-    make_group_ids,
     orthonormal_check,
     project_onto,
     project_out,
@@ -16,36 +14,46 @@ from jse.data import (
 from conftest import random_orthonormal
 
 
+def group_ids(y_mt, y_sp) -> np.ndarray:
+    """The group ids LabeledEmbeddings derives from the label pair."""
+    return LabeledEmbeddings(np.zeros((len(y_mt), 1)), y_mt, y_sp).group
+
+
 def test_group_encoding():
     y_mt = np.array([0, 0, 1, 1])
     y_sp = np.array([0, 1, 0, 1])
-    assert make_group_ids(y_mt, y_sp).tolist() == [1, 2, 3, 4]
+    assert group_ids(y_mt, y_sp).tolist() == [1, 2, 3, 4]
 
 
 def test_group_all_zero():
-    assert make_group_ids(np.zeros(5, int), np.zeros(5, int)).tolist() == [1] * 5
+    assert group_ids(np.zeros(5, int), np.zeros(5, int)).tolist() == [1] * 5
 
 
 def test_group_counts_partition():
     rng = np.random.default_rng(0)
     y_mt = rng.integers(0, 2, 1000)
     y_sp = rng.integers(0, 2, 1000)
-    g = make_group_ids(y_mt, y_sp)
+    g = group_ids(y_mt, y_sp)
     assert int(np.bincount(g, minlength=5)[1:].sum()) == 1000
 
 
 @given(st.integers(0, 1), st.integers(0, 1))
 def test_group_encoding_bijection(a, b):
-    g = make_group_ids(np.array([a]), np.array([b]))[0]
+    g = group_ids(np.array([a]), np.array([b]))[0]
     assert g == 1 + 2 * a + b
     assert 1 <= g <= 4
 
 
 def test_group_errors():
-    with pytest.raises(ValueError, match="mismatch"):
-        make_group_ids(np.array([0, 1]), np.array([0]))
+    with pytest.raises(ValueError, match="labels must match"):
+        group_ids(np.array([0, 1]), np.array([0]))
     with pytest.raises(ValueError, match="non-binary"):
-        make_group_ids(np.array([0, 2]), np.array([0, 1]))
+        group_ids(np.array([0, 2]), np.array([0, 1]))
+
+
+def test_group_is_not_an_argument():
+    with pytest.raises(TypeError):
+        LabeledEmbeddings(np.zeros((2, 2)), [0, 1], [0, 1], group=np.array([9, 9]))
 
 
 def test_labeled_embeddings_validation():
@@ -170,13 +178,6 @@ def test_orthonormal_check():
     assert orthonormal_check(q, 1e-8)
     gram = q.T @ q
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
-
-
-def test_direction_unit_norm_enforced():
-    with pytest.raises(ValueError, match="unit-norm"):
-        Direction(np.array([1.0, 1.0]), 1.0, 0.0)
-    d = Direction(np.array([0.6, 0.8]), 2.0, -1.0)
-    assert d.gamma == 2.0
 
 
 def test_subspace_basis_validation():

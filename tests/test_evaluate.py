@@ -1,7 +1,8 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from jse.baselines import RlaceConfig
 from jse.data import LabeledEmbeddings
@@ -22,6 +23,14 @@ def _test_set(seed=0, n=400):
     return LabeledEmbeddings(
         rng.standard_normal((n, 3)), rng.integers(0, 2, n), rng.integers(0, 2, n)
     )
+
+
+def test_jse_evaluate_is_the_module():
+    """The package exports no name that shadows its evaluate submodule."""
+    import jse.evaluate as ev
+
+    assert ev is sys.modules["jse.evaluate"]
+    assert ev.evaluate is evaluate
 
 
 def test_oracle_predictor_scores_100():

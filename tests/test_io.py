@@ -26,7 +26,7 @@ from jse.io_files import (
     write_results_csv,
 )
 from jse.sgd import LinearModel
-from jse.stats import TestReport
+from jse.stats import SIDES, TestReport
 from jse.toy import ToyConfig, gen_toy
 
 
@@ -263,7 +263,7 @@ def test_artifact_round_trip(tmp_path):
     assert back.delta == -0.3
     assert [t.kind for t in back.tests] == [t.kind for t in tests]
     assert [t.statistic for t in back.tests] == [t.statistic for t in tests]
-    assert back.tests[1].side == "greater"
+    assert SIDES[back.tests[1].kind] == "greater"
     assert [t.decision for t in back.tests] == [True, True]
 
 
@@ -274,7 +274,7 @@ def test_artifact_delta_is_the_header_not_the_last_test_row(tmp_path):
     save_artifact(str(path), Artifact("jse", 4, q, np.zeros((4, 0)), tests, None, delta=0.7))
     back = load_artifact(str(path))
     assert back.delta == 0.7 and back.tests[0].delta == -0.3
-    assert back.tests[0].side == "less" and back.tests[0].decision is False
+    assert SIDES[back.tests[0].kind] == "less" and back.tests[0].decision is False
 
 
 def _drop_last_value(line: str) -> str:

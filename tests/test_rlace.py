@@ -8,9 +8,10 @@ from jse.baselines import RlaceConfig, _span_solver, _top_k_projection, rlace_fi
 from jse.sgd import _newton_logreg
 from jse.toy import ToyConfig, gen_toy
 
-from conftest import random_labeled, random_orthonormal
+from conftest import random_labeled, random_orthonormal, rlace_probe_accuracy
 
-# (rho, fit seed, rank, max_iters, iters, converged, val_accuracy, removed basis U);
+# (rho, fit seed, rank, max_iters, iters, converged, the stopping probe's
+# val_accuracy on U, removed basis U);
 # pinned before the adversary step moved to the span solve. The last case hits
 # max_iters and returns the best probe snapshot.
 GOLDEN = [
@@ -110,7 +111,8 @@ def test_rlace_golden_fits(toy_rho08, toy_rho0, case):
     rho, seed, rank, max_iters, iters, converged, val_accuracy, U = case
     _, train, val, _ = toy_rho08 if rho == 0.8 else toy_rho0
     res = rlace_fit(train, val, RlaceConfig(rank=rank, max_iters=max_iters), seed)
-    assert (res.iters, res.converged, res.val_accuracy) == (iters, converged, val_accuracy)
+    assert (res.iters, res.converged) == (iters, converged)
+    assert rlace_probe_accuracy(train, val, res.removed.V) == val_accuracy
     U = np.array(U)
     V = res.removed.V
     np.testing.assert_allclose(np.eye(train.d) - V @ V.T, np.eye(train.d) - U @ U.T,
@@ -156,7 +158,7 @@ def _per_step_rlace(train, val, cfg, seed):
         return float(np.mean((_abs_sigmoid((val.Z @ P) @ wp + bp) >= 0.5) == val.y_sp))
 
     w, b, vw, vb = np.zeros(d), 0.0, np.zeros(d), 0.0
-    best, converged, acc, it = None, False, 1.0, 0
+    best, converged, it = None, False, 0
     while it < cfg.max_iters:
         it += 1
         idx = rng.integers(0, train.n, size=cfg.batch_size)
@@ -180,8 +182,8 @@ def _per_step_rlace(train, val, cfg, seed):
                 converged = True
                 break
     if not converged and best is not None:
-        acc, U = best
-    return U, it, converged, acc
+        U = best[1]
+    return U, it, converged
 
 
 # (d, rank, max_iters, eval_every, weight_decay, stop_accuracy): the fits that
@@ -206,9 +208,9 @@ def test_rlace_bit_identical_to_per_step_oracle(case):
     train, val = gen_toy(ToyConfig(n=800, d=d, rho=0.5, seed=d))
     cfg = RlaceConfig(rank=rank, max_iters=max_iters, eval_every=eval_every, weight_decay=wd,
                       stop_accuracy=stop)
-    U, iters, converged, acc = _per_step_rlace(train, val, cfg, 2)
+    U, iters, converged = _per_step_rlace(train, val, cfg, 2)
     res = rlace_fit(train, val, cfg, 2)
-    assert (res.iters, res.converged, res.val_accuracy) == (iters, converged, acc)
+    assert (res.iters, res.converged) == (iters, converged)
     np.testing.assert_array_equal(res.removed.V, U)
     assert converged == (stop == 0.51) and (converged or iters == max_iters)
 

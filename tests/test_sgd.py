@@ -25,6 +25,7 @@ from jse.sgd import (
     fit_logreg,
     joint_objective,
     lbfgs,
+    predict_1d,
     sigmoid,
 )
 from jse.toy import ToyConfig, gen_toy
@@ -112,7 +113,7 @@ def test_fit_logreg_single_class_warning():
     data = LabeledEmbeddings(np.random.default_rng(0).standard_normal((20, 3)),
                              np.ones(20, int), np.zeros(20, int))
     m = fit_logreg(data, "mt", data, OptimizerConfig(), 0)
-    assert m.warn is not None
+    assert m.b == fit_intercept_only(data, "mt").b
     np.testing.assert_array_equal(m.w, 0.0)
 
 
@@ -130,7 +131,7 @@ def test_fit_1d_threshold_oracle():
     v = np.array([0.0, 1.0, 0.0])
     y = (Z @ v > 0).astype(int)
     fit = fit_1d_logreg(Z, v, y)
-    acc = np.mean((fit.predict(Z) >= 0.5) == y)
+    acc = np.mean((predict_1d(Z, v, *fit) >= 0.5) == y)
     assert acc >= 0.99
 
 
@@ -141,7 +142,7 @@ def test_fit_1d_no_signal():
     v = np.array([1.0, 0.0, 0.0])
     fit = fit_1d_logreg(Z, v, y)
     base = float(np.mean(bce(np.full(len(y), y.mean()), y)))
-    got = float(np.mean(bce(fit.predict(Z), y)))
+    got = float(np.mean(bce(predict_1d(Z, v, *fit), y)))
     assert abs(got - base) < 0.02
 
 
@@ -151,16 +152,24 @@ def test_fit_1d_informative_axis(toy_rho0):
     v[0] = 1.0
     fit = fit_1d_logreg(train.Z, v, train.y_sp)
     rand = fit_intercept_only(train, "sp")
-    got = float(np.mean(bce(fit.predict(val.Z), val.y_sp)))
+    got = float(np.mean(bce(predict_1d(val.Z, v, *fit), val.y_sp)))
     base = float(np.mean(bce(rand.predict(val.Z), val.y_sp)))
     assert got < base
+
+
+def test_fit_1d_logreg_rejects_non_unit_v():
+    Z = np.random.default_rng(0).standard_normal((10, 2))
+    y = np.arange(10) % 2
+    with pytest.raises(ValueError, match="unit-norm"):
+        fit_1d_logreg(Z, np.array([1.0, 1.0]), y)
+    fit_1d_logreg(Z, np.array([0.6, 0.8]), y)
 
 
 def test_fit_1d_constant_feature():
     Z = np.zeros((10, 2))
     v = np.array([1.0, 0.0])
-    fit = fit_1d_logreg(Z, v, np.arange(10) % 2)
-    assert fit.gamma == 0.0 and fit.warn is not None
+    gamma, _ = fit_1d_logreg(Z, v, np.arange(10) % 2)
+    assert gamma == 0.0
 
 
 def test_fit_1d_newton_matches_sgd_direction():
@@ -168,8 +177,8 @@ def test_fit_1d_newton_matches_sgd_direction():
     Z = rng.standard_normal((2000, 2))
     v = np.array([1.0, 0.0])
     y = (rng.random(2000) < sigmoid(2.0 * Z[:, 0])).astype(int)
-    newton = fit_1d_logreg(Z, v, y)
-    assert abs(newton.gamma - 2.0) < 0.3
+    gamma, _ = fit_1d_logreg(Z, v, y)
+    assert abs(gamma - 2.0) < 0.3
 
 
 def test_joint_orthogonality_guarantee(toy_rho08):
@@ -286,9 +295,9 @@ def test_fit_1d_is_irls_on_the_projected_feature(toy_rho08):
     _, train, _, _ = toy_rho08
     v = np.zeros(train.d)
     v[:2] = (0.6, 0.8)
-    fit = fit_1d_logreg(train.Z, v, train.y_sp)
+    gamma, b_fit = fit_1d_logreg(train.Z, v, train.y_sp)
     w, b = _newton_logreg((train.Z @ v)[:, None], train.y_sp.astype(float))
-    assert fit.gamma == w[0] and fit.b == b
+    assert gamma == w[0] and b_fit == b
 
 
 def test_determinism_bitwise(toy_rho08):

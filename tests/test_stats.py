@@ -9,8 +9,8 @@ from scipy.special import ndtri
 from scipy.stats import kstest, norm
 
 import jse
-from jse.data import Direction, LabeledEmbeddings
-from jse.sgd import bce, fit_1d_logreg, fit_intercept_only, sigmoid
+from jse.data import LabeledEmbeddings
+from jse.sgd import bce, fit_1d_logreg, fit_intercept_only, predict_1d
 from jse.stats import (
     EmptyGroupError,
     T_SENTINEL,
@@ -120,13 +120,13 @@ def test_t_vs_random_perfect_separation():
     y_sp = (Z[:, 0] > 0).astype(int)
     y_mt = rng.integers(0, 2, n)
     val = LabeledEmbeddings(Z, y_mt, y_sp)
-    v = Direction(np.array([1.0, 0, 0]), 8.0, 0.0)
+    p = predict_1d(Z, np.array([1.0, 0, 0]), 8.0, 0.0)
     rand = LabeledEmbeddings(Z, y_mt, y_sp)
-    random_model = fit_intercept_only(rand, "sp")
-    rep = t_vs_random(v, val, "sp", random_model)
+    p_random = fit_intercept_only(rand, "sp").predict(Z)
+    rep = t_vs_random(p, p_random, val, "sp")
     assert rep.decision and rep.statistic < -5
     # hand check: the weighted mean difference really is negative
-    d = bce(v.predict(Z), y_sp) - bce(random_model.predict(Z), y_sp)
+    d = bce(p, y_sp) - bce(p_random, y_sp)
     assert weighted_diff(d, val.group).d_bar_w < 0
 
 
@@ -149,7 +149,8 @@ def test_t_vs_random_null_calibration():
         random_model = fit_intercept_only(
             LabeledEmbeddings(s_tr, y_tr, y_tr), "sp"
         )
-        rep = t_vs_random(fit, val, "sp", random_model, alpha=0.05)
+        rep = t_vs_random(predict_1d(Z_val, v, *fit), random_model.predict(Z_val), val, "sp",
+                          alpha=0.05)
         rejections += rep.decision
     rate = rejections / reps
     assert 0.03 <= rate <= 0.07, f"null rejection rate {rate}"
@@ -171,9 +172,11 @@ def test_zero_variance_sentinel():
     g = groups(2, 2, 2, 2)
     wd = weighted_diff(d, g)
     assert wd.var_hat == 0.0
+    # placeholder fits; we test the stat path
+    p = predict_1d(np.zeros((8, 2)), np.array([1.0, 0]), 0.0, -10.0)
     rep_kind = t_relative(
-        Direction(np.array([1.0, 0]), 0.0, -10.0),  # placeholder fits; we test the stat path
-        Direction(np.array([1.0, 0]), 0.0, -10.0),
+        p,
+        p,
         LabeledEmbeddings(np.zeros((8, 2)), (g > 2).astype(int), (g % 2 == 0).astype(int)),
         on="v_sp",
     )
@@ -187,24 +190,24 @@ def test_t_relative_identical_labels():
     Z = rng.standard_normal((n, 3))
     y = np.tile([0, 1], n // 2)
     val = LabeledEmbeddings(Z, y, y)  # y_sp identical to y_mt: only groups 1 and 4
-    fit = Direction(np.array([1.0, 0, 0]), 1.3, 0.2)
+    p = predict_1d(Z, np.array([1.0, 0, 0]), 1.3, 0.2)
     for on in ("v_sp", "v_mt"):
-        rep = t_relative(fit, fit, val, on, delta=0.0, group_weighted=False)
+        rep = t_relative(p, p, val, on, delta=0.0, group_weighted=False)
         assert rep.statistic == 0.0
         assert not rep.decision
     with pytest.raises(EmptyGroupError):
-        t_relative(fit, fit, val, "v_sp")
+        t_relative(p, p, val, "v_sp")
 
 
 def test_t_relative_sp_side_on_toy(toy_rho08):
     _, train, val, _ = toy_rho08
     v = np.zeros(train.d)
     v[0] = 1.0
-    sp_fit = fit_1d_logreg(train.Z, v, train.y_sp)
-    mt_fit = fit_1d_logreg(train.Z, v, train.y_mt)
-    rep = t_relative(sp_fit, mt_fit, val, "v_sp", scale="variance")
+    p_sp = predict_1d(val.Z, v, *fit_1d_logreg(train.Z, v, train.y_sp))
+    p_mt = predict_1d(val.Z, v, *fit_1d_logreg(train.Z, v, train.y_mt))
+    rep = t_relative(p_sp, p_mt, val, "v_sp", scale="variance")
     assert rep.decision
-    d = bce(sp_fit.predict(val.Z), val.y_sp) - bce(mt_fit.predict(val.Z), val.y_mt)
+    d = bce(p_sp, val.y_sp) - bce(p_mt, val.y_mt)
     assert weighted_diff(d, val.group).d_bar_w < 0
 
 
@@ -226,9 +229,9 @@ def test_delta_heuristic_symmetric_generator():
         v_sp[0] = 1.0
         v_mt = np.zeros(cfg.d)
         v_mt[1] = 1.0
-        sp_fit = fit_1d_logreg(train.Z, v_sp, train.y_sp)
-        mt_fit = fit_1d_logreg(train.Z, v_mt, train.y_mt)
-        deltas.append(delta_heuristic(sp_fit, mt_fit, val))
+        p_sp = predict_1d(val.Z, v_sp, *fit_1d_logreg(train.Z, v_sp, train.y_sp))
+        p_mt = predict_1d(val.Z, v_mt, *fit_1d_logreg(train.Z, v_mt, train.y_mt))
+        deltas.append(delta_heuristic(p_sp, p_mt, val))
     assert abs(np.mean(deltas)) <= 0.05
 
 
@@ -241,9 +244,9 @@ def test_delta_heuristic_unequal_separability():
         v_sp[0] = 1.0
         v_mt = np.zeros(cfg.d)
         v_mt[1] = 1.0
-        sp_fit = fit_1d_logreg(train.Z, v_sp, train.y_sp)
-        mt_fit = fit_1d_logreg(train.Z, v_mt, train.y_mt)
-        deltas.append(delta_heuristic(sp_fit, mt_fit, val))
+        p_sp = predict_1d(val.Z, v_sp, *fit_1d_logreg(train.Z, v_sp, train.y_sp))
+        p_mt = predict_1d(val.Z, v_mt, *fit_1d_logreg(train.Z, v_mt, train.y_mt))
+        deltas.append(delta_heuristic(p_sp, p_mt, val))
     assert np.mean(deltas) < -0.1  # spurious label strictly easier
 
 
@@ -253,8 +256,8 @@ def test_delta_heuristic_antisymmetry():
     Z = rng.standard_normal((n, 4))
     val = LabeledEmbeddings(Z, rng.integers(0, 2, n), rng.integers(0, 2, n))
     swapped = LabeledEmbeddings(Z, val.y_sp, val.y_mt)
-    a = Direction(np.eye(4)[0], 1.5, 0.1)
-    b = Direction(np.eye(4)[1], 0.7, -0.2)
+    a = predict_1d(Z, np.eye(4)[0], 1.5, 0.1)
+    b = predict_1d(Z, np.eye(4)[1], 0.7, -0.2)
     assert abs(delta_heuristic(a, b, val) + delta_heuristic(b, a, swapped)) < 1e-6
 
 
@@ -269,8 +272,8 @@ def test_simple_diff_matches_numpy():
 def test_report_csv_row():
     rng = np.random.default_rng(14)
     val = _val_set(rng, 200)
-    v = Direction(np.eye(4)[0], 0.5, 0.0)
-    rep = t_vs_random(v, val, "mt", fit_intercept_only(val, "mt"))
+    p = predict_1d(val.Z, np.eye(4)[0], 0.5, 0.0)
+    rep = t_vs_random(p, fit_intercept_only(val, "mt").predict(val.Z), val, "mt")
     row = rep.csv_row()
     parts = row.split(",")
     assert parts[0] == "mt_vs_random"
@@ -281,8 +284,8 @@ def test_report_csv_row():
 def test_threshold_is_normal_quantile():
     rng = np.random.default_rng(15)
     val = _val_set(rng, 200)
-    v = Direction(np.eye(4)[0], 0.5, 0.0)
-    rep = t_vs_random(v, val, "sp", fit_intercept_only(val, "sp"), alpha=0.1)
+    p = predict_1d(val.Z, np.eye(4)[0], 0.5, 0.0)
+    rep = t_vs_random(p, fit_intercept_only(val, "sp").predict(val.Z), val, "sp", alpha=0.1)
     np.testing.assert_allclose(rep.threshold, norm.ppf(0.9), rtol=1e-12)
 
 
@@ -300,12 +303,12 @@ def test_critical_value_is_norm_ppf_bit_for_bit():
 def test_reported_thresholds_are_norm_ppf_bit_for_bit():
     rng = np.random.default_rng(16)
     val = _val_set(rng, 200)
-    a = Direction(np.eye(4)[0], 0.5, 0.0)
-    b = Direction(np.eye(4)[1], 0.7, -0.2)
-    random_model = fit_intercept_only(val, "sp")
+    a = predict_1d(val.Z, np.eye(4)[0], 0.5, 0.0)
+    b = predict_1d(val.Z, np.eye(4)[1], 0.7, -0.2)
+    p_random = fit_intercept_only(val, "sp").predict(val.Z)
     for alpha in ALPHAS[::8]:
         want = float(norm.ppf(1.0 - alpha))
-        assert t_vs_random(a, val, "sp", random_model, alpha=alpha).threshold == want
+        assert t_vs_random(a, p_random, val, "sp", alpha=alpha).threshold == want
         for on in ("v_sp", "v_mt"):
             assert t_relative(a, b, val, on, alpha=alpha).threshold == want
 
