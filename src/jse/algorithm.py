@@ -185,15 +185,15 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         if i == max_dim:
             termination = "dimension-exhausted" if max_dim == d else "max-iterations"
 
-    def basis(vectors: list[np.ndarray], kind: str) -> SubspaceBasis:
+    def basis(vectors: list[np.ndarray]) -> SubspaceBasis:
         V = np.column_stack(vectors) if vectors else np.zeros((d, 0))
-        return SubspaceBasis(V, kind)
+        return SubspaceBasis(V)
 
     if not cfg.estimate_mt_basis and inner_t == "mt":
         vecs["mt"] = []
     return SubspaceResult(
-        basis(vecs["sp"], "spurious"),
-        basis(vecs["mt"], "main-task"),
+        basis(vecs["sp"]),
+        basis(vecs["mt"]),
         reports["sp"],
         reports["mt"],
         termination,

@@ -125,7 +125,7 @@ def inlp_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: InlpConfig,
         Zval = project_out(Zval, V)
 
     V = np.column_stack(accepted) if accepted else np.zeros((d, 0))
-    return SubspaceBasis(V, "spurious")
+    return SubspaceBasis(V)
 
 
 def _top_k_projection(M: np.ndarray, k: int) -> np.ndarray:
@@ -246,7 +246,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
 
     if not converged and best is not None:
         U = best[1]
-    return RlaceResult(SubspaceBasis(U, "spurious"), converged, it)
+    return RlaceResult(SubspaceBasis(U), converged, it)
 
 
 def erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConfig,

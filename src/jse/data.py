@@ -91,17 +91,14 @@ def _embedding_matrix(Z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """d x k matrix of orthonormal columns; kind is 'spurious' or 'main-task'."""
+    """d x k matrix of orthonormal columns."""
 
     V: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         V = np.asarray(self.V, dtype=np.float64)
         if V.ndim != 2:
             raise ValueError("V must be a d x k matrix")
-        if self.kind not in ("spurious", "main-task"):
-            raise ValueError(f"kind must be 'spurious' or 'main-task', got {self.kind!r}")
         if not orthonormal_check(V, ORTHO_TOL):
             raise ValueError(f"basis columns are not orthonormal within {ORTHO_TOL}")
         object.__setattr__(self, "V", V)

@@ -28,6 +28,8 @@ from .stats import TestReport
 from .toy import ToyConfig, gen_toy, gen_toy_test
 
 METHODS = ("jse", "erm", "gw-erm", "inlp", "rlace")
+# a run's accuracies, in results.csv order
+ACCURACIES = ("acc_g1", "acc_g2", "acc_g3", "acc_g4", "worst_group", "average", "macro_average")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,10 @@ class EvalSummary:
             "macro_average": float(self.macro_average),
             "n_per_group": [int(n) for n in self.n_per_group],
         }
+
+    def accuracies(self) -> list[float]:
+        """The ``ACCURACIES`` values, in that order."""
+        return [*map(float, self.group_acc), self.worst_group, self.average, self.macro_average]
 
 
 def evaluate(model: LinearModel, test: LabeledEmbeddings) -> EvalSummary:
@@ -223,14 +229,9 @@ def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: i
 @dataclass(frozen=True)
 class CellAggregate:
     method: str
-    x_name: str
     x_value: float
-    mean: dict  # metric -> mean over successful seeds
-    se: dict  # metric -> standard error (None with a single run)
-
-    def ci_halfwidth(self, metric: str) -> float | None:
-        se = self.se[metric]
-        return None if se is None else 1.96 * se
+    mean: dict  # accuracy -> mean over successful seeds
+    se: dict  # accuracy -> standard error (None with a single run)
 
 
 @dataclass(frozen=True)
@@ -239,13 +240,11 @@ class SweepResult:
     cells: list[CellAggregate]
 
 
-_METRICS = ("average", "worst_group", "macro_average", "acc_g1", "acc_g2", "acc_g3", "acc_g4")
-
-
-def _metric(summary: EvalSummary, name: str) -> float:
-    if name.startswith("acc_g"):
-        return float(summary.group_acc[int(name[-1]) - 1])
-    return float(getattr(summary, name))
+def mean_se(values) -> tuple[float, float | None]:
+    """Mean and standard error (ddof=1) of a cell's values; the SE is None for one value."""
+    vals = np.asarray(values, dtype=np.float64)
+    se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else None
+    return float(vals.mean()), se
 
 
 def aggregate_cell(
@@ -258,15 +257,9 @@ def aggregate_cell(
             f"cell ({method}, {x_name}={x_value}) had {n_failed}/{len(records)} failures; "
             "at least 90% of seeds must succeed for aggregation"
         )
-    mean: dict = {}
-    se: dict = {}
-    for m in _METRICS:
-        vals = np.array([_metric(r.summary, m) for r in ok])
-        mean[m] = float(vals.mean()) if len(vals) else float("nan")
-        se[m] = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else None
-    mean["d_sp_hat"] = float(np.mean([r.d_sp_hat for r in ok])) if ok else float("nan")
-    se["d_sp_hat"] = None
-    return CellAggregate(method, x_name, x_value, mean, se)
+    # one (mean, se) per ACCURACIES column, over the successful seeds
+    mean, se = zip(*(mean_se(col) for col in zip(*(r.summary.accuracies() for r in ok))))
+    return CellAggregate(method, x_value, dict(zip(ACCURACIES, mean)), dict(zip(ACCURACIES, se)))
 
 
 def run_sweep(

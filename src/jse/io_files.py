@@ -26,7 +26,7 @@ from typing import NoReturn
 import numpy as np
 
 from .data import ORTHO_TOL, LabeledEmbeddings, orthonormal_check
-from .evaluate import METHODS, Artifact, CellAggregate, EvalSummary, RunRecord
+from .evaluate import ACCURACIES, METHODS, Artifact, CellAggregate, EvalSummary, RunRecord, mean_se
 from .sgd import LinearModel
 from .stats import TestReport
 
@@ -39,6 +39,11 @@ class DataFormatError(ValueError):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _check_schema_version(path: str, lineno: int, value: str) -> None:
+    if value != str(SCHEMA_VERSION):
+        raise DataFormatError(f"{path}:{lineno}: schema_version is {value!r}, not {SCHEMA_VERSION}")
 
 
 # rows per writelines call when saving: large enough to amortise the call,
@@ -185,9 +190,10 @@ def load_artifact(path: str) -> Artifact:
                 header[key.strip()] = (lineno, value.strip())
             else:
                 current.append((lineno, line))
-    for key in ("d", "method"):
+    for key in ("schema_version", "d", "method"):
         if key not in header:
             raise DataFormatError(f"{path}: missing header field {key!r}")
+    _check_schema_version(path, *header["schema_version"])
 
     def at_line(lineno: int, value, convert):
         """convert(value), with a ValueError reported as a data error at the line."""
@@ -285,9 +291,7 @@ def load_artifact(path: str) -> Artifact:
 
 
 RESULTS_COLUMNS = [
-    "method", "x_name", "x_value", "seed",
-    "acc_g1", "acc_g2", "acc_g3", "acc_g4",
-    "worst_group", "average", "macro_average",
+    "method", "x_name", "x_value", "seed", *ACCURACIES,
     "d_sp_hat", "d_mt_hat", "runtime_ms", "error", "schema_version",
 ]
 
@@ -297,31 +301,22 @@ def write_results_csv(path: str, records: list[RunRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
         for r in records:
-            if r.summary is None:
-                accs = [""] * 7
-            else:
-                accs = [_fmt(a) for a in r.summary.group_acc] + [
-                    _fmt(r.summary.worst_group),
-                    _fmt(r.summary.average),
-                    _fmt(r.summary.macro_average),
-                ]
+            accs = ([""] * len(ACCURACIES) if r.summary is None
+                    else map(_fmt, r.summary.accuracies()))
             writer.writerow(
                 [r.method, r.x_name, _fmt(r.x_value), r.seed, *accs,
                  r.d_sp_hat, r.d_mt_hat, _fmt(r.runtime_ms), r.error, SCHEMA_VERSION]
             )
 
 
-_RESULTS_ACCURACIES = ("acc_g1", "acc_g2", "acc_g3", "acc_g4",
-                       "worst_group", "average", "macro_average")
-
-
 def read_results_csv(path: str) -> list[dict]:
     """The runs of a results CSV as dicts of the raw field strings.
 
     The header must hold every ``RESULTS_COLUMNS`` name, and each row one field
-    per header column. Numeric fields must be finite numbers (``seed`` and the
-    dimensions integers); a failed run's accuracies are empty. Violations, and
-    a file with no runs, raise ``DataFormatError`` naming the file and line.
+    per header column, and its ``schema_version`` must be ``SCHEMA_VERSION``.
+    Numeric fields must be finite numbers (``seed`` and the dimensions
+    integers); a failed run's accuracies are empty. Violations, and a file with
+    no runs, raise ``DataFormatError`` naming the file and line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -339,8 +334,9 @@ def read_results_csv(path: str) -> list[dict]:
             if len(fields) != len(header):
                 raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(fields)}")
             row = dict(zip(header, fields))
-            for col in ("x_value", "runtime_ms", *_RESULTS_ACCURACIES):
-                if col in _RESULTS_ACCURACIES and row["error"] and not row[col]:
+            _check_schema_version(path, reader.line_num, row["schema_version"])
+            for col in ("x_value", "runtime_ms", *ACCURACIES):
+                if col in ACCURACIES and row["error"] and not row[col]:
                     continue  # a failed run has no accuracies
                 try:
                     value = float(row[col])
@@ -363,16 +359,16 @@ def read_results_csv(path: str) -> list[dict]:
 PLOT_COLUMNS = ["x", "method", "mean", "ci_low", "ci_high", "metric"]
 
 
-def write_plot_tsv(path: str, cells: list[CellAggregate],
-                   metrics: tuple[str, ...] = ("average", "worst_group")) -> None:
+def write_plot_tsv(path: str, cells: list[CellAggregate]) -> None:
+    """One row per cell and metric: the mean and its 95% band, mean -/+ 1.96 SE,
+    left blank for a one-seed cell."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(PLOT_COLUMNS) + "\n")
         for cell in cells:
-            for metric in metrics:
-                m = cell.mean[metric]
-                hw = cell.ci_halfwidth(metric)
-                lo = "" if hw is None else _fmt(m - hw)
-                hi = "" if hw is None else _fmt(m + hw)
+            for metric in ("average", "worst_group"):
+                m, se = cell.mean[metric], cell.se[metric]
+                lo = "" if se is None else _fmt(m - 1.96 * se)
+                hi = "" if se is None else _fmt(m + 1.96 * se)
                 fh.write(
                     f"{_fmt(cell.x_value)}\t{cell.method}\t{_fmt(m)}\t{lo}\t{hi}\t{metric}\n"
                 )
@@ -398,21 +394,20 @@ def format_report(rows: list[dict]) -> str:
     header = f"{'Method':8s} {'Accuracy':16s}" + "".join(f"{x_name}={x:<12g}" for x in xs)
     out.write(header.rstrip() + "\n")
     out.write("-" * len(header) + "\n")
+    cells: dict[tuple[str, float], list[dict]] = {}
+    for r in rows:
+        cells.setdefault((r["method"], float(r["x_value"])), []).append(r)
     for method in methods:
         for metric, label in metrics:
             cellstr = []
             for x in xs:
-                vals = [
-                    float(r[metric])
-                    for r in rows
-                    if r["method"] == method and float(r["x_value"]) == x and r[metric] != ""
-                ]
+                vals = [float(r[metric]) for r in cells.get((method, x), []) if r[metric] != ""]
                 if not vals:
                     cellstr.append(f"{'-':<14s}")
                     continue
-                mean = np.mean(vals)
-                se = np.std(vals, ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else float("nan")
-                cellstr.append(f"{mean:6.2f} ({se:.2f}) ")
+                mean, se = mean_se(vals)
+                se_text = "nan" if se is None else f"{se:.2f}"
+                cellstr.append(f"{mean:6.2f} ({se_text}) ")
             name = method if metric == "acc_g1" else ""
             out.write(f"{name:8s} {label:16s}" + "".join(cellstr).rstrip() + "\n")
         out.write("\n")

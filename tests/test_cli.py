@@ -176,6 +176,8 @@ _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
                  3, ":2: d_sp_hat is not an integer: '1.5'", id="fractional-dimension"),
     pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW},extra\n", 3,
                  ":2: expected 16 fields, got 17", id="extra-field"),
+    pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n{_RESULTS_ROW[:-1]}99\n", 3,
+                 ":3: schema_version is '99', not 1", id="other-schema-version"),
 ])
 def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
     """A results CSV is checked against RESULTS_COLUMNS and its numeric fields

@@ -14,6 +14,7 @@ from jse.evaluate import (
     run_single,
     run_sweep,
 )
+from jse.io_files import write_plot_tsv
 from jse.sgd import LinearModel
 from jse.toy import ToyConfig
 
@@ -83,7 +84,15 @@ def test_transform_argument():
     np.testing.assert_allclose(s.average, 100.0 * np.mean(test.y_mt))
 
 
-def test_aggregation_two_pass_oracle():
+def _plot_band(tmp_path, cell) -> tuple[str, str]:
+    """ci_low and ci_high of the cell's average row in plot.tsv."""
+    path = tmp_path / "plot.tsv"
+    write_plot_tsv(str(path), [cell])
+    (row,) = [ln.split("\t") for ln in path.read_text().splitlines() if ln.endswith("\taverage")]
+    return row[3], row[4]
+
+
+def test_aggregation_two_pass_oracle(tmp_path):
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=6)
     result = run_sweep(cfg, [cfg.method], "rho", [0.5])
     records, (cell,) = result.records, result.cells
@@ -94,14 +103,16 @@ def test_aggregation_two_pass_oracle():
     se = (var / len(vals)) ** 0.5
     assert abs(cell.mean["average"] - mean) < 1e-9
     assert abs(cell.se["average"] - se) < 1e-9
-    np.testing.assert_allclose(cell.ci_halfwidth("average"), 1.96 * se, rtol=1e-12)
+    lo, hi = _plot_band(tmp_path, cell)
+    np.testing.assert_allclose(cell.mean["average"] - float(lo), 1.96 * se, rtol=1e-12)
+    np.testing.assert_allclose(float(hi) - cell.mean["average"], 1.96 * se, rtol=1e-12)
 
 
-def test_single_seed_has_no_se():
+def test_single_seed_has_no_se(tmp_path):
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=1)
     (cell,) = run_sweep(cfg, [cfg.method], "rho", [0.0]).cells
     assert cell.se["average"] is None
-    assert cell.ci_halfwidth("average") is None
+    assert _plot_band(tmp_path, cell) == ("", "")
 
 
 def test_determinism_of_runs():

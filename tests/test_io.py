@@ -319,6 +319,15 @@ def test_non_finite_delta_header_exits_3_naming_line(tmp_path, capsys):
                          "{path}:{lineno}: non-finite value nan")
 
 
+@pytest.mark.parametrize("edit,msg", [
+    pytest.param(lambda line: "schema_version = 99",
+                 "{path}:{lineno}: schema_version is '99', not 1", id="other"),
+    pytest.param(lambda line: "", "{path}: missing header field 'schema_version'", id="missing"),
+])
+def test_other_schema_version_exits_3(tmp_path, capsys, edit, msg):
+    _assert_edit_exits_3(tmp_path, capsys, "schema_version = 1", 0, edit, msg)
+
+
 def test_pca_components_without_mean_rejected_naming_line(tmp_path):
     """Artifact.preprocess applies PCA as (Z - pre_mean) @ pre_components, so a
     file holding components but no mean is a data error, not a traceback."""
@@ -386,17 +395,36 @@ def test_results_csv_round_trip(tmp_path):
     assert rows[1]["error"] != "" and rows[1]["average"] == ""
 
 
+def _sweep_records():
+    """A 2-seed cell, a 1-seed cell and a failed run, as a sweep writes them."""
+    n = np.array([500, 480, 520, 500])
+    return [
+        RunRecord("jse", "rho", 0.8, 0, EvalSummary(np.array([80.1, 81.3, 82.7, 83.9]),
+                                                    80.1, 81.85, 82.0, n), 1, 1, 123.25),
+        RunRecord("jse", "rho", 0.8, 1, EvalSummary(np.array([78.4, 84.6, 79.2, 85.0]),
+                                                    78.4, 81.7, 81.8, n), 1, 0, 98.5),
+        RunRecord("erm", "rho", 0.8, 0, EvalSummary(np.array([90.0, 60.2, 55.8, 91.4]),
+                                                    55.8, 74.35, 74.35, n), 0, 0, 7.125),
+        RunRecord("erm", "rho", 0.0, 0, None, 0, 0, 5.0, "ValueError('x, y')"),
+    ]
+
+
 def test_plot_tsv(tmp_path):
+    """plot.tsv byte for byte: the band is mean -/+ 1.96 SE, blank for one seed."""
     from jse.evaluate import aggregate_cell
 
-    cell = aggregate_cell("jse", "rho", 0.8, [_records()[0], _records()[0]])
+    recs = _sweep_records()
+    cells = [aggregate_cell("jse", "rho", 0.8, recs[:2]),
+             aggregate_cell("erm", "rho", 0.8, recs[2:3])]
     path = tmp_path / "plot.tsv"
-    write_plot_tsv(str(path), [cell])
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x\tmethod\tmean\tci_low\tci_high\tmetric"
-    assert len(lines) == 3  # average and worst_group rows
-    fields = lines[1].split("\t")
-    assert fields[1] == "jse" and fields[5] in ("average", "worst_group")
+    write_plot_tsv(str(path), cells)
+    assert path.read_bytes().decode() == (
+        "x\tmethod\tmean\tci_low\tci_high\tmetric\n"
+        "0.8\tjse\t81.775\t81.62800000000001\t81.922\taverage\n"
+        "0.8\tjse\t79.25\t77.58400000000002\t80.91599999999998\tworst_group\n"
+        "0.8\term\t74.35\t\t\taverage\n"
+        "0.8\term\t55.8\t\t\tworst_group\n"
+    )
 
 
 def test_eval_summary_jsonl():
@@ -410,8 +438,33 @@ def test_eval_summary_jsonl():
 
 
 def test_format_report_smoke(tmp_path):
+    """results.csv and the report byte for byte: a failed run's accuracies are
+    blank, a cell with no successful run prints '-', one seed prints (nan)."""
     path = tmp_path / "results.csv"
-    write_results_csv(str(path), [_records()[0]])
-    rows = [r for r in read_results_csv(str(path)) if not r["error"]]
-    text = format_report(rows)
-    assert "Worst-group" in text and "Average" in text and "jse" in text
+    write_results_csv(str(path), _sweep_records())
+    assert path.read_bytes().decode() == (
+        "method,x_name,x_value,seed,acc_g1,acc_g2,acc_g3,acc_g4,worst_group,average,"
+        "macro_average,d_sp_hat,d_mt_hat,runtime_ms,error,schema_version\r\n"
+        "jse,rho,0.8,0,80.1,81.3,82.7,83.9,80.1,81.85,82.0,1,1,123.25,,1\r\n"
+        "jse,rho,0.8,1,78.4,84.6,79.2,85.0,78.4,81.7,81.8,1,0,98.5,,1\r\n"
+        "erm,rho,0.8,0,90.0,60.2,55.8,91.4,55.8,74.35,74.35,0,0,7.125,,1\r\n"
+        "erm,rho,0.0,0,,,,,,,,0,0,5.0,\"ValueError('x, y')\",1\r\n"
+    )
+    assert format_report(read_results_csv(str(path))) == (
+        "Method   Accuracy        rho=0           rho=0.8\n"
+        "---------------------------------------------------------\n"
+        "erm      y_mt=0, y_sp=0  -              90.00 (nan)\n"
+        "         y_mt=0, y_sp=1  -              60.20 (nan)\n"
+        "         y_mt=1, y_sp=0  -              55.80 (nan)\n"
+        "         y_mt=1, y_sp=1  -              91.40 (nan)\n"
+        "         Worst-group     -              55.80 (nan)\n"
+        "         Average         -              74.35 (nan)\n"
+        "\n"
+        "jse      y_mt=0, y_sp=0  -              79.25 (0.85)\n"
+        "         y_mt=0, y_sp=1  -              82.95 (1.65)\n"
+        "         y_mt=1, y_sp=0  -              80.95 (1.75)\n"
+        "         y_mt=1, y_sp=1  -              84.45 (0.55)\n"
+        "         Worst-group     -              79.25 (0.85)\n"
+        "         Average         -              81.78 (0.07)\n"
+        "\n"
+    )
