@@ -44,7 +44,7 @@ from .sgd import (
     fit_logreg,
     predict_1d,
 )
-from .stats import TestReport, WeightedDiff, delta_heuristic, t_relative, t_vs_random, weighted_diff
+from .stats import TestReport, delta_heuristic, t_relative, t_vs_random, weighted_diff
 from .toy import ToyConfig, gen_toy, gen_toy_test
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -107,16 +107,18 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
     outer_t, inner_t = ("sp", "mt") if cfg.loop_order == "mt-inner" else ("mt", "sp")
     random_models = {t: fit_intercept_only(train, t) for t in ("sp", "mt")}
     gw = cfg.group_weighted_tests
-    delta = 0.0 if cfg.delta == DELTA_AUTO else float(cfg.delta)
+    # None until the first joint solve measures it (delta = "auto")
+    delta = None if cfg.delta == DELTA_AUTO else float(cfg.delta)
     # per concept: the outer concept's accepted directions, the inner concept's
     # from the latest inner pass; and the test reports of every proposal
     vecs: dict[str, list[np.ndarray]] = {"sp": [], "mt": []}
     reports: dict[str, list[tuple[TestReport, TestReport]]] = {"sp": [], "mt": []}
 
     def tests(target: str, v: np.ndarray, gamma: float, b: float, Ztr: np.ndarray,
-              val_cur: LabeledEmbeddings) -> tuple[TestReport, TestReport]:
+              val_cur: LabeledEmbeddings) -> bool:
         """Run and record a target-concept candidate's two tests: against the
-        intercept-only classifier, then against the other concept's 1-d fit on v."""
+        intercept-only classifier, then against the other concept's 1-d fit on
+        v. True when both accept the candidate."""
         other = "mt" if target == "sp" else "sp"
         p_own = predict_1d(val_cur.Z, v, gamma, b)
         p_cross = predict_1d(val_cur.Z, v, *fit_1d_logreg(Ztr, v, train.labels(other)))
@@ -126,11 +128,10 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         rep_rel = t_relative(p_sp, p_mt, val_cur, "v_" + target, delta, cfg.alpha, gw,
                              cfg.relative_test_scale)
         reports[target].append((rep_rnd, rep_rel))
-        return rep_rnd, rep_rel
+        return rep_rnd.decision and rep_rel.decision
 
     Ztr_outer = train.Z  # outer-accepted directions projected out
     Zval_outer = val.Z
-    delta_fixed = cfg.delta != DELTA_AUTO
     termination = "max-iterations"
 
     for i in range(1, max_dim + 1):
@@ -141,8 +142,7 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         for j in range(1, max_dim + 1):
             sp_m, mt_m = fit_joint_orthogonal(train.with_Z(Ztr_in), child_seed(seed, i, j))
             val_in = val.with_Z(Zval_in)
-            models = {"sp": sp_m, "mt": mt_m}
-            out_m, in_m = models[outer_t], models[inner_t]
+            out_m, in_m = (sp_m, mt_m) if outer_t == "sp" else (mt_m, sp_m)
 
             removed = vecs[outer_t] + vecs[inner_t]
             cand_out = normalize_against(out_m.w, removed)
@@ -150,7 +150,7 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
             if cand_out is not None:
                 outer_candidate = (*cand_out, out_m.b)
 
-            if not delta_fixed:
+            if delta is None:
                 # heuristic from the very first joint solve, held fixed afterwards; a
                 # vanished w keeps its norm as the scale along e1
                 own = [
@@ -159,23 +159,16 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
                     for m in (sp_m, mt_m)
                 ]
                 delta = delta_heuristic(*own, val_in, gw)
-                delta_fixed = True
 
-            if cand_in is None:
-                break
-            rep_rnd, rep_rel = tests(inner_t, *cand_in, in_m.b, Ztr_in, val_in)
-            if not (rep_rnd.decision and rep_rel.decision):
+            if cand_in is None or not tests(inner_t, *cand_in, in_m.b, Ztr_in, val_in):
                 break
             vecs[inner_t].append(cand_in[0])
             V_in = np.column_stack(vecs[inner_t])
             Ztr_in = project_out(Ztr_outer, V_in)
             Zval_in = project_out(Zval_outer, V_in)
 
-        if outer_candidate is None:
-            termination = "test-rejected"
-            break
-        rep_rnd, rep_rel = tests(outer_t, *outer_candidate, Ztr_outer, val.with_Z(Zval_outer))
-        if not (rep_rnd.decision and rep_rel.decision):
+        if outer_candidate is None or not tests(outer_t, *outer_candidate, Ztr_outer,
+                                                val.with_Z(Zval_outer)):
             termination = "test-rejected"
             break
         vecs[outer_t].append(outer_candidate[0])

@@ -206,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
+    # OSError: a missing path, a directory given as a file, an existing file as --out
+    except (DataFormatError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

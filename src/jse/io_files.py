@@ -320,37 +320,44 @@ def read_results_csv(path: str) -> list[dict]:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header:
-            raise DataFormatError(f"{path}: no runs")
-        missing = [c for c in RESULTS_COLUMNS if c not in header]
-        if missing:
-            raise DataFormatError(f"{path}:1: missing columns {', '.join(missing)}")
-        rows = []
-        for fields in reader:
-            if not fields:  # a blank line
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(fields) != len(header):
-                raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(fields)}")
-            row = dict(zip(header, fields))
-            _check_schema_version(path, reader.line_num, row["schema_version"])
-            for col in ("x_value", "runtime_ms", *ACCURACIES):
-                if col in ACCURACIES and row["error"] and not row[col]:
-                    continue  # a failed run has no accuracies
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    raise DataFormatError(f"{where}: {col} is not a number: {row[col]!r}") from None
-                if not np.isfinite(value):
-                    raise DataFormatError(f"{where}: non-finite value {row[col]} in {col}")
-            for col in ("seed", "d_sp_hat", "d_mt_hat"):
-                try:
-                    int(row[col])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{where}: {col} is not an integer: {row[col]!r}") from None
-            rows.append(row)
+        try:
+            lines = [(reader.line_num, fields) for fields in reader]
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    header = lines[0][1] if lines else []
+    if not header:
+        raise DataFormatError(f"{path}: no runs")
+    missing = [c for c in RESULTS_COLUMNS if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}:1: missing columns {', '.join(missing)}")
+    rows = []
+    for line_num, fields in lines[1:]:
+        if not fields:  # a blank line
+            continue
+        where = f"{path}:{line_num}"
+        if len(fields) != len(header):
+            raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+        row = dict(zip(header, fields))
+        _check_schema_version(path, line_num, row["schema_version"])
+        if rows and row["x_name"] != rows[0]["x_name"]:
+            raise DataFormatError(
+                f"{where}: x_name is {row['x_name']!r}, not {rows[0]['x_name']!r}")
+        for col in ("x_value", "runtime_ms", *ACCURACIES):
+            if col in ACCURACIES and row["error"] and not row[col]:
+                continue  # a failed run has no accuracies
+            try:
+                value = float(row[col])
+            except ValueError:
+                raise DataFormatError(f"{where}: {col} is not a number: {row[col]!r}") from None
+            if not np.isfinite(value):
+                raise DataFormatError(f"{where}: non-finite value {row[col]} in {col}")
+        for col in ("seed", "d_sp_hat", "d_mt_hat"):
+            try:
+                int(row[col])
+            except ValueError:
+                raise DataFormatError(
+                    f"{where}: {col} is not an integer: {row[col]!r}") from None
+        rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: no runs")
     return rows

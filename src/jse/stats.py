@@ -14,9 +14,12 @@ pure-Python port of the Cephes inverse normal CDF: the same bits as
 start of the package.
 
 This module is the one place that computes a statistic and picks a test's
-side. The tests take the models' predicted probabilities on the validation
-split, not the models. Four test kinds are used by the subspace-estimation loop, and the
-first by INLP's stopping rule (``baselines.inlp_fit``):
+side: ``weighted_diff`` gives the (mean, variance of the mean) pair, group
+weighted or plain (the weighting ablation), and ``_report`` turns it into
+every test's statistic and decision. The tests take the models' predicted
+probabilities on the validation split, not the models. Four test kinds are
+used by the subspace-estimation loop, and the first by INLP's stopping rule
+(``baselines.inlp_fit``):
 
 * ``sp_vs_random`` / ``mt_vs_random``: a candidate direction beats the
   intercept-only classifier on its own label (one-sided, H1: mean < 0);
@@ -117,12 +120,6 @@ class EmptyGroupError(ValueError):
 
 
 @dataclass(frozen=True)
-class WeightedDiff:
-    d_bar_w: float
-    var_hat: float
-
-
-@dataclass(frozen=True)
 class TestReport:
     __test__ = False  # keep pytest collection away from the name
 
@@ -145,9 +142,15 @@ class TestReport:
         )
 
 
-def weighted_diff(d: np.ndarray, group: np.ndarray) -> WeightedDiff:
-    """Equally group-weighted mean and variance estimate of the differences d."""
+def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float, float]:
+    """Mean of the differences d and the estimated variance of that mean:
+    equally weighted over the four groups when ``group`` is given, else the
+    plain sample mean (the weighting ablation)."""
     d = np.asarray(d, dtype=np.float64)
+    if group is None:
+        if len(d) < 2:
+            raise EmptyGroupError("need at least 2 samples")
+        return float(d.mean()), float(d.var(ddof=1) / len(d))
     group = np.asarray(group)
     if d.shape != group.shape:
         raise ValueError("d and group must have equal length")
@@ -164,35 +167,19 @@ def weighted_diff(d: np.ndarray, group: np.ndarray) -> WeightedDiff:
         means[g - 1] = dg.mean()
         variances[g - 1] = dg.var(ddof=1)
         counts[g - 1] = len(dg)
-    d_bar_w = float(means.mean())
-    var_hat = float(np.sum(variances / counts) / 16.0)
-    return WeightedDiff(d_bar_w, var_hat)
+    return float(means.mean()), float(np.sum(variances / counts) / 16.0)
 
 
-def simple_diff(d: np.ndarray) -> WeightedDiff:
-    """Unweighted counterpart of :func:`weighted_diff` (the weighting ablation)."""
-    d = np.asarray(d, dtype=np.float64)
-    if len(d) < 2:
-        raise EmptyGroupError("need at least 2 samples")
-    return WeightedDiff(float(d.mean()), float(d.var(ddof=1) / len(d)))
-
-
-def _t_statistic(wd: WeightedDiff, delta: float, scale: str) -> float:
-    centered = wd.d_bar_w - delta
-    if wd.var_hat <= 0.0:
-        if centered == 0.0:
-            return 0.0
-        return T_SENTINEL if centered > 0 else -T_SENTINEL
-    denom = float(np.sqrt(wd.var_hat)) if scale == "se" else wd.var_hat
-    return centered / denom
-
-
-def _report(
-    kind: str, wd: WeightedDiff, delta: float, alpha: float, scale: str = "se"
-) -> TestReport:
-    if scale not in ("se", "variance"):
-        raise ValueError(f"scale must be 'se' or 'variance', got {scale!r}")
-    t = _t_statistic(wd, delta, scale)
+def _report(kind: str, d: np.ndarray, val: LabeledEmbeddings, group_weighted: bool,
+            delta: float, alpha: float, scale: str = "se") -> TestReport:
+    """Decide test ``kind`` on the differences d: t = (mean - delta) over the
+    standard error (``scale='se'``) or over the variance of the mean."""
+    mean, var = weighted_diff(d, val.group if group_weighted else None)
+    centered = mean - delta
+    if var <= 0.0:
+        t = 0.0 if centered == 0.0 else (T_SENTINEL if centered > 0 else -T_SENTINEL)
+    else:
+        t = centered / (float(np.sqrt(var)) if scale == "se" else var)
     threshold = critical_value(alpha)
     decision = t < -threshold if SIDES[kind] == "less" else t > threshold
     return TestReport(kind, t, threshold, alpha, delta, bool(decision))
@@ -211,10 +198,8 @@ def t_vs_random(
     than the intercept-only classifier, which predicts ``p_random``?
     H1: the weighted mean BCE difference is < 0."""
     y = val.labels(target)
-    d = bce(p, y) - bce(p_random, y)
-    wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     kind = "sp_vs_random" if target == "sp" else "mt_vs_random"
-    return _report(kind, wd, 0.0, alpha)
+    return _report(kind, bce(p, y) - bce(p_random, y), val, group_weighted, 0.0, alpha)
 
 
 def t_relative(
@@ -242,10 +227,11 @@ def t_relative(
     """
     if on not in ("v_sp", "v_mt"):
         raise ValueError(f"on must be 'v_sp' or 'v_mt', got {on!r}")
+    if scale not in ("se", "variance"):
+        raise ValueError(f"scale must be 'se' or 'variance', got {scale!r}")
     d = bce(p_sp, val.y_sp) - bce(p_mt, val.y_mt)
-    wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
     kind = "sp_vs_mt_on_vsp" if on == "v_sp" else "sp_vs_mt_on_vmt"
-    return _report(kind, wd, delta, alpha, scale)
+    return _report(kind, d, val, group_weighted, delta, alpha, scale)
 
 
 def delta_heuristic(
@@ -258,5 +244,4 @@ def delta_heuristic(
     of BCE(sp model on its own direction) - BCE(mt model on its own direction),
     from those models' validation predictions ``p_sp`` and ``p_mt``."""
     d = bce(p_sp, val.y_sp) - bce(p_mt, val.y_mt)
-    wd = weighted_diff(d, val.group) if group_weighted else simple_diff(d)
-    return wd.d_bar_w
+    return weighted_diff(d, val.group if group_weighted else None)[0]

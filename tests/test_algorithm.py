@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -186,3 +188,23 @@ def test_config_validation():
         JseConfig(transform_mode="remove-everything")
     with pytest.raises(ValueError):
         JseConfig(relative_test_scale="cube")
+
+
+# sha256 of every [tests] row, delta and termination that fit_method's jse
+# writes for the four test options at rho 0.0 and 0.9, fit seeds 0 and 1: a
+# statistic that moves by one ulp changes it, where the golden runs pin only
+# decisions and accuracies
+TESTS_ROWS_SHA256 = "bb8998344fb59b9869bf2ad2ee8ea83d4b15258b5bfea5b0261b17d18b9461d4"
+
+
+def test_jse_tests_rows_bit_for_bit():
+    lines = []
+    for over in ({}, {"group_weighted_tests": False}, {"relative_test_scale": "se"},
+                 {"delta": 0.0}):
+        cfg = ExperimentConfig("jse", jse=JseConfig(**over))
+        for rho in (0.0, 0.9):
+            for seed in (0, 1):
+                train, val = gen_toy(ToyConfig(n=800, rho=rho, seed=100 + seed))
+                art = fit_method(cfg, train, val, seed)
+                lines += [r.csv_row() for r in art.tests] + [repr(art.delta), art.termination]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TESTS_ROWS_SHA256

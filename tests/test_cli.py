@@ -178,6 +178,11 @@ _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
                  ":2: expected 16 fields, got 17", id="extra-field"),
     pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n{_RESULTS_ROW[:-1]}99\n", 3,
                  ":3: schema_version is '99', not 1", id="other-schema-version"),
+    pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n"
+                 + _RESULTS_ROW.replace(",rho,", ",angle_deg,") + "\n", 3,
+                 ":3: x_name is 'angle_deg', not 'rho'", id="two-grids"),
+    pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace(",,1", "," + "x" * 140_000 + ",1")
+                 + "\n", 3, ":2: field larger than field limit (131072)", id="long-field"),
 ])
 def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
     """A results CSV is checked against RESULTS_COLUMNS and its numeric fields
@@ -192,6 +197,24 @@ def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
         assert captured.err == f"error: {path}{msg}\n" and captured.out == ""
     else:
         assert "Average" in captured.out and "75.00" in captured.out
+
+
+@pytest.mark.parametrize("argv,named", [
+    pytest.param(["report", "--results", "{dir}"], "dir", id="report-results-dir"),
+    pytest.param(["--config", "{dir}", "sweep"], "dir", id="config-dir"),
+    pytest.param(["transform", "--artifact", "{dir}", "--in", "{file}", "--out-file", "{out}"],
+                 "dir", id="transform-artifact-dir"),
+    pytest.param(["--out", "{file}", "gen-toy"], "file", id="out-is-a-file"),
+])
+def test_bad_paths_are_data_errors(tmp_path, capsys, argv, named):
+    """A directory given as a file, or an existing file given as the output
+    directory, exits 3 with a message naming the path."""
+    paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file", "out": tmp_path / "out.csv"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("x\n")
+    assert run_cli(*(a.format(**paths) for a in argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(paths[named]) in err
 
 
 # --pca above min(n, d) depends on the data, so it stays a data error (exit 3)

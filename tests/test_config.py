@@ -1,11 +1,21 @@
 import dataclasses
+import functools
 import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jse.config import ConfigError, build_experiment, load_config, parse_config_lines
-from jse.evaluate import METHODS
+from jse.config import (
+    TARGETS,
+    ConfigError,
+    SweepSpec,
+    build_experiment,
+    load_config,
+    parse_config_lines,
+)
+from jse.evaluate import METHODS, ExperimentConfig
 from jse.sgd import OptimizerConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -351,3 +361,52 @@ def test_shipped_configs_load(path):
     _, sweep = load_config(path)
     assert sweep.methods and set(sweep.methods) <= set(METHODS)
     assert sweep.x_values and sweep.seeds >= 1
+
+
+def _keys(obj) -> list[str]:
+    return [f.name for f in dataclasses.fields(obj)]
+
+
+# each section's keys: the fields of the dataclass it sets
+_FIELDS = {section: _keys(functools.reduce(getattr, paths[0], ExperimentConfig("jse")))
+           for section, paths in TARGETS.items()} | {"sweep": _keys(SweepSpec)}
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                max_size=12)
+_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "2", "20", "1e400", "-1e-400", "nan", "inf", "-inf",
+                     "none", "", "true", "no", "auto", "rho", "n", "angle_deg", "jse", "erm",
+                     "inlp, rlace", "0.0, 0.9", "sp-inner", "keep-mt", "se", "variance",
+                     "class-balanced", "1, 2, x"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    _TEXT,
+)
+
+
+@st.composite
+def _config_lines(draw) -> list[str]:
+    """Sections holding their own keys; about one choice in twenty draws an
+    unknown section or key, or a line that is no statement."""
+    def rarely(usual, odd):
+        return draw(odd) if draw(st.sampled_from([False] * 19 + [True])) else usual
+
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        section = draw(st.sampled_from(list(_FIELDS)))
+        lines.append(f"[{rarely(section, _TEXT)}]")
+        for _ in range(draw(st.integers(0, 4))):
+            key = rarely(draw(st.sampled_from(_FIELDS[section])), _TEXT)
+            lines.append(rarely(f"{key} = {draw(_VALUES)}", _TEXT))
+    return lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_config_lines())
+def test_config_parser_fuzz(lines):
+    """Any text ends in an experiment config or a ConfigError, never another
+    exception."""
+    try:
+        cfg, sweep = build_experiment(parse_config_lines(lines))
+    except ConfigError:
+        return
+    assert cfg.seeds == sweep.seeds and cfg.base_seed == sweep.base_seed

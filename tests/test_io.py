@@ -13,6 +13,7 @@ from jse.cli import main
 from jse.data import LabeledEmbeddings
 from jse.evaluate import EvalSummary, RunRecord
 from jse.io_files import (
+    RESULTS_COLUMNS,
     Artifact,
     DataFormatError,
     eval_summary_jsonl,
@@ -468,3 +469,44 @@ def test_format_report_smoke(tmp_path):
         "         Average         -              81.78 (0.07)\n"
         "\n"
     )
+
+
+_RESULTS_FIELDS = st.one_of(
+    st.sampled_from(["", "erm", "jse", "rho", "angle_deg", "0", "1", "-3", "0.5", "75.0", "nan",
+                     "inf", "1e400", "1.5", "abc", "ValueError('x, y')", '"a,b"', '"', "1\n2",
+                     "x" * 140_000]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _results_text(draw) -> str:
+    """A results CSV: a header that usually names every column, then rows of
+    about the right width built from plausible and implausible fields."""
+    header = list(RESULTS_COLUMNS)
+    if draw(st.sampled_from([False] * 4 + [True])):
+        header = draw(st.permutations(header))[:draw(st.integers(0, len(header)))]
+    lines = [",".join(header)]
+    good = ["erm", "rho", "0.5", "0", *["75.0"] * 7, "0", "0", "12.5", "", "1"]
+    for _ in range(draw(st.integers(0, 4))):
+        row = list(good)
+        for _ in range(draw(st.integers(0, 3))):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_RESULTS_FIELDS)
+        lines.append(",".join(row[:draw(st.sampled_from([len(row)] * 9 + [len(row) - 1]))]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_results_text())
+def test_results_reader_fuzz(text):
+    """Any text ends in the runs of one grid or a DataFormatError, never
+    another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            rows = read_results_csv(str(path))
+        except DataFormatError:
+            return
+    assert rows and len({r["x_name"] for r in rows}) == 1

@@ -17,7 +17,6 @@ from jse.stats import (
     _ndtri,
     critical_value,
     delta_heuristic,
-    simple_diff,
     t_relative,
     t_vs_random,
     weighted_diff,
@@ -31,9 +30,9 @@ def groups(*sizes):
 
 def test_weighted_diff_constant():
     d = np.full(40, 3.25)
-    wd = weighted_diff(d, groups(10, 10, 10, 10))
-    assert wd.d_bar_w == 3.25
-    assert wd.var_hat == 0.0
+    mean, var = weighted_diff(d, groups(10, 10, 10, 10))
+    assert mean == 3.25
+    assert var == 0.0
 
 
 def test_weighted_diff_group_means():
@@ -42,12 +41,12 @@ def test_weighted_diff_group_means():
     sizes = (5, 9, 3, 7)
     d = np.concatenate([g + 1.0 + 0.5 * np.arange(m) for g, m in enumerate(sizes)])
     g = groups(*sizes)
-    wd = weighted_diff(d, g)
+    mean, var = weighted_diff(d, g)
     means = [d[g == k].mean() for k in range(1, 5)]
     var_of_means = [d[g == k].var(ddof=1) / m for k, m in zip(range(1, 5), sizes)]
-    assert wd.d_bar_w == np.mean(means)
-    assert wd.var_hat == sum(var_of_means) / 16.0
-    assert wd.d_bar_w != d.mean()
+    assert mean == np.mean(means)
+    assert var == sum(var_of_means) / 16.0
+    assert mean != d.mean()
 
 
 def test_weighted_diff_brute_force_oracle():
@@ -55,12 +54,12 @@ def test_weighted_diff_brute_force_oracle():
     m = 25
     d = rng.standard_normal(4 * m)
     g = groups(m, m, m, m)
-    wd = weighted_diff(d, g)
+    mean, var = weighted_diff(d, g)
     # independent re-aggregation
     means = [d[g == k].mean() for k in range(1, 5)]
     variances = [d[g == k].var(ddof=1) for k in range(1, 5)]
-    np.testing.assert_allclose(wd.d_bar_w, np.mean(means), rtol=1e-12)
-    np.testing.assert_allclose(wd.var_hat, sum(v / m for v in variances) / 16.0, rtol=1e-12)
+    np.testing.assert_allclose(mean, np.mean(means), rtol=1e-12)
+    np.testing.assert_allclose(var, sum(v / m for v in variances) / 16.0, rtol=1e-12)
 
 
 def test_weighted_diff_empty_group():
@@ -76,22 +75,22 @@ def test_weighted_collapses_to_simple():
     block = rng.standard_normal(50)
     d = np.tile(block, 4)
     g = groups(50, 50, 50, 50)
-    wd = weighted_diff(d, g)
-    np.testing.assert_allclose(wd.d_bar_w, d.mean(), rtol=1e-12)
-    np.testing.assert_allclose(wd.var_hat, block.var(ddof=1) / len(d), rtol=1e-12)
+    mean, var = weighted_diff(d, g)
+    np.testing.assert_allclose(mean, d.mean(), rtol=1e-12)
+    np.testing.assert_allclose(var, block.var(ddof=1) / len(d), rtol=1e-12)
 
 
 def test_scale_property():
     rng = np.random.default_rng(6)
     d = rng.standard_normal(200) + 0.3
     g = groups(50, 50, 50, 50)
-    wd1 = weighted_diff(d, g)
+    mean1, var1 = weighted_diff(d, g)
     c = 3.7
-    wd2 = weighted_diff(c * d, g)
-    np.testing.assert_allclose(wd2.d_bar_w, c * wd1.d_bar_w, rtol=1e-12)
-    np.testing.assert_allclose(wd2.var_hat, c**2 * wd1.var_hat, rtol=1e-12)
-    t1 = wd1.d_bar_w / np.sqrt(wd1.var_hat)
-    t2 = wd2.d_bar_w / np.sqrt(wd2.var_hat)
+    mean2, var2 = weighted_diff(c * d, g)
+    np.testing.assert_allclose(mean2, c * mean1, rtol=1e-12)
+    np.testing.assert_allclose(var2, c**2 * var1, rtol=1e-12)
+    t1 = mean1 / np.sqrt(var1)
+    t2 = mean2 / np.sqrt(var2)
     assert abs(t1 - t2) < 1e-9
 
 
@@ -102,14 +101,14 @@ def _val_set(rng, n, d=4):
 
 
 def test_t_arithmetic_minus_five():
-    # group values chosen so d_bar_w = -0.1 and var_hat = 4e-4 exactly
+    # group values chosen so the mean is -0.1 and its variance 4e-4 exactly
     a = 0.04
     d = np.concatenate([[-0.1 - a, -0.1 + a]] * 4)
     g = groups(2, 2, 2, 2)
-    wd = weighted_diff(d, g)
-    np.testing.assert_allclose(wd.d_bar_w, -0.1)
-    np.testing.assert_allclose(wd.var_hat, 4e-4)
-    t = wd.d_bar_w / np.sqrt(wd.var_hat)
+    mean, var = weighted_diff(d, g)
+    np.testing.assert_allclose(mean, -0.1)
+    np.testing.assert_allclose(var, 4e-4)
+    t = mean / np.sqrt(var)
     np.testing.assert_allclose(t, -5.0)
 
 
@@ -127,7 +126,7 @@ def test_t_vs_random_perfect_separation():
     assert rep.decision and rep.statistic < -5
     # hand check: the weighted mean difference really is negative
     d = bce(p, y_sp) - bce(p_random, y_sp)
-    assert weighted_diff(d, val.group).d_bar_w < 0
+    assert weighted_diff(d, val.group)[0] < 0
 
 
 def test_t_vs_random_null_calibration():
@@ -162,16 +161,16 @@ def test_t_weighted_ks_calibration():
     g = groups(250, 250, 250, 250)
     ts = []
     for _ in range(2000):
-        wd = weighted_diff(rng.standard_normal(1000), g)
-        ts.append(wd.d_bar_w / np.sqrt(wd.var_hat))
+        mean, var = weighted_diff(rng.standard_normal(1000), g)
+        ts.append(mean / np.sqrt(var))
     assert kstest(ts, "norm").pvalue > 0.01
 
 
 def test_zero_variance_sentinel():
     d = np.full(8, -0.5)
     g = groups(2, 2, 2, 2)
-    wd = weighted_diff(d, g)
-    assert wd.var_hat == 0.0
+    _, var = weighted_diff(d, g)
+    assert var == 0.0
     # placeholder fits; we test the stat path
     p = predict_1d(np.zeros((8, 2)), np.array([1.0, 0]), 0.0, -10.0)
     rep_kind = t_relative(
@@ -208,15 +207,15 @@ def test_t_relative_sp_side_on_toy(toy_rho08):
     rep = t_relative(p_sp, p_mt, val, "v_sp", scale="variance")
     assert rep.decision
     d = bce(p_sp, val.y_sp) - bce(p_mt, val.y_mt)
-    assert weighted_diff(d, val.group).d_bar_w < 0
+    assert weighted_diff(d, val.group)[0] < 0
 
 
 def test_t_relative_centering():
     rng = np.random.default_rng(11)
     d = rng.standard_normal(400) * 0.01 + 0.05
     g = groups(100, 100, 100, 100)
-    wd = weighted_diff(d, g)
-    t = (wd.d_bar_w - wd.d_bar_w) / np.sqrt(wd.var_hat)
+    mean, var = weighted_diff(d, g)
+    t = (mean - mean) / np.sqrt(var)
     assert t == 0.0  # delta equal to the mean centers the statistic exactly
 
 
@@ -264,9 +263,9 @@ def test_delta_heuristic_antisymmetry():
 def test_simple_diff_matches_numpy():
     rng = np.random.default_rng(13)
     d = rng.standard_normal(100)
-    sd = simple_diff(d)
-    np.testing.assert_allclose(sd.d_bar_w, d.mean())
-    np.testing.assert_allclose(sd.var_hat, d.var(ddof=1) / 100)
+    mean, var = weighted_diff(d)
+    np.testing.assert_allclose(mean, d.mean())
+    np.testing.assert_allclose(var, d.var(ddof=1) / 100)
 
 
 def test_report_csv_row():
