@@ -2,6 +2,7 @@
 
 Subcommands:
   gen-toy    write train/val/test embedding CSVs for a synthetic configuration
+             set by its flags (it rejects --config)
   fit        estimate a removal subspace (jse/inlp/rlace) or a classifier
              (erm/gw-erm) from embedding files and save the artifact; the
              training mean is subtracted first per [experiment] demean
@@ -23,6 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import config, evaluate, io_files, toy
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -40,8 +43,6 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .evaluate import METHODS
-
     p = argparse.ArgumentParser(prog="jse", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=0, help="base seed")
@@ -59,127 +60,118 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gamma-mt", type=float, default=3.0)
     g.add_argument("--angle-deg", type=float, default=90.0)
     g.add_argument("--test-n", type=int, default=2000)
+    g.set_defaults(run=_cmd_gen_toy)
 
     f = sub.add_parser("fit", help="fit a method on train/val embedding files")
-    f.add_argument("--method", required=True, choices=METHODS)
+    f.add_argument("--method", required=True, choices=evaluate.METHODS)
     f.add_argument("--train", required=True)
     f.add_argument("--val", required=True)
     f.add_argument("--artifact", default=None, help="output path (default <out>/<method>.artifact)")
     f.add_argument("--pca", type=_positive_int, default=None, metavar="K",
                    help="reduce to K dims with train-fitted PCA (includes demeaning)")
+    f.set_defaults(run=_cmd_fit)
 
     t = sub.add_parser("transform", help="apply a fitted artifact to embeddings")
     t.add_argument("--artifact", required=True)
     t.add_argument("--in", dest="input", required=True)
     t.add_argument("--out-file", required=True)
     t.add_argument("--mode", choices=["remove-sp", "keep-mt"], default="remove-sp")
+    t.set_defaults(run=_cmd_transform)
 
     e = sub.add_parser("eval", help="evaluate a model artifact on a test file")
     e.add_argument("--model", required=True)
     e.add_argument("--test-file", required=True)
+    e.set_defaults(run=_cmd_eval)
 
-    s = sub.add_parser("sweep", help="run the experiment grid from --config")
+    sub.add_parser("sweep", help="run the experiment grid from --config").set_defaults(
+        run=_cmd_sweep)
 
     r = sub.add_parser("report", help="format a results CSV as text tables")
     r.add_argument("--results", required=True)
+    r.set_defaults(run=_cmd_report)
     return p
 
 
 def _cmd_gen_toy(args) -> int:
-    from .io_files import save_embeddings
-    from .toy import ToyConfig, gen_toy, gen_toy_test
-
-    cfg = ToyConfig(n=args.n, d=args.d, rho=args.rho, gamma_sp=args.gamma_sp,
-                    gamma_mt=args.gamma_mt, angle_deg=args.angle_deg, seed=args.seed)
-    train, val = gen_toy(cfg)
-    test = gen_toy_test(cfg, args.test_n)
+    if args.config:
+        print("gen-toy does not read --config; give its settings as flags", file=sys.stderr)
+        return EXIT_USAGE
+    cfg = toy.ToyConfig(n=args.n, d=args.d, rho=args.rho, gamma_sp=args.gamma_sp,
+                        gamma_mt=args.gamma_mt, angle_deg=args.angle_deg, seed=args.seed)
+    train, val = toy.gen_toy(cfg)
+    test = toy.gen_toy_test(cfg, args.test_n)
     os.makedirs(args.out, exist_ok=True)
     for name, split in (("train", train), ("val", val), ("test", test)):
-        save_embeddings(os.path.join(args.out, f"toy_{name}.csv"), split)
+        io_files.save_embeddings(os.path.join(args.out, f"toy_{name}.csv"), split)
     print(f"wrote toy_train.csv, toy_val.csv, toy_test.csv to {args.out}")
     return EXIT_OK
 
 
 def _experiment_config(args):
-    from .config import build_experiment, load_config
-    from .evaluate import ExperimentConfig
-
-    base = ExperimentConfig(method="jse", base_seed=args.seed)
+    base = evaluate.ExperimentConfig(method="jse", base_seed=args.seed)
     if args.config:
-        return load_config(args.config, base)
-    return build_experiment({}, base)
+        return config.load_config(args.config, base)
+    return config.build_experiment({}, base)
 
 
 def _cmd_fit(args) -> int:
-    from .evaluate import fit_method
-    from .io_files import load_embeddings, save_artifact
-
-    train = load_embeddings(args.train)
-    val = load_embeddings(args.val)
+    train = io_files.load_embeddings(args.train)
+    val = io_files.load_embeddings(args.val)
     cfg, _ = _experiment_config(args)
     cfg = replace(cfg, method=args.method)
-    art = fit_method(cfg, train, val, args.seed, pca=args.pca)
+    art = evaluate.fit_method(cfg, train, val, args.seed, pca=args.pca)
     if art.model is None:  # a removal method: report the dimensions it found
         line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"
         print(line + (f" termination={art.termination}" if art.termination else ""))
     os.makedirs(args.out, exist_ok=True)
     path = args.artifact or os.path.join(args.out, f"{args.method}.artifact")
-    save_artifact(path, art)
+    io_files.save_artifact(path, art)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_transform(args) -> int:
-    from .io_files import load_artifact, load_embeddings, save_embeddings
-
-    art = load_artifact(args.artifact)
-    data = load_embeddings(args.input)
-    save_embeddings(args.out_file, data.with_Z(art.transform(data.Z, args.mode)))
+    art = io_files.load_artifact(args.artifact)
+    data = io_files.load_embeddings(args.input)
+    io_files.save_embeddings(args.out_file, data.with_Z(art.transform(data.Z, args.mode)))
     print(f"wrote {args.out_file}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    from .evaluate import evaluate
-    from .io_files import eval_summary_jsonl, load_artifact, load_embeddings
-
-    art = load_artifact(args.model)
+    art = io_files.load_artifact(args.model)
     if art.model is None:
         raise ValueError(f"{args.model} holds no linear model; fit erm/gw-erm or compose "
                          "transform + fit")
-    test = load_embeddings(args.test_file)
+    test = io_files.load_embeddings(args.test_file)
     test = test.with_Z(art.preprocess(test.Z))
-    print(eval_summary_jsonl(evaluate(art.model, test)))
+    print(io_files.eval_summary_jsonl(evaluate.evaluate(art.model, test)))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    from .evaluate import run_sweep
-    from .io_files import write_plot_tsv, write_results_csv
-
     if not args.config:
         print("sweep requires --config", file=sys.stderr)
         return EXIT_USAGE
     cfg, sweep = _experiment_config(args)
-    result = run_sweep(cfg, sweep.methods, sweep.x_name, sweep.x_values, workers=args.workers)
+    result = evaluate.run_sweep(cfg, sweep.methods, sweep.x_name, sweep.x_values,
+                                workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
     tsv_path = os.path.join(args.out, "plot.tsv")
-    write_results_csv(csv_path, result.records)
-    write_plot_tsv(tsv_path, result.cells)
+    io_files.write_results_csv(csv_path, result.records)
+    io_files.write_plot_tsv(tsv_path, result.cells)
     n_failed = sum(1 for r in result.records if r.error)
     print(f"wrote {csv_path} and {tsv_path} ({len(result.records)} runs, {n_failed} failed)")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    from .io_files import DataFormatError, format_report, read_results_csv
-
-    rows = read_results_csv(args.results)
+    rows = io_files.read_results_csv(args.results)
     ok = [r for r in rows if not r.get("error")]
     if not ok:
-        raise DataFormatError(f"{args.results}: no successful runs")
-    print(format_report(ok), end="")
+        raise io_files.DataFormatError(f"{args.results}: no successful runs")
+    print(io_files.format_report(ok), end="")
     return EXIT_OK
 
 
@@ -189,25 +181,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    from .config import ConfigError
-    from .io_files import DataFormatError
-
-    handlers = {
-        "gen-toy": _cmd_gen_toy,
-        "fit": _cmd_fit,
-        "transform": _cmd_transform,
-        "eval": _cmd_eval,
-        "sweep": _cmd_sweep,
-        "report": _cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    # OSError: a missing path, a directory given as a file, an existing file as --out
-    except (DataFormatError, ConfigError, OSError, ValueError) as exc:
+    # OSError: a missing path, a directory given as a file, an existing file as --out;
+    # ValueError: a bad value, and io_files.DataFormatError (config.ConfigError)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

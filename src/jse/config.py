@@ -10,24 +10,26 @@ Grammar (one statement per line):
 set; ``[sweep]`` sets the ``SweepSpec``. A value is parsed by its field's type
 hint: bool, int, float, str, ``T | None`` (``none``), ``float | str`` (a
 number, else the text) or ``list[T]`` (comma-separated). An unknown key, a
-value of the wrong type or out of the dataclass's range, and a key in
-``RUN_INPUTS`` are ConfigErrors naming section and key; an unknown section is
-one naming the file and line. Keys before the first section are ignored.
+value of the wrong type, non-finite or out of the dataclass's range, and a
+key in ``RUN_INPUTS`` are ConfigErrors naming section and key; an unknown
+section is one naming the file and line. Keys before the first section are
+ignored. The lines are read by ``io_files.read_sections``, the artifact
+reader's, and ``ConfigError`` is ``io_files.DataFormatError``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import types
 import typing
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .evaluate import METHODS, ExperimentConfig
+from .io_files import DataFormatError, read_sections
 
-
-class ConfigError(ValueError):
-    """Bad configuration file; the message names the line."""
+ConfigError = DataFormatError
 
 
 # section -> the attribute paths in ExperimentConfig its keys set, in the order
@@ -73,23 +75,15 @@ class SweepSpec:
 
 
 def parse_config_lines(lines: list[str], path: str = "<config>") -> dict[str, dict[str, str]]:
+    _, body = read_sections(path, (raw.split("#", 1)[0] for raw in lines), SECTIONS)
     sections: dict[str, dict[str, str]] = {}
-    current = "global"  # keys before the first section land here, unused
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in SECTIONS:
-                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]; "
-                                  f"expected one of {', '.join(SECTIONS)}")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value' or '[section]'")
-        key, _, value = line.partition("=")
-        sections.setdefault(current, {})[key.strip()] = value.strip()
+    for name, entries in body.items():
+        values = sections[name] = {}
+        for lineno, line in entries:
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value' or '[section]'")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     return sections
 
 
@@ -115,6 +109,8 @@ def _coerce(raw: str, typ: Any) -> Any:
         if raw.lower() not in _BOOLS:
             raise ValueError(f"not a boolean: {raw!r}")
         return _BOOLS[raw.lower()]
+    if typ is float and not math.isfinite(float(raw)):
+        raise ValueError(f"non-finite value {float(raw)!r}")
     if typ in (int, float, str):
         return typ(raw)
     raise ValueError("not settable here; it has its own section")

@@ -10,15 +10,16 @@ and only when that fails re-reads the file line by line to name the line.
 Artifact files are line-oriented ``key = value`` headers followed by
 bracketed sections holding basis vectors (one vector per line), test-report
 CSV rows, and model coefficients. All floats use repr precision so a
-round-trip is bit-exact.
+round-trip is bit-exact. Artifacts and config files share one reader,
+``read_sections``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
+import math
 import re
 import warnings
 from typing import NoReturn
@@ -34,7 +35,8 @@ SCHEMA_VERSION = 1
 
 
 class DataFormatError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input: a data, artifact or config file, or a config value;
+    the message names the file and line, or the config section and key."""
 
 
 def _fmt(x: float) -> str:
@@ -79,7 +81,8 @@ def _parse_rows(lines) -> np.ndarray:
 
 
 def _raise_at_bad_line(path: str, d: int, exc: ValueError) -> NoReturn:
-    """Re-read the body line by line to name the first line that does not parse."""
+    """Re-read the body line by line to name the first line that does not
+    parse or holds a non-finite value."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -95,25 +98,15 @@ def _raise_at_bad_line(path: str, d: int, exc: ValueError) -> NoReturn:
                     f"{path}:{lineno}: labels must be 0 or 1, got {parts[0]!r},{parts[1]!r}"
                 )
             try:
-                _parse_rows([line])
+                (row,) = _parse_rows([line]).tolist()
             except ValueError as err:
                 # numpy counts rows of the one line it was given; the line is named above
                 msg = re.sub(r" at row \d+,", " at", str(err))
                 raise DataFormatError(f"{path}:{lineno}: {msg}") from err
+            for j, value in enumerate(row[2:]):
+                if not math.isfinite(value):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} in z_{j}")
     raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def _raise_non_finite(path: str, rows: np.ndarray) -> NoReturn:
-    """Name the body line of the first parsed row holding a non-finite value
-    (whitespace-only lines hold no row)."""
-    row = int(np.argmin(np.isfinite(rows).all(axis=1)))
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        body = (lineno for lineno, line in enumerate(fh, start=2) if not line.isspace())
-        lineno = next(itertools.islice(body, row, None))
-    j = int(np.argmin(np.isfinite(rows[row, 2:])))
-    value = float(rows[row, 2 + j])
-    raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} in z_{j}")
 
 
 def load_embeddings(path: str) -> LabeledEmbeddings:
@@ -136,10 +129,8 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
             _raise_at_bad_line(path, d, exc)
     if rows.shape[0] == 0:
         raise DataFormatError(f"{path}: no samples")
-    if rows.shape[1] != d + 2:
+    if rows.shape[1] != d + 2 or not np.isfinite(rows).all():
         _raise_at_bad_line(path, d, ValueError(f"expected {d + 2} fields, got {rows.shape[1]}"))
-    if not np.isfinite(rows).all():
-        _raise_non_finite(path, rows)
     return LabeledEmbeddings(
         rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     )
@@ -172,24 +163,50 @@ def save_artifact(path: str, art: Artifact) -> None:
             fh.write(f"b = {_fmt(art.model.b)}\n")
 
 
-def load_artifact(path: str) -> Artifact:
-    header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
-    sections: dict[str, list[tuple[int, str]]] = {}
+def read_sections(path: str, lines, sections) -> tuple[dict, dict]:
+    """The grammar configs and artifacts share: ``key = value`` lines, then
+    ``[section]`` headers each followed by its lines.
+
+    Returns ``header``, the lines before the first section as key ->
+    (line number, value), and ``body``, each section's non-blank stripped
+    lines as (line number, text); a repeated section continues the first. A
+    section not in ``sections`` and a line before the first section without
+    ``=`` raise ``DataFormatError`` naming ``path`` and the line.
+    """
+    header: dict[str, tuple[int, str]] = {}
+    body: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in sections:
+                raise DataFormatError(f"{path}:{lineno}: unknown section [{name}]; "
+                                      f"expected one of {', '.join(sections)}")
+            current = body.setdefault(name, [])
+        elif current is None:
+            if "=" not in line:
+                raise DataFormatError(f"{path}:{lineno}: expected 'key = value' or '[section]'")
+            key, _, value = line.partition("=")
+            header[key.strip()] = (lineno, value.strip())
+        else:
+            current.append((lineno, line))
+    return header, body
+
+
+ARTIFACT_FIELDS = ("schema_version", "method", "d", "termination", "delta")
+ARTIFACT_SECTIONS = ("pre_mean", "pre_components", "sp_basis", "mt_basis", "tests", "model")
+
+
+def load_artifact(path: str) -> Artifact:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = sections.setdefault(line[1:-1], [])
-            elif current is None:
-                if "=" not in line:
-                    raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                header[key.strip()] = (lineno, value.strip())
-            else:
-                current.append((lineno, line))
+        header, sections = read_sections(path, fh, ARTIFACT_SECTIONS)
+    for key, (lineno, _) in header.items():
+        if key not in ARTIFACT_FIELDS:
+            raise DataFormatError(f"{path}:{lineno}: unknown header field {key!r}; "
+                                  f"expected one of {', '.join(ARTIFACT_FIELDS)}")
     for key in ("schema_version", "d", "method"):
         if key not in header:
             raise DataFormatError(f"{path}: missing header field {key!r}")
@@ -236,8 +253,8 @@ def load_artifact(path: str) -> Artifact:
 
     def basis(name: str, n: int) -> np.ndarray:
         lines = sections.get(name, [])
-        if not lines:
-            return np.zeros((d, 0))
+        if not lines:  # numpy rejects a d too large for an array
+            return at_line(header["d"][0], (d, 0), np.zeros)
         V = np.column_stack([floats(lineno, ln.split(), n) for lineno, ln in lines])
         if not orthonormal_check(V, ORTHO_TOL):
             raise DataFormatError(f"{path}:{lines[0][0]}: [{name}] columns are not "

@@ -186,8 +186,6 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
                cfg: OptimizerConfig, seed: int) -> LinearModel:
     """SGD-with-momentum logistic regression for one label, early-stopped on
     validation accuracy; ``seed`` draws the batch order."""
-    if train.n == 0:
-        raise ValueError("empty training set")
     if train.d != val.d:
         raise ValueError("train and val must share d")
     y = train.labels(target).astype(np.float64)

@@ -250,8 +250,19 @@ def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_tex
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(cfg_text)
     out = tmp_path / "out"
-    assert run_cli("--config", str(cfg_path), "--out", str(out), *shlex.split(command)) == 3
+    config = ["--config", str(cfg_path)] if cfg_text else []  # gen-toy rejects --config
+    assert run_cli(*config, "--out", str(out), *shlex.split(command)) == 3
     assert capsys.readouterr().err == msg
+    assert not out.exists()
+
+
+def test_gen_toy_rejects_config(tmp_path, capsys):
+    """gen-toy takes its settings from its flags; a --config it would not read
+    is a usage error, before any file is written."""
+    out = tmp_path / "out"
+    assert run_cli("--config", str(tmp_path / "missing.cfg"), "--out", str(out),
+                   "gen-toy", "--n", "50") == 2
+    assert "--config" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -219,6 +219,9 @@ BAD_VALUES = [
     ("rlace", "batch_size", "0", "fit"),
     ("rlace", "weight_decay", "-1", "fit"),
     ("rlace", "subspace_lr", "0", "fit"),
+    ("toy", "gamma_sp", "nan", "sweep"),  # non-finite numbers: no range check catches them
+    ("optimizer", "learning_rate", "nan", "sweep"),
+    ("rlace", "learning_rate", "inf", "fit"),
 ]
 
 

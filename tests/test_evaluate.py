@@ -166,6 +166,22 @@ def test_run_sweep_small_grid():
     assert methods == {"erm", "gw-erm"}
 
 
+def test_worker_pool_matches_serial_sweep():
+    """The process-pool branch gives the serial sweep's records, apart from
+    runtime_ms, and the same cells."""
+    cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=400, d=6), seeds=2)
+
+    def runs(result):
+        return [(r.method, r.x_name, r.x_value, r.seed, r.summary and r.summary.as_dict(),
+                 r.d_sp_hat, r.d_mt_hat, r.error) for r in result.records]
+
+    serial, pooled = (run_sweep(cfg, ["erm", "inlp"], "rho", [0.0, 0.9], workers=w)
+                      for w in (1, 2))
+    assert len(serial.records) == 8 and not any(r.error for r in serial.records)
+    assert runs(pooled) == runs(serial)
+    assert pooled.cells == serial.cells
+
+
 def test_method_validation():
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentConfig(method="boosting")

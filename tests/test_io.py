@@ -320,6 +320,34 @@ def test_non_finite_delta_header_exits_3_naming_line(tmp_path, capsys):
                          "{path}:{lineno}: non-finite value nan")
 
 
+_SECTIONS = "pre_mean, pre_components, sp_basis, mt_basis, tests, model"
+_FIELDS = "schema_version, method, d, termination, delta"
+
+
+@pytest.mark.parametrize("anchor,edit,msg", [
+    pytest.param("[sp_basis]", "[sp_bassis]",
+                 "{path}:{lineno}: unknown section [sp_bassis]; expected one of " + _SECTIONS,
+                 id="section"),
+    pytest.param("delta = 0.0", "detla = 0.0",
+                 "{path}:{lineno}: unknown header field 'detla'; expected one of " + _FIELDS,
+                 id="header-field"),
+    pytest.param("method = erm", "mehtod = erm",
+                 "{path}:{lineno}: unknown header field 'mehtod'; expected one of " + _FIELDS,
+                 id="header-field-required"),
+])
+def test_misspelled_artifact_name_exits_3_naming_line(tmp_path, capsys, anchor, edit, msg):
+    """A misspelled section or header field is an error, not an empty basis or
+    a default value."""
+    _assert_edit_exits_3(tmp_path, capsys, anchor, 0, lambda line: edit, msg)
+
+
+def test_d_too_large_for_an_array_names_line(tmp_path):
+    path = tmp_path / "a.artifact"
+    path.write_text("schema_version = 1\nmethod = inlp\nd = 99999999999999999999\n[tests]\n")
+    with pytest.raises(DataFormatError, match=r"a\.artifact:3: "):
+        load_artifact(str(path))
+
+
 @pytest.mark.parametrize("edit,msg", [
     pytest.param(lambda line: "schema_version = 99",
                  "{path}:{lineno}: schema_version is '99', not 1", id="other"),
@@ -510,3 +538,128 @@ def test_results_reader_fuzz(text):
         except DataFormatError:
             return
     assert rows and len({r["x_name"] for r in rows}) == 1
+
+
+_CSV_FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "1.0", "1e400", "nan", "-inf", "Infinity", "",
+                     " ", "1_0", "0x1p3", '"1"', "abc", "\t.25 ", "1e-320", "-0.0", "+1", "z_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _embedding_text(draw) -> str:
+    """An embedding CSV: a header that usually names d columns, then rows of
+    about the right width, some fields replaced by plausible and implausible
+    text, with blank lines between them."""
+    d = draw(st.integers(1, 4))
+    header = ["y_mt", "y_sp", *(f"z_{j}" for j in range(d))]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        header[draw(st.integers(0, len(header) - 1))] = draw(_CSV_FIELDS)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(st.sampled_from(["0", "1"])) for _ in range(2)]
+        row += [repr(draw(st.floats(-1e3, 1e3))) for _ in range(d)]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_CSV_FIELDS)
+        lines.append(",".join(row[:draw(st.sampled_from([len(row)] * 9 + [len(row) - 1]))]))
+        lines += [""] * draw(st.sampled_from([0] * 4 + [1]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\n  \n"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_embedding_text())
+def test_embeddings_reader_fuzz(text):
+    """Any text ends in finite embeddings with 0/1 labels or a DataFormatError,
+    never another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "z.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            data = load_embeddings(str(path))
+        except DataFormatError:
+            return
+    assert data.n >= 1 and np.isfinite(data.Z).all()
+    assert set(data.y_mt.tolist()) <= {0, 1} and set(data.y_sp.tolist()) <= {0, 1}
+
+
+def _artifact_texts() -> list[str]:
+    """Saved artifacts covering every section and header field: erm with a mean
+    and a model, jse with both bases and test rows, inlp after PCA."""
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+    tests = [TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, True),
+             TestReport("sp_vs_mt_on_vsp", 2.0, 1.6448536269514722, 0.05, -0.3, False)]
+    arts = [
+        Artifact("erm", 4, np.zeros((4, 0)), np.zeros((4, 0)), [],
+                 LinearModel(rng.standard_normal(4), 0.5), pre_mean=rng.standard_normal(4)),
+        Artifact("jse", 4, q[:, :2], q[:, 2:], tests, None, termination="test-rejected",
+                 delta=-0.3),
+        Artifact("inlp", 2, np.eye(2)[:, :1], np.zeros((2, 0)), [], None,
+                 pre_mean=rng.standard_normal(4), pre_components=q[:, :2]),
+    ]
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for art in arts:
+            path = Path(tmp) / "a.artifact"
+            save_artifact(str(path), art)
+            texts.append(path.read_text(encoding="utf-8"))
+    return texts
+
+
+_ARTIFACT_TEXTS = _artifact_texts()
+_ARTIFACT_FIELDS = st.one_of(
+    st.sampled_from(["", "0", "1", "2", "4", "-1", "0.5", "1_0", "nan", "inf", "-inf", "1e400",
+                     "99999999999999999999", "abc", "True", "false", "sp_vs_random", "jse",
+                     "svm", "=", "[", "]", "[]", "[tests]", "[sp_bassis]", "w =", "b = 1",
+                     "d = 4", "detla = 0.0", "schema_version = 2", "method = erm"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _mutated_artifact(draw) -> str:
+    """A saved artifact with one to three lines replaced, dropped, repeated,
+    inserted, or with one field replaced."""
+    lines = draw(st.sampled_from(_ARTIFACT_TEXTS)).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "drop", "repeat", "insert", "field", "field"]))
+        if op == "replace":
+            lines[i] = draw(_ARTIFACT_FIELDS)
+        elif op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "insert":
+            lines.insert(i, draw(_ARTIFACT_FIELDS))
+        else:
+            sep = "," if lines[i].count(",") else " "
+            fields = lines[i].split(sep)
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_ARTIFACT_FIELDS)
+            lines[i] = sep.join(fields)
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated_artifact())
+def test_artifact_reader_fuzz(text):
+    """Any mutation of a saved artifact ends in an artifact that is consistent
+    with its own header or a DataFormatError, never another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.artifact"
+        path.write_text(text, encoding="utf-8")
+        try:
+            art = load_artifact(str(path))
+        except DataFormatError:
+            return
+    for V in (art.sp_basis, art.mt_basis):
+        assert V.shape[0] == art.d and np.isfinite(V).all()
+    if art.model is not None:
+        assert art.model.w.shape == (art.d,)
+    if art.pre_components is not None:
+        assert art.pre_components.shape == (len(art.pre_mean), art.d)
