@@ -44,7 +44,6 @@ class JseConfig:
     loop_order: str = "mt-inner"  # mt-inner | sp-inner
     transform_mode: str = "remove-sp"  # remove-sp | keep-mt
     group_weighted_tests: bool = True
-    estimate_mt_basis: bool = True
     # denominator of the relative-test statistic; 'variance' reproduces the
     # reference benchmark behavior, 'se' is the asymptotically N(0,1) form
     relative_test_scale: str = "variance"
@@ -182,8 +181,6 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         V = np.column_stack(vectors) if vectors else np.zeros((d, 0))
         return SubspaceBasis(V)
 
-    if not cfg.estimate_mt_basis and inner_t == "mt":
-        vecs["mt"] = []
     return SubspaceResult(
         basis(vecs["sp"]),
         basis(vecs["mt"]),

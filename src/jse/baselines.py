@@ -7,7 +7,8 @@ significantly better than the intercept-only classifier: the one-sided
 jse's candidates go through (its side follows from the kind).
 
 RLACE plays an alternating minimax game: a linear classifier minimizes the
-spurious-concept BCE on projected embeddings while a rank-k removal subspace
+spurious-concept BCE on projected embeddings, one ``sgd.sgd_step`` per
+iteration (the step of ``fit_logreg``), while a rank-k removal subspace
 takes gradient steps to maximize it, re-orthonormalized after every step by
 eigendecomposition truncation. It stops when a freshly trained probe's
 validation accuracy drops below the target (51% by default).
@@ -25,7 +26,10 @@ bit for bit against a one-draw-per-step loop:
   step i only while nothing else draws from that generator inside the loop.
   A new random draw there needs a generator of its own.
 * Keep the same floating-point operations in the same order; fuse no two
-  matrix-vector products into a matrix-matrix product (see ``sgd``).
+  matrix-vector products into a matrix-matrix product (see ``sgd``). The
+  adversary divides its residual by the batch size before the product, the
+  classifier's ``sgd_step`` divides after it: the two orders round alike
+  only for a power-of-two batch size.
 * Gather batches with ``X.take(idx, axis=0)`` and multiply with ``np.dot``,
   not ``X[idx]`` and ``@``: the step's arrays are small, so their wrappers
   cost more than the arithmetic, and ``np.dot`` reaches the same BLAS routine
@@ -47,6 +51,7 @@ from .sgd import (
     child_seed,
     fit_intercept_only,
     fit_logreg,
+    sgd_step,
     sigmoid,
 )
 from .stats import t_vs_random
@@ -216,15 +221,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
             Xp = Xb - np.dot(np.dot(Xb, U), U.T)
 
             # classifier step: descend the BCE
-            r = (sigmoid(np.dot(Xp, w) + b) - yb) / bs
-            gw = np.dot(Xp.T, r)
-            if wd:
-                gw += wd * w
-            vw *= mom
-            vw += gw
-            vb = mom * vb + float(np.add.reduce(r))
-            w -= lr * vw
-            b -= lr * vb
+            b, vb = sgd_step(Xp, yb, w, vw, b, vb, lr, mom, wd)
 
             # adversary step on the symmetric removal matrix, then truncate back to
             # a hard rank-k projection; the BCE gradient w.r.t. M = U U^T is

@@ -107,20 +107,18 @@ class SubspaceBasis:
     def k(self) -> int:
         return self.V.shape[1]
 
-    @property
-    def d(self) -> int:
-        return self.V.shape[0]
-
 
 def orthonormal_check(V: np.ndarray, tol: float) -> bool:
-    """True iff max |V^T V - I| <= tol. An empty basis passes trivially."""
+    """True iff max |V^T V - I| <= tol. An empty basis passes trivially; one
+    whose Gram matrix overflows fails, without numpy's overflow warning."""
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
         raise ValueError("V must be 2-d")
     k = V.shape[1]
     if k == 0:
         return True
-    gram = V.T @ V
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = V.T @ V
     return bool(np.max(np.abs(gram - np.eye(k))) <= tol)
 
 

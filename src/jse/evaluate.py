@@ -209,7 +209,7 @@ def fit_and_evaluate(cfg: ExperimentConfig, train: LabeledEmbeddings, val: Label
 def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: int) -> RunRecord:
     """One seeded end-to-end run: generate, fit, transform, train downstream,
     evaluate. The data draw and every fit use the run's derived seed."""
-    toy = replace(cfg.toy, **{x_name: x_value} if x_name != "none" else {})
+    toy = replace(cfg.toy, **{x_name: x_value})
     run_seed = derive_seed(cfg.base_seed, cfg.method, x_value, seed_index)
     toy = replace(toy, seed=run_seed, n=int(toy.n))
 

@@ -1,11 +1,13 @@
 """Logistic-regression trainers: full, intercept-only, 1-d, and jointly-orthogonal.
 
 ``fit_logreg`` (ERM, gw-ERM, INLP and the downstream classifier) is
-minibatch SGD with momentum, early-stopped on validation accuracy; the jse
-inner fits are full-batch solves to the optimum: ``fit_1d_logreg`` by IRLS
-(``_newton_logreg``, also RLACE's probe), ``fit_joint_orthogonal`` by
-``lbfgs`` on ``joint_objective``, whose main-task head predicts through
-``(I - P_{w_sp}) w_mt`` so the two heads are orthogonal by construction.
+minibatch SGD with momentum, early-stopped on validation accuracy. Its step,
+``sgd_step``, is also RLACE's classifier step, so every minibatch fit takes
+the same one. The jse inner fits are full-batch solves to the optimum:
+``fit_1d_logreg`` by IRLS (``_newton_logreg``, also RLACE's probe),
+``fit_joint_orthogonal`` by ``lbfgs`` on ``joint_objective``, whose
+main-task head predicts through ``(I - P_{w_sp}) w_mt`` so the two heads are
+orthogonal by construction.
 
 Rules for any rewrite; every output is checked bit for bit:
 
@@ -15,7 +17,9 @@ Rules for any rewrite; every output is checked bit for bit:
   on the same uniform draws.
 * Keep the same floating-point operations in the same order. Never fuse two
   matrix-vector products into one matrix-matrix product: a gemm sums in a
-  different order than two gemvs.
+  different order than two gemvs. ``sgd_step`` divides the gradient by the
+  batch size after the product; dividing the residual before it gives the
+  same bits only when the batch size is a power of two.
 * The hot loops run on small arrays, where numpy's call wrappers cost more
   than the arithmetic. They gather rows with ``take`` (``X[idx]`` costs
   about three times as much on a 128-row batch) and multiply with
@@ -182,6 +186,22 @@ def _val_score(p: np.ndarray, y: np.ndarray) -> float:
     return -(int(np.count_nonzero((p >= 0.5) == y)) / len(y))
 
 
+def sgd_step(Xb: np.ndarray, yb: np.ndarray, w: np.ndarray, vw: np.ndarray, b: float,
+             vb: float, lr: float, mom: float, wd: float) -> tuple[float, float]:
+    """One momentum-SGD step of logistic regression on the batch ``(Xb, yb)``:
+    updates ``w`` and its velocity ``vw`` in place and returns the new ``(b, vb)``."""
+    nb = len(yb)
+    r = sigmoid(np.dot(Xb, w) + b) - yb
+    gw = np.dot(Xb.T, r) / nb
+    if wd:
+        gw += wd * w
+    vw *= mom
+    vw += gw
+    vb = mom * vb + float(np.add.reduce(r) / nb)
+    w -= lr * vw
+    return b - lr * vb, vb
+
+
 def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
                cfg: OptimizerConfig, seed: int) -> LinearModel:
     """SGD-with-momentum logistic regression for one label, early-stopped on
@@ -218,17 +238,7 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
         np.take(X, order, axis=0, out=Xo, mode="clip")
         np.take(y, order, out=yo, mode="clip")
         for i in range(0, rows, bs):
-            Xb, yb = Xo[i : i + bs], yo[i : i + bs]
-            nb = len(yb)
-            r = sigmoid(np.dot(Xb, w) + b) - yb
-            gw = np.dot(Xb.T, r) / nb
-            if wd:
-                gw += wd * w
-            vw *= mom
-            vw += gw
-            vb = mom * vb + float(np.add.reduce(r) / nb)
-            w -= lr * vw
-            b -= lr * vb
+            b, vb = sgd_step(Xo[i : i + bs], yo[i : i + bs], w, vw, b, vb, lr, mom, wd)
         # a finite earlier snapshot must not hide a divergence
         if not (np.isfinite(w).all() and np.isfinite(b)):
             raise FloatingPointError(f"fit_logreg: non-finite parameters after epoch {epoch}")

@@ -115,10 +115,6 @@ def critical_value(alpha: float) -> float:
     return _ndtri(1.0 - float(alpha)) + 0.0
 
 
-class EmptyGroupError(ValueError):
-    """A group required by the weighted statistics has fewer than 2 samples."""
-
-
 @dataclass(frozen=True)
 class TestReport:
     __test__ = False  # keep pytest collection away from the name
@@ -149,7 +145,7 @@ def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float
     d = np.asarray(d, dtype=np.float64)
     if group is None:
         if len(d) < 2:
-            raise EmptyGroupError("need at least 2 samples")
+            raise ValueError("need at least 2 samples")
         return float(d.mean()), float(d.var(ddof=1) / len(d))
     group = np.asarray(group)
     if d.shape != group.shape:
@@ -160,7 +156,7 @@ def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float
     for g in range(1, 5):
         dg = d[group == g]
         if len(dg) < 2:
-            raise EmptyGroupError(
+            raise ValueError(
                 f"group {g} has {len(dg)} samples; the weighted statistics need every "
                 "group to have at least 2"
             )

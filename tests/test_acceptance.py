@@ -5,8 +5,8 @@ special configurations, then checks each published reference value at its
 stated tolerance. One PASS/FAIL line is printed per criterion component
 (run pytest with -s to see them as they happen).
 
-This module is slow (tens of minutes on two cores): the sweeps really run
-100 seeds per cell.
+This module is slow (two to three minutes on two cores): the sweeps really
+run 100 seeds per cell.
 """
 
 import os

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +511,28 @@ def test_bad_artifact_exits_3_naming_line(toy_files, tmp_path, capsys, command, 
     capsys.readouterr()
     assert run_cli(*argv) == 3
     assert f"error: {path}:{i + 1}: {msg}" in capsys.readouterr().err
+
+
+def test_huge_basis_values_print_only_the_error(tmp_path):
+    """A basis whose Gram matrix overflows is rejected with its one error line
+    on stderr: no numpy warning comes before it (a fresh interpreter, so the
+    warning would print as it does for a user)."""
+    assert run_cli("--out", str(tmp_path), "gen-toy", "--n", "100", "--d", "4",
+                   "--test-n", "50") == 0
+    path = tmp_path / "inlp.artifact"
+    save_artifact(str(path), Artifact("inlp", 4, np.eye(4)[:, :1], np.zeros((4, 0)), [], None))
+    lines = path.read_text().split("\n")
+    i = lines.index("[sp_basis]") + 1
+    lines[i] = "1e300 1e300 1e300 1e300"
+    path.write_text("\n".join(lines))
+    argv = ["transform", "--artifact", str(path), "--in", str(tmp_path / "toy_test.csv"),
+            "--out-file", str(tmp_path / "out.csv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(io_files.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "jse.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == (f"error: {path}:{i + 1}: [sp_basis] columns are not orthonormal "
+                           "within 1e-06\n")
 
 
 def _readme_cli_lines() -> list[str]:

@@ -299,6 +299,7 @@ IGNORED_KEYS = [
     ("toy", "seed", "3"),  # set by --seed or the sweep's derived run seeds
     ("experiment", "method", "erm"),  # set by --method or [sweep] methods
     ("jse", "seed", "3"),
+    ("jse", "estimate_mt_basis", "false"),  # removed: the mt basis is always estimated
     ("optimizer", "seed", "3"),
     ("inlp.optimizer", "seed", "3"),
     ("downstream.optimizer", "seed", "3"),

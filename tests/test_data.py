@@ -184,4 +184,4 @@ def test_subspace_basis_validation():
     with pytest.raises(ValueError, match="orthonormal"):
         SubspaceBasis(np.ones((3, 2)))
     b = SubspaceBasis(np.zeros((5, 0)))
-    assert b.k == 0 and b.d == 5
+    assert b.k == 0

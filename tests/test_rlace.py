@@ -164,12 +164,12 @@ def _per_step_rlace(train, val, cfg, seed):
         idx = rng.integers(0, train.n, size=cfg.batch_size)
         Xb, yb = X[idx], y[idx]
         Xp = Xb - np.dot(Xb @ U, U.T)
-        r = (_abs_sigmoid(Xp @ w + b) - yb) / len(idx)
-        gw = Xp.T @ r
+        r = _abs_sigmoid(Xp @ w + b) - yb
+        gw = Xp.T @ r / len(idx)
         if cfg.weight_decay:
             gw = gw + cfg.weight_decay * w
         vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + float(r.sum())
+        vb = cfg.momentum * vb + float(r.sum() / len(idx))
         w = w - cfg.learning_rate * vw
         b = b - cfg.learning_rate * vb
         r = (_abs_sigmoid(Xp @ w + b) - yb) / len(idx)
@@ -186,9 +186,11 @@ def _per_step_rlace(train, val, cfg, seed):
     return U, it, converged
 
 
-# (d, rank, max_iters, eval_every, weight_decay, stop_accuracy): the fits that
-# stop at 0.51 converge at a probe, the ones that stop at 0.01 never reach it
-# and run to max_iters
+# (d, rank, max_iters, eval_every, weight_decay, stop_accuracy[, batch_size]):
+# the fits that stop at 0.51 converge at a probe, the ones that stop at 0.01
+# never reach it and run to max_iters. The batch size is 128 unless given; a
+# size that is not a power of two rounds differently when the residual is
+# divided by it before the product, so it pins the classifier step's order
 ORACLE_CASES = [
     (8, 1, 2000, 250, 0.0, 0.51),
     (8, 2, 1000, 250, 0.0, 0.01),
@@ -198,16 +200,17 @@ ORACLE_CASES = [
     (20, 2, 1300, 250, 0.0, 0.01),
     (3, 2, 1300, 250, 0.0, 0.01),  # d < k + 2: every step takes the d x d solve
     (3, 2, 2000, 200, 0.01, 0.51),
+    (8, 1, 1300, 250, 0.01, 0.01, 100),
 ]
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES,
-                         ids=lambda c: "d{}-rank{}-cap{}-every{}-wd{}-stop{}".format(*c))
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: (
+    "d{}-rank{}-cap{}-every{}-wd{}-stop{}".format(*c) + (f"-bs{c[6]}" if len(c) > 6 else "")))
 def test_rlace_bit_identical_to_per_step_oracle(case):
-    d, rank, max_iters, eval_every, wd, stop = case
+    d, rank, max_iters, eval_every, wd, stop, bs = (*case, 128)[:7]
     train, val = gen_toy(ToyConfig(n=800, d=d, rho=0.5, seed=d))
     cfg = RlaceConfig(rank=rank, max_iters=max_iters, eval_every=eval_every, weight_decay=wd,
-                      stop_accuracy=stop)
+                      stop_accuracy=stop, batch_size=bs)
     U, iters, converged = _per_step_rlace(train, val, cfg, 2)
     res = rlace_fit(train, val, cfg, 2)
     assert (res.iters, res.converged) == (iters, converged)
