@@ -119,6 +119,7 @@ def _cmd_fit(args) -> int:
     val = io_files.load_embeddings(args.val)
     cfg, _ = _experiment_config(args)
     cfg = replace(cfg, method=args.method)
+    evaluate.check_val_groups(cfg, val, args.val)
     art = evaluate.fit_method(cfg, train, val, args.seed, pca=args.pca)
     if art.model is None:  # a removal method: report the dimensions it found
         line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"

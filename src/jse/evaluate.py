@@ -24,7 +24,7 @@ from .baselines import InlpConfig, RlaceConfig, erm_fit, gw_erm_fit, inlp_fit, r
 from .data import LabeledEmbeddings, project_onto, project_out
 from .pca import pca_apply, pca_fit
 from .sgd import LinearModel, OptimizerConfig, fit_logreg
-from .stats import TestReport
+from .stats import MIN_GROUP_SIZE, TestReport
 from .toy import ToyConfig, gen_toy, gen_toy_test
 
 METHODS = ("jse", "erm", "gw-erm", "inlp", "rlace")
@@ -167,6 +167,23 @@ def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbe
                        termination="converged" if res.converged else "max-iterations")
     fit = erm_fit if cfg.method == "erm" else gw_erm_fit
     return replace(art, model=fit(train, val, cfg.downstream, seed))
+
+
+def check_val_groups(cfg: ExperimentConfig, val: LabeledEmbeddings, name: str) -> None:
+    """Before any fit, raise ``ValueError`` naming ``name`` and the first
+    (y_mt, y_sp) group of ``val`` with fewer samples than the group-weighted
+    tests need, when ``cfg.method`` runs those tests (jse by default, inlp with
+    ``group_weighted_test``)."""
+    if not ((cfg.method == "jse" and cfg.jse.group_weighted_tests)
+            or (cfg.method == "inlp" and cfg.inlp.group_weighted_test)):
+        return
+    counts = np.bincount(val.group, minlength=5)
+    for g in range(1, 5):  # the encoding group = 1 + 2 * y_mt + y_sp
+        if counts[g] < MIN_GROUP_SIZE:
+            raise ValueError(
+                f"{name}: validation group (y_mt={(g - 1) // 2}, y_sp={(g - 1) % 2}) has "
+                f"{counts[g]} samples; the group-weighted tests need at least "
+                f"{MIN_GROUP_SIZE} in every group")
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,14 @@ orthogonal by construction.
 
 Rules for any rewrite; every output is checked bit for bit:
 
-* Keep the same RNG calls. A balanced epoch inverts the sampling CDF
-  (``cdf.searchsorted(rng.random(size), side="right")``, the CDF built once
-  per fit as ``Generator.choice`` builds it), which is ``choice``'s own step
-  on the same uniform draws.
+* Keep the same RNG calls. A balanced epoch inverts the sampling CDF on one
+  ``rng.random(size)`` draw, returning ``cdf.searchsorted(u, side="right")``
+  with the CDF built once per fit as ``Generator.choice`` builds it, which is
+  ``choice``'s own step on the same uniforms. The search is indexed (a guide
+  table, ``_cdf_index``, also built once per fit): the monotone bucket
+  ``min(floor(u * n), n - 1)`` confines each answer to ``u``'s own bucket,
+  which holds at most 3 CDF entries when class-balanced and 5 when
+  group-balanced, so a few vector steps replace a binary search per draw.
 * Keep the same floating-point operations in the same order. Never fuse two
   matrix-vector products into one matrix-matrix product: a gemm sums in a
   different order than two gemvs. ``sgd_step`` divides the gradient by the
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,19 +157,64 @@ def fit_intercept_only(train: LabeledEmbeddings, target: str) -> LinearModel:
     return LinearModel(np.zeros(train.d), _logit(float(np.mean(y))))
 
 
+class _CdfIndex(NamedTuple):
+    """The sampling CDF with a guide table for indexed search (Chen & Asau 1974).
+
+    With ``m = n`` buckets and ``bucket(x) = min(floor(x * m), m - 1)``,
+    ``start[j]`` is the number of CDF entries whose bucket is below ``j`` and
+    ``steps`` the most entries in any one bucket. ``padded`` is the CDF
+    followed by ``+inf``, so a search never steps past the last row.
+    """
+
+    padded: np.ndarray
+    start: np.ndarray
+    steps: int
+
+
+def _bucket(x: np.ndarray, m: int) -> np.ndarray:
+    """``min(floor(x * m), m - 1)`` elementwise for ``x >= 0``, monotone in ``x``."""
+    k = np.multiply(x, m).astype(np.int64)
+    return np.minimum(k, m - 1, out=k)
+
+
+def _cdf_index(probs: np.ndarray) -> _CdfIndex:
+    """Index the CDF of ``probs``, built as ``Generator.choice`` builds it
+    (``cdf = probs.cumsum(); cdf /= cdf[-1]``)."""
+    n = len(probs)
+    padded = np.empty(n + 1)
+    cdf = padded[:n]
+    np.cumsum(probs, out=cdf)
+    cdf /= cdf[-1]
+    padded[n] = np.inf
+    bucket = _bucket(cdf, n)
+    start = bucket.searchsorted(np.arange(n)).astype(np.int64, copy=False)
+    return _CdfIndex(padded, start, int(np.bincount(bucket).max()))
+
+
 def _epoch_order(
-    rng: np.random.Generator, n: int, batch_size: int, cdf: np.ndarray | None
+    rng: np.random.Generator, n: int, batch_size: int, index: _CdfIndex | None
 ) -> np.ndarray:
     """Row order of one epoch; batch i is ``order[i * batch_size : (i + 1) * batch_size]``.
 
-    Uniform mode (``cdf`` None) shuffles without replacement; balanced modes
-    draw every batch with replacement by inverting the sampling CDF, as
-    ``Generator.choice`` does (see the module docstring).
+    Uniform mode (``index`` None) shuffles without replacement. Balanced modes
+    draw every batch with replacement as ``Generator.choice`` does: one
+    ``rng.random(size)`` call, each uniform ``u`` mapped to the first row whose
+    CDF value exceeds it, ``cdf.searchsorted(u, side="right")``. The search is
+    indexed: ``bucket`` is monotone, so every CDF entry in a lower bucket than
+    ``u``'s is ``<= u`` and every entry in a higher one is ``> u``. The answer
+    thus lies in ``u``'s own bucket, and ``steps`` forward steps from
+    ``start[bucket(u)]`` reach it. No row's probability is below ``1/(4n)``,
+    so ``steps`` is at most 3 when class-balanced and 5 when group-balanced.
     """
-    if cdf is None:
+    if index is None:
         return rng.permutation(n)
     n_batches = (n + batch_size - 1) // batch_size
-    return cdf.searchsorted(rng.random(n_batches * batch_size), side="right")
+    u = rng.random(n_batches * batch_size)
+    order = index.start.take(_bucket(u, n))
+    padded = index.padded
+    for _ in range(index.steps):
+        order += padded.take(order) <= u
+    return order
 
 
 def _sampling_probs(data: LabeledEmbeddings, target: str, mode: str) -> np.ndarray | None:
@@ -215,10 +265,7 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     X, Xval = train.Z, val.Z
     yval = val.labels(target).astype(np.float64)
     probs = _sampling_probs(train, target, cfg.balance_sampling)
-    cdf = None
-    if probs is not None:  # built as Generator.choice builds it
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
+    index = None if probs is None else _cdf_index(probs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     w = np.zeros(train.d)
@@ -234,7 +281,7 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     # the best post-epoch snapshot, ties keeping the earliest epoch
     best, best_score, since = None, np.inf, 0
     for epoch in range(1, cfg.max_epochs + 1):
-        order = _epoch_order(rng, train.n, bs, cdf)
+        order = _epoch_order(rng, train.n, bs, index)
         np.take(X, order, axis=0, out=Xo, mode="clip")
         np.take(y, order, out=yo, mode="clip")
         for i in range(0, rows, bs):

@@ -138,6 +138,11 @@ class TestReport:
         )
 
 
+# the fewest samples a group may have under the group-weighted tests: its
+# variance is estimated with ddof=1
+MIN_GROUP_SIZE = 2
+
+
 def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float, float]:
     """Mean of the differences d and the estimated variance of that mean:
     equally weighted over the four groups when ``group`` is given, else the
@@ -155,10 +160,10 @@ def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float
     counts = np.empty(4, dtype=np.int64)
     for g in range(1, 5):
         dg = d[group == g]
-        if len(dg) < 2:
+        if len(dg) < MIN_GROUP_SIZE:
             raise ValueError(
                 f"group {g} has {len(dg)} samples; the weighted statistics need every "
-                "group to have at least 2"
+                f"group to have at least {MIN_GROUP_SIZE}"
             )
         means[g - 1] = dg.mean()
         variances[g - 1] = dg.var(ddof=1)

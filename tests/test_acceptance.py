@@ -27,9 +27,16 @@ SEEDS = int(os.environ.get("JSE_ACCEPT_SEEDS", 100))
 RHOS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
-def _check(name: str, value: float, target: float, tol: float) -> bool:
+def _check(name: str, cell, key: str, target: float, tol: float) -> bool:
+    """Check a cell's mean of ``key`` against ``target +- tol``, printing its
+    seed SE and the margin to the band's nearer edge in those SEs (negative
+    outside the band): a margin of a few SEs or less can flip on a reshuffle
+    of the seeds alone."""
+    value, se = cell.mean[key], cell.se[key]
     ok = abs(value - target) <= tol
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.2f} vs {target} +- {tol}")
+    margin = tol - abs(value - target)
+    noise = f"  (SE {se:.3f}, margin {margin:.2f} = {margin / se:.1f} SE)" if se else ""
+    print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.2f} vs {target} +- {tol}{noise}")
     return ok
 
 
@@ -84,10 +91,10 @@ def test_criterion_1_jse_reference_points(jse_sweep_timed):
     sweep, elapsed = jse_sweep_timed
     ok = True
     for rho, target in ((0.0, 83.73), (0.5, 83.43), (0.8, 83.33), (0.9, 82.94)):
-        ok &= _check(f"c1 jse average rho={rho}", _cell(sweep, "jse", rho).mean["average"],
+        ok &= _check(f"c1 jse average rho={rho}", _cell(sweep, "jse", rho), "average",
                      target, 1.0)
     ok &= _check("c1 jse worst-group rho=0.9",
-                 _cell(sweep, "jse", 0.9).mean["worst_group"], 80.27, 2.0)
+                 _cell(sweep, "jse", 0.9), "worst_group", 80.27, 2.0)
     groups = [_cell(sweep, "jse", 0.8).mean[f"acc_g{g}"] for g in range(1, 5)]
     print("      c1 jse per-group rho=0.8: "
           + " ".join(f"{v:.2f}" for v in groups)
@@ -102,14 +109,14 @@ def test_criterion_1_jse_reference_points(jse_sweep_timed):
 def test_criterion_1_baselines_at_09(baseline_sweep, gw_erm_cell):
     ok = True
     ok &= _check("c1 erm average rho=0.9",
-                 _cell(baseline_sweep, "erm", 0.9).mean["average"], 79.43, 1.5)
+                 _cell(baseline_sweep, "erm", 0.9), "average", 79.43, 1.5)
     ok &= _check("c1 erm worst-group rho=0.9",
-                 _cell(baseline_sweep, "erm", 0.9).mean["worst_group"], 68.41, 3.0)
+                 _cell(baseline_sweep, "erm", 0.9), "worst_group", 68.41, 3.0)
     ok &= _check("c1 inlp average rho=0.9",
-                 _cell(baseline_sweep, "inlp", 0.9).mean["average"], 55.67, 3.0)
+                 _cell(baseline_sweep, "inlp", 0.9), "average", 55.67, 3.0)
     ok &= _check("c1 rlace average rho=0.9",
-                 _cell(baseline_sweep, "rlace", 0.9).mean["average"], 72.48, 2.5)
-    ok &= _check("c1 gw-erm average rho=0.9", gw_erm_cell.mean["average"], 81.25, 2.0)
+                 _cell(baseline_sweep, "rlace", 0.9), "average", 72.48, 2.5)
+    ok &= _check("c1 gw-erm average rho=0.9", gw_erm_cell, "average", 81.25, 2.0)
     assert ok
 
 
@@ -119,22 +126,28 @@ def test_criterion_2_ordering(jse_sweep_timed, baseline_sweep):
     for rho in RHOS:
         if rho < 0.2:
             continue
-        jse_avg = _cell(sweep, "jse", rho).mean["average"]
+        jse_cell = _cell(sweep, "jse", rho)
+        jse_avg = jse_cell.mean["average"]
         margin = 2.0 if rho >= 0.5 else 0.0
         for method in ("inlp", "rlace"):
-            other = _cell(baseline_sweep, method, rho).mean["average"]
+            other_cell = _cell(baseline_sweep, method, rho)
+            other = other_cell.mean["average"]
             good = jse_avg >= other + margin
+            pooled = np.hypot(jse_cell.se["average"] or 0.0, other_cell.se["average"] or 0.0)
+            noise = (f"; clears it by {(jse_avg - other - margin) / pooled:.1f} pooled SE"
+                     if pooled else "")
             print(f"{'PASS' if good else 'FAIL'}  c2 ordering rho={rho}: "
-                  f"jse {jse_avg:.2f} vs {method} {other:.2f} (margin {margin})")
+                  f"jse {jse_avg:.2f} vs {method} {other:.2f} (margin {margin}{noise})")
             ok &= good
     assert ok
 
 
 def test_criterion_3_non_orthogonal(angle75_sweep):
-    jse_avg = _cell(angle75_sweep, "jse", 0.9).mean["average"]
+    jse_cell = _cell(angle75_sweep, "jse", 0.9)
+    jse_avg = jse_cell.mean["average"]
     rlace_avg = _cell(angle75_sweep, "rlace", 0.9).mean["average"]
     inlp_avg = _cell(angle75_sweep, "inlp", 0.9).mean["average"]
-    ok = _check("c3 jse average 75deg rho=0.9", jse_avg, 79.1, 1.5)
+    ok = _check("c3 jse average 75deg rho=0.9", jse_cell, "average", 79.1, 1.5)
     for name, other in (("rlace", rlace_avg), ("inlp", inlp_avg)):
         good = jse_avg > other
         print(f"{'PASS' if good else 'FAIL'}  c3 jse {jse_avg:.2f} above {name} {other:.2f}")
@@ -143,8 +156,7 @@ def test_criterion_3_non_orthogonal(angle75_sweep):
 
 
 def test_criterion_4_delta_heuristic(delta_cells):
-    ok = _check("c4 jse auto-offset average rho=0.9",
-                delta_cells["auto"].mean["average"], 77.4, 1.5)
+    ok = _check("c4 jse auto-offset average rho=0.9", delta_cells["auto"], "average", 77.4, 1.5)
     assert ok
 
 
@@ -155,8 +167,7 @@ def test_criterion_4_delta_heuristic(delta_cells):
     "where the reference runs split near 50/50 (see the decisions ledger)",
 )
 def test_criterion_4_delta_zero_collapse(delta_cells):
-    assert _check("c4 jse zero-offset average rho=0.9",
-                  delta_cells["zero"].mean["average"], 64.6, 3.0)
+    assert _check("c4 jse zero-offset average rho=0.9", delta_cells["zero"], "average", 64.6, 3.0)
 
 
 def test_criterion_4_collapse_direction(delta_cells):

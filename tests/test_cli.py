@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jse import io_files
+from jse import evaluate, io_files
 from jse.cli import main
 from jse.io_files import Artifact, load_artifact, load_embeddings, read_results_csv, save_artifact
 from jse.sgd import LinearModel
@@ -256,6 +256,33 @@ def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_tex
     assert run_cli(*config, "--out", str(out), *shlex.split(command)) == 3
     assert capsys.readouterr().err == msg
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method,cfg_text", [
+    ("jse", ""),
+    ("inlp", "[inlp]\ngroup_weighted_test = true\n"),
+], ids=["jse", "inlp-group-weighted"])
+def test_thin_validation_group_exits_3_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                      method, cfg_text):
+    """A validation group too small for the group-weighted tests is a data
+    error naming the --val file and the (y_mt, y_sp) group, raised before
+    any fit; seed 1's 8-row validation split has one (y_mt=0, y_sp=1) row."""
+    data = tmp_path / "data"
+    assert run_cli("--seed", "1", "--out", str(data), "gen-toy", "--n", "40",
+                   "--rho", "0.9", "--test-n", "100") == 0
+    capsys.readouterr()
+    val = str(data / "toy_val.csv")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(cfg_text)
+    fits = []
+    monkeypatch.setattr(evaluate, "fit_method", lambda *a, **k: fits.append(a))
+    assert run_cli("--seed", "1", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "fit", "--method", method, "--train", str(data / "toy_train.csv"),
+                   "--val", val) == 3
+    assert capsys.readouterr().err == (
+        f"error: {val}: validation group (y_mt=0, y_sp=1) has 1 samples; the "
+        "group-weighted tests need at least 2 in every group\n")
+    assert fits == []
 
 
 def test_gen_toy_rejects_config(tmp_path, capsys):

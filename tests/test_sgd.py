@@ -485,9 +485,9 @@ def test_balanced_epoch_order_equals_generator_choice(request, monkeypatch, mode
     orders, cdfs = [], []
     epoch_order = sgd._epoch_order
 
-    def spy(rng, n, bs, cdf):
-        cdfs.append(cdf)
-        orders.append(epoch_order(rng, n, bs, cdf))
+    def spy(rng, n, bs, index):
+        cdfs.append(index.padded)  # the CDF, then +inf
+        orders.append(epoch_order(rng, n, bs, index))
         return orders[-1]
 
     monkeypatch.setattr(sgd, "_epoch_order", spy)
@@ -503,11 +503,54 @@ def test_balanced_epoch_order_equals_generator_choice(request, monkeypatch, mode
     want_cdf = probs.cumsum()
     want_cdf /= want_cdf[-1]
     assert all(cdf is cdfs[0] for cdf in cdfs)  # built once per fit
-    assert cdfs[0][-1] == 1.0 and np.array_equal(cdfs[0], want_cdf)
+    cdf = cdfs[0][:-1]
+    assert cdf[-1] == 1.0 and np.array_equal(cdf, want_cdf)
     size = -(-train.n // batch_size) * batch_size
     for order in orders:
         want = rng.choice(train.n, size=size, replace=True, p=probs)
         assert order.dtype == want.dtype and np.array_equal(order, want)
+
+
+class _FixedUniforms:
+    """Stands in for the generator: ``random(size)`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def _one_against_999():
+    rng = np.random.default_rng(5)
+    y_mt = np.zeros(1000, dtype=int)
+    y_mt[rng.integers(1000)] = 1
+    return LabeledEmbeddings(rng.standard_normal((1000, 3)), y_mt, rng.integers(0, 2, 1000))
+
+
+@pytest.mark.parametrize("mode", ["class-balanced", "group-balanced"])
+@pytest.mark.parametrize("split", ["ragged_toy", "skewed", "1-vs-999", "n1", "n2"])
+def test_indexed_draw_equals_searchsorted(request, mode, split):
+    """The indexed search returns ``cdf.searchsorted(u, side="right")`` as int64
+    on the uniforms where an off-by-one would show: 0, every CDF value, the
+    double just below each, and the largest double below 1."""
+    if split == "ragged_toy":
+        data = request.getfixturevalue("ragged_toy")[0]
+    elif split == "skewed":
+        data = _skewed_split()[0]
+    elif split == "1-vs-999":
+        data = _one_against_999()
+    else:
+        n = int(split[1:])
+        data = LabeledEmbeddings(np.ones((n, 2)), np.arange(n) % 2, np.zeros(n, dtype=int))
+    index = sgd._cdf_index(_sampling_probs(data, "mt", mode))
+    cdf = index.padded[:-1]
+    assert index.steps <= (3 if mode == "class-balanced" else 5)
+    u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), [np.nextafter(1.0, 0.0)]])
+    order = sgd._epoch_order(_FixedUniforms(u), data.n, len(u), index)
+    want = cdf.searchsorted(u, side="right")
+    assert order.dtype == np.int64 and np.array_equal(order, want)
 
 
 def _oracle_joint_heads(X, w_sp, w_mt, b_sp, b_mt):
