@@ -120,6 +120,13 @@ def _cmd_fit(args) -> int:
     cfg, _ = _experiment_config(args)
     cfg = replace(cfg, method=args.method)
     evaluate.check_val_groups(cfg, val, args.val)
+    # pca_fit's and gw_erm_fit's own checks, made first to name the flag or file
+    if args.pca is not None and args.pca > min(train.n, train.d):
+        raise ValueError(f"--pca {args.pca}: k must be in [1, min(n, d)] = "
+                         f"[1, {min(train.n, train.d)}], got {args.pca}")
+    if args.method == "gw-erm" and len(np.unique(train.group)) < 4:
+        raise ValueError(f"{args.train}: group-weighted ERM needs all four groups in the "
+                         "training data")
     art = evaluate.fit_method(cfg, train, val, args.seed, pca=args.pca)
     if art.model is None:  # a removal method: report the dimensions it found
         line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"
@@ -146,7 +153,11 @@ def _cmd_eval(args) -> int:
                          "transform + fit")
     test = io_files.load_embeddings(args.test_file)
     test = test.with_Z(art.preprocess(test.Z))
-    print(io_files.eval_summary_jsonl(evaluate.evaluate(art.model, test)))
+    try:
+        summary = evaluate.evaluate(art.model, test)
+    except ValueError as exc:  # an empty group
+        raise ValueError(f"{args.test_file}: {exc}") from None
+    print(io_files.eval_summary_jsonl(summary))
     return EXIT_OK
 
 

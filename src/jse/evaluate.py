@@ -197,6 +197,7 @@ class RunRecord:
     d_mt_hat: int
     runtime_ms: float
     error: str = ""
+    data_error: bool = False  # the run raised a ValueError other than LinAlgError
 
 
 def derive_seed(base_seed: int, method: str, x_value: float, seed_index: int) -> int:
@@ -237,7 +238,9 @@ def run_single(cfg: ExperimentConfig, x_name: str, x_value: float, seed_index: i
         art, _, summary = fit_and_evaluate(cfg, train, val, test, run_seed)
     except Exception as exc:  # noqa: BLE001 - per-seed failures are recorded, not fatal
         ms = 1000.0 * (time.perf_counter() - t0)
-        return RunRecord(cfg.method, x_name, x_value, seed_index, None, 0, 0, ms, repr(exc))
+        data_error = isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
+        return RunRecord(cfg.method, x_name, x_value, seed_index, None, 0, 0, ms, repr(exc),
+                         data_error)
     ms = 1000.0 * (time.perf_counter() - t0)
     return RunRecord(cfg.method, x_name, x_value, seed_index, summary,
                      art.sp_basis.shape[1], art.mt_basis.shape[1], ms)
@@ -268,12 +271,13 @@ def aggregate_cell(
     method: str, x_name: str, x_value: float, records: list[RunRecord]
 ) -> CellAggregate:
     ok = [r for r in records if r.summary is not None]
-    n_failed = len(records) - len(ok)
+    failed = [r for r in records if r.summary is None]
     if len(records) and len(ok) / len(records) < 0.9:
-        raise RuntimeError(
-            f"cell ({method}, {x_name}={x_value}) had {n_failed}/{len(records)} failures; "
-            "at least 90% of seeds must succeed for aggregation"
-        )
+        msg = (f"cell ({method}, {x_name}={x_value}) had {len(failed)}/{len(records)} failures; "
+               "at least 90% of seeds must succeed for aggregation")
+        if all(r.data_error for r in failed):  # bad data or settings, not numerics: exit 3
+            raise ValueError(f"{msg}; the first: {failed[0].error}")
+        raise RuntimeError(msg)
     # one (mean, se) per ACCURACIES column, over the successful seeds
     mean, se = zip(*(mean_se(col) for col in zip(*(r.summary.accuracies() for r in ok))))
     return CellAggregate(method, x_value, dict(zip(ACCURACIES, mean)), dict(zip(ACCURACIES, se)))

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jse
 from jse import evaluate, io_files
 from jse.cli import main
+from jse.data import LabeledEmbeddings
 from jse.io_files import Artifact, load_artifact, load_embeddings, read_results_csv, save_artifact
 from jse.sgd import LinearModel
 
@@ -239,22 +241,40 @@ def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, v
     assert not out.exists()
 
 
-# sizes below what one run can split or test on: exit 3 naming the value,
-# before any file is written ([toy] n and [experiment] test_n are rows of
-# tests/test_config.py's BAD_VALUES)
+# sizes below what one run can split or test on: exit 3 naming the value, file
+# or cell, before any file is written ([toy] n and [experiment] test_n are rows
+# of tests/test_config.py's BAD_VALUES); {thin} is a d = 5 file with no
+# (y_mt=0, y_sp=1) rows, {model} an erm artifact of width 5
 @pytest.mark.parametrize("command,cfg_text,msg", [
     ("gen-toy --n 1", "", "error: n must be >= 2, got 1\n"),
     ("gen-toy --test-n 0", "", "error: test set size must be >= 1, got 0\n"),
     ("sweep", "[sweep]\nmethods = erm\nx_name = n\nx_values = 1, 200\n",
      "error: [sweep] x_values: n = 1.0: n must be >= 2, got 1.0\n"),
-], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n"])
+    ("sweep", "[toy]\nn = 2\nd = 4\n[sweep]\nmethods = erm, jse\nx_values = 0.0\nseeds = 2\n",
+     "error: cell (jse, rho=0.0) had 2/2 failures; at least 90% of seeds must succeed for "
+     "aggregation; the first: ValueError(\"target 'sp' has a single class in the training "
+     "data\")\n"),
+    ("eval --model {model} --test-file {thin}", "",
+     "error: {thin}: empty group 2 in the test data\n"),
+    ("fit --method gw-erm --train {thin} --val {thin}", "",
+     "error: {thin}: group-weighted ERM needs all four groups in the training data\n"),
+    ("fit --method erm --pca 9 --train {thin} --val {thin}", "",
+     "error: --pca 9: k must be in [1, min(n, d)] = [1, 5], got 9\n"),
+], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n", "sweep-every-run-data-error",
+        "eval-empty-test-group", "fit-gw-erm-missing-train-group", "fit-pca-above-d"])
 def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_text, msg):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(cfg_text)
     out = tmp_path / "out"
+    y_mt, y_sp = np.array([0, 1, 1] * 4), np.array([0, 0, 1] * 4)  # groups 1, 3 and 4
+    files = {"thin": str(tmp_path / "thin.csv"), "model": str(tmp_path / "erm.artifact")}
+    io_files.save_embeddings(files["thin"], LabeledEmbeddings(
+        np.random.default_rng(0).standard_normal((12, 5)), y_mt, y_sp))
+    save_artifact(files["model"], Artifact("erm", 5, np.zeros((5, 0)), np.zeros((5, 0)), [],
+                                           LinearModel(np.ones(5), 0.0)))
     config = ["--config", str(cfg_path)] if cfg_text else []  # gen-toy rejects --config
-    assert run_cli(*config, "--out", str(out), *shlex.split(command)) == 3
-    assert capsys.readouterr().err == msg
+    assert run_cli(*config, "--out", str(out), *shlex.split(command.format(**files))) == 3
+    assert capsys.readouterr().err == msg.format(**files)
     assert not out.exists()
 
 
@@ -560,6 +580,18 @@ def test_huge_basis_values_print_only_the_error(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == (f"error: {path}:{i + 1}: [sp_basis] columns are not orthonormal "
                            "within 1e-06\n")
+
+
+def test_readme_library_quick_start_runs(capsys):
+    """README's library quick start runs as written, and its import line names
+    everything the package exports but ``__version__``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start (library)", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    imported = block.splitlines()[0].removeprefix("from jse import ").split(", ")
+    assert sorted(jse.__all__) == sorted([*imported, "__version__"])
 
 
 def _readme_cli_lines() -> list[str]:
