@@ -295,12 +295,30 @@ NORMAL_QUANTILES = [
 
 
 def test_critical_value_matches_reference_quantiles():
-    """critical_value is within 4 ulp of each reference, finite where 1 - alpha
-    rounds to 1, exactly +0.0 at alpha 0.5, and is every test's threshold."""
+    """critical_value is within 4 ulp of each reference, and finite where
+    1 - alpha rounds to 1."""
     for alpha, want in NORMAL_QUANTILES:
         assert abs(critical_value(alpha) - want) <= 4 * np.spacing(abs(want)), alpha
+
+
+# the correctly rounded upper-alpha quantile (mpmath at 360 digits, rounded to
+# the nearest double) at the default level and in the tails, where AS 241
+# rounds correctly; scipy's norm.ppf(1 - alpha) is 2 ulp low at 0.05 and
+# inf at 1e-300
+CORRECTLY_ROUNDED = [(1e-300, 37.0470962993612), (1e-12, 7.034483825301132),
+                     (1e-6, 4.753424308822899), (0.05, 1.6448536269514726)]
+
+
+def test_critical_value_is_norm_ppf_bit_for_bit():
+    for alpha, want in CORRECTLY_ROUNDED:
+        assert critical_value(alpha) == want, alpha
     zero = critical_value(0.5)
     assert zero == 0.0 and not np.signbit(zero)
+
+
+def test_reported_thresholds_are_norm_ppf_bit_for_bit():
+    """Every t_vs_random / t_relative threshold is critical_value(alpha), and
+    at the default level the correctly rounded quantile."""
     rng = np.random.default_rng(16)
     val = _val_set(rng, 200)
     a = predict_1d(val.Z, np.eye(4)[0], 0.5, 0.0)
@@ -311,6 +329,9 @@ def test_critical_value_matches_reference_quantiles():
         assert t_vs_random(a, p_random, val, "sp", alpha=alpha).threshold == want
         for on in ("v_sp", "v_mt"):
             assert t_relative(a, b, val, on, alpha=alpha).threshold == want
+    assert t_vs_random(a, p_random, val, "sp").threshold == 1.6448536269514726
+    for on in ("v_sp", "v_mt"):
+        assert t_relative(a, b, val, on).threshold == 1.6448536269514726
 
 
 def _fresh_import_modules() -> list[str]:
