@@ -141,7 +141,11 @@ def _cmd_fit(args) -> int:
 def _cmd_transform(args) -> int:
     art = io_files.load_artifact(args.artifact)
     data = io_files.load_embeddings(args.input)
-    io_files.save_embeddings(args.out_file, data.with_Z(art.transform(data.Z, args.mode)))
+    try:  # a width that does not match the artifact
+        Z = art.transform(data.Z, args.mode)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
+    io_files.save_embeddings(args.out_file, data.with_Z(Z))
     print(f"wrote {args.out_file}")
     return EXIT_OK
 
@@ -152,10 +156,9 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.model} holds no linear model; fit erm/gw-erm or compose "
                          "transform + fit")
     test = io_files.load_embeddings(args.test_file)
-    test = test.with_Z(art.preprocess(test.Z))
-    try:
-        summary = evaluate.evaluate(art.model, test)
-    except ValueError as exc:  # an empty group
+    try:  # a width that does not match the artifact, or an empty group
+        summary = evaluate.evaluate(art.model, test.with_Z(art.preprocess(test.Z)))
+    except ValueError as exc:
         raise ValueError(f"{args.test_file}: {exc}") from None
     print(io_files.eval_summary_jsonl(summary))
     return EXIT_OK

@@ -201,9 +201,16 @@ class RunRecord:
 
 
 def derive_seed(base_seed: int, method: str, x_value: float, seed_index: int) -> int:
-    """Deterministic per-run entropy; distinct across methods, x values, seeds."""
-    tag = zlib.crc32(method.encode())
-    ss = np.random.SeedSequence([base_seed, tag, int(round(x_value * 10**6)), seed_index])
+    """Deterministic per-run entropy; distinct across methods, x values, seeds.
+
+    ``SeedSequence`` takes only non-negative integers, so a negative x value
+    enters as its magnitude with the tag of ``method + "-"``. The entropy
+    keeps its four entries: one more would be read as the second 32-bit word
+    of a large x (x = 4295.0 at seed 1 would meet x = -0.032704 at seed 1).
+    """
+    x = int(round(x_value * 10**6))
+    tag = zlib.crc32(method.encode() + (b"-" if x < 0 else b""))
+    ss = np.random.SeedSequence([base_seed, tag, abs(x), seed_index])
     return int(ss.generate_state(1)[0])
 
 

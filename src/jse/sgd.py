@@ -27,7 +27,16 @@ Rules for any rewrite; every output is checked bit for bit:
 * The hot loops run on small arrays, where numpy's call wrappers cost more
   than the arithmetic. They gather rows with ``take`` (``X[idx]`` costs
   about three times as much on a 128-row batch) and multiply with
-  ``np.dot``, whose wrapper is cheaper than ``@``'s on the same BLAS routine.
+  ``np.dot`` or ``ndarray.dot``, whose wrappers are cheaper than ``@``'s on
+  the same BLAS routine and give its bits.
+* ``joint_objective`` writes every intermediate into (2, n) buffers made
+  once per fit, through exact identities only: ``sigmoid``'s numerator
+  ``exp(min(x, 0))`` is ``where(x >= 0, 1, exp(-|x|))`` bit for bit (NaN's
+  sign aside), so no mask or branch array is built; the BCE terms are
+  ``y * log(p)`` and ``(1 - y) * log1p(-p)`` with ``1 - y`` formed once per
+  fit; and the loss negates the summed terms, since a sum of negated terms
+  is the negated sum and ``(-S) / n`` is ``-(S / n)``. Masked ufuncs
+  (``where=``) cost 4-6x more per element than the extra ``exp``.
 
 The oracles are in ``tests/test_sgd.py`` (``fit_logreg`` and its epoch
 order, the joint objective and fit, ``_newton_logreg``, ``sigmoid``) and
@@ -36,6 +45,7 @@ order, the joint objective and fit, ``_newton_logreg``, ``sigmoid``) and
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -120,19 +130,44 @@ class LinearModel:
 # 0-d float64 operands: numpy converts a Python scalar operand on every call,
 # and a 0-d array also fixes the result dtype at float64 for narrower input
 _ZERO, _ONE, _NEG_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+_P_LOW, _P_HIGH = np.array(BCE_EPS), np.array(1.0 - BCE_EPS)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
 
-    Both branches share ``e = exp(-|x|)``, so it is computed once for all
-    elements and the branch only picks the numerator; ``copysign(x, -1)`` is
-    ``-|x|`` bit for bit in one ufunc call. The result is float64 for bool,
-    integer and float input up to double precision, and equals the float64
-    formula applied to ``x`` cast to float64.
+    With ``e = exp(-|x|)`` the result is ``exp(min(x, 0)) / (1 + e)``: the
+    numerator is ``exp(0) = 1`` for ``x >= 0`` and ``exp(x) = e`` below, so
+    no branch is taken; ``copysign(x, -1)`` is ``-|x|`` bit for bit in one
+    ufunc call. The result is float64 for bool, integer and float input up to
+    double precision, and equals the float64 formula applied to ``x`` cast to
+    float64.
+
+    ``out`` and ``work`` (float64 arrays of ``x``'s shape) take the result
+    and the denominator, so a caller on fixed-size arrays allocates nothing.
+    ``work`` may be ``x`` itself, which is then overwritten; ``out`` may not.
     """
-    e = np.exp(np.copysign(x, _NEG_ONE))
-    return np.where(x >= _ZERO, _ONE, e) / (_ONE + e)
+    p = np.exp(np.minimum(x, _ZERO, out=out), out=out)
+    e = np.exp(np.copysign(x, _NEG_ONE, out=work), out=work)
+    e += _ONE
+    p /= e
+    return p
+
+
+def _neg_bce(p: np.ndarray, y: np.ndarray, y_c: np.ndarray, out: np.ndarray,
+             work: np.ndarray) -> np.ndarray:
+    """``y * log(p) + y_c * log1p(-p)`` with ``p`` clipped to [eps, 1-eps],
+    written to ``out`` (``work`` is scratch of the same shape): the negated
+    per-sample BCE when ``y_c = 1 - y``. The clip is np.clip's bits without
+    its dispatch overhead."""
+    np.minimum(np.maximum(p, _P_LOW, out=out), _P_HIGH, out=out)
+    t = np.log1p(np.negative(out, out=work), out=work)
+    t *= y_c
+    np.log(out, out=out)
+    out *= y
+    out += t
+    return out
 
 
 def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,9 +176,8 @@ def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if p.shape != y.shape:
         raise ValueError(f"length mismatch: p has shape {p.shape}, y has shape {y.shape}")
-    # the same bits as np.clip, without its dispatch overhead
-    p = np.minimum(np.maximum(p, BCE_EPS), 1.0 - BCE_EPS)
-    return -(y * np.log(p) + (1 - y) * np.log1p(-p))
+    out = _neg_bce(p, y, 1 - y, np.empty(p.shape), np.empty(p.shape))
+    return np.negative(out, out=out)
 
 
 def _logit(q: float) -> float:
@@ -385,12 +419,12 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         f, g = fun(x)
-        if not (np.isfinite(f) and np.isfinite(g).all()):
+        if not (math.isfinite(f) and np.isfinite(g).all()):
             raise FloatingPointError(f"{trainer}: non-finite loss or gradient")
         return f, g
 
     f, g = evaluate(x)
-    pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y, y.y), oldest first
     # the search direction and a product buffer, rewritten on every iteration
     q, tmp = np.empty_like(x), np.empty_like(x)
     for _ in range(LBFGS_MAX_ITER):
@@ -398,17 +432,17 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
             break
         np.copyto(q, g)
         alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * float(s @ q))
+        for s, y, rho, _ in reversed(pairs):
+            alphas.append(rho * float(s.dot(q)))
             q -= np.multiply(y, alphas[-1], out=tmp)
         if pairs:  # initial inverse Hessian s.y / y.y from the newest pair
-            _, y, rho = pairs[-1]
-            q /= rho * float(y @ y)
+            _, _, rho, yy = pairs[-1]
+            q /= rho * yy
         else:
             q /= max(1.0, float(np.linalg.norm(q)))
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += np.multiply(s, a - rho * float(y @ q), out=tmp)
-        slope = -float(g @ q)
+        for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+            q += np.multiply(s, a - rho * float(y.dot(q)), out=tmp)
+        slope = -float(g.dot(q))
         if slope >= 0.0:
             break
         t = 1.0
@@ -421,9 +455,9 @@ def lbfgs(fun, x: np.ndarray, trainer: str) -> np.ndarray:
             if t < 1e-10:
                 return x
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         if sy > 1e-12:
-            pairs.append((s, y, 1.0 / sy))
+            pairs.append((s, y, 1.0 / sy, float(y.dot(y))))
         x, f, g = x_new, f_new, g_new
     return x
 
@@ -435,46 +469,51 @@ def joint_objective(X: np.ndarray, y_sp: np.ndarray, y_mt: np.ndarray, ridge: fl
     of the two per-task mean BCEs, the main-task head predicting through
     ``(I - P_{w_sp}) w_mt``, plus ``0.5 * ridge * (|w_sp|^2 + |w_mt|^2)``.
 
-    Both heads' logits share one (2, n) array, so ``sigmoid``, ``bce`` and the
-    residual run once for both. The fixed-size buffers are allocated here,
-    once per fit; each call returns a new gradient array.
+    Both heads' logits share one (2, n) array, so ``sigmoid``, the BCE terms
+    and the residual run once for both. Every intermediate is written into
+    buffers allocated here, once per fit; only the returned gradient is a
+    new array on each call.
     """
     n, d = X.shape
     Xt = X.T
     Y = np.stack([y_sp, y_mt]).astype(np.float64)
+    Y_c = 1 - Y  # the BCE's 1 - y
     u = np.empty(n)  # X @ w_sp, shared by both heads' logits and the gradient
-    logits = np.empty((2, n))
+    # Z: the logits, then sigmoid's denominator, then the negated BCE terms;
+    # P: the probabilities, then the residuals (p - y) / n; W: BCE scratch
+    Z, P, W = np.empty((3, 2, n))
+    (z_sp, z_mt), (r_sp, r_mt) = Z, P
     tmp_n, tmp_d, tmp_2d = np.empty(n), np.empty(d), np.empty(2 * d)
+    head_sum = np.empty(2)
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w_sp, w_mt, w = theta[:d], theta[d : 2 * d], theta[: 2 * d]
-        s = float(w_sp @ w_sp) + PROJ_EPS
-        c = float(w_sp @ w_mt)
-        np.matmul(X, w_sp, out=u)
-        np.add(u, theta[2 * d], out=logits[0])
-        np.matmul(X, w_mt, out=logits[1])
-        logits[1] -= np.multiply(u, c / s, out=tmp_n)
-        logits[1] += theta[2 * d + 1]
-        P = sigmoid(logits)
-        # np.add.reduce(.) / n is np.mean without its wrapper
-        head_loss = np.add.reduce(bce(P, Y), axis=1) / n
-        loss = float(head_loss[0] + head_loss[1]) + 0.5 * ridge * float(w @ w)
+        s = float(w_sp.dot(w_sp)) + PROJ_EPS
+        c = float(w_sp.dot(w_mt))
+        np.dot(X, w_sp, out=u)
+        np.add(u, theta[2 * d], out=z_sp)
+        np.dot(X, w_mt, out=z_mt)
+        np.subtract(z_mt, np.multiply(u, c / s, out=tmp_n), out=z_mt)
+        np.add(z_mt, theta[2 * d + 1], out=z_mt)
+        sigmoid(Z, out=P, work=Z)
+        # S sums a head's negated BCE terms: its mean BCE (-S) / n is -(S / n) exactly
+        np.add.reduce(_neg_bce(P, Y, Y_c, Z, W), axis=1, out=head_sum)
+        s_sp, s_mt = head_sum.tolist()
+        loss = -(s_sp / n + s_mt / n) + 0.5 * ridge * float(w.dot(w))
 
-        R = np.subtract(P, Y, out=P)  # per-head residuals (p - y) / n, in place
-        R /= n
-        r_sp, r_mt = R
-        ru = float(r_mt @ u)
+        np.divide(np.subtract(P, Y, out=P), n, out=P)
+        ru = float(r_mt.dot(u))
         grad = np.empty(2 * d + 2)
         g_wsp, g_wmt = grad[:d], grad[d : 2 * d]
         # two matrix-vector products, not one matrix-matrix product: see the module docstring
-        np.matmul(Xt, r_mt, out=g_wmt)
-        np.matmul(Xt, r_sp, out=g_wsp)
+        np.dot(Xt, r_mt, out=g_wmt)
+        np.dot(Xt, r_sp, out=g_wsp)
         g_wsp -= np.multiply(g_wmt, c / s, out=tmp_d)
         g_wsp -= np.multiply(w_mt, ru / s, out=tmp_d)
         g_wsp += np.multiply(w_sp, 2.0 * c * ru / s**2, out=tmp_d)
         g_wmt -= np.multiply(w_sp, ru / s, out=tmp_d)
         grad[: 2 * d] += np.multiply(w, ridge, out=tmp_2d)
-        np.add.reduce(R, axis=1, out=grad[2 * d :])
+        np.add.reduce(P, axis=1, out=grad[2 * d :])
         return loss, grad
 
     return fun

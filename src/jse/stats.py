@@ -103,9 +103,15 @@ def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float
                 f"group {g} has {len(dg)} samples; the weighted statistics need every "
                 f"group to have at least {MIN_GROUP_SIZE}"
             )
-        means[g - 1] = dg.mean()
-        variances[g - 1] = dg.var(ddof=1)
-        counts[g - 1] = len(dg)
+        # dg.mean() and dg.var(ddof=1) without their wrappers, in numpy's own
+        # operation order: the sum over the count, then the squared
+        # deviations from that mean summed over count - 1
+        m = len(dg)
+        mean = np.add.reduce(dg) / m
+        dev = np.subtract(dg, mean, out=dg)
+        means[g - 1] = mean
+        variances[g - 1] = np.add.reduce(np.multiply(dev, dev, out=dev)) / (m - 1)
+        counts[g - 1] = m
     return float(means.mean()), float(np.sum(variances / counts) / 16.0)
 
 

@@ -42,6 +42,8 @@ class ToyConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= abs(self.rho) < 1.0):
             raise ValueError("|rho| must be < 1")
+        if not float(self.n).is_integer():  # a sweep's x values are floats
+            raise ValueError(f"n must be an integer, got {self.n}")
         if self.n < 2:  # the train/val split needs a row on each side
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.d < 2:

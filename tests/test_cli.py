@@ -153,6 +153,19 @@ def test_sweep_and_report(tmp_path, capsys):
     assert "Average" in text and "erm" in text
 
 
+def test_sweep_over_negative_rho(tmp_path):
+    # |rho| < 1 admits negative values; their seeds are distinct from the
+    # positive ones' (test_evaluate.py::test_cell_seeds_distinct)
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP_CFG.replace("x_values = 0.0, 0.8", "x_values = -0.5, 0.5"))
+    out = tmp_path / "res"
+    assert run_cli("--config", str(cfg_path), "--out", str(out), "sweep") == 0
+    rows = read_results_csv(str(out / "results.csv"))
+    assert len(rows) == 8 and not any(r["error"] for r in rows)
+    by_x = {x: [r["average"] for r in rows if float(r["x_value"]) == x] for x in (-0.5, 0.5)}
+    assert len(by_x[-0.5]) == len(by_x[0.5]) == 4 and by_x[-0.5] != by_x[0.5]
+
+
 _RESULTS_HEADER = ",".join(io_files.RESULTS_COLUMNS)
 _RESULTS_ROW = "erm,rho,0.5,0,90.0,80.0,70.0,60.0,60.0,75.0,75.0,0,0,12.5,,1"
 _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
@@ -510,7 +523,8 @@ def test_wrong_width_against_artifact_exits_3(tmp_path, capsys, command, prep):
             ["eval", "--model", str(art_path), "--test-file", narrow])
     capsys.readouterr()
     assert run_cli(*argv) == 3
-    assert capsys.readouterr().err == "error: data has 6 columns, the artifact expects 20\n"
+    want = f"error: {narrow}: data has 6 columns, the artifact expects 20\n"
+    assert capsys.readouterr().err == want
 
 
 def _doubled(line: str) -> str:

@@ -339,8 +339,9 @@ def test_toy_key_named_by_x_name_is_rejected(x_name, key, value, ok):
 @pytest.mark.parametrize("x_name,bad,msg,good", [
     ("rho", "0.0, 1.5", "rho = 1.5: |rho| must be < 1", "0.0"),
     ("n", "1, 200", "n = 1.0: n must be >= 2, got 1.0", "200"),
+    ("n", "200.5, 2.9", "n = 200.5: n must be an integer, got 200.5", "200"),
     ("angle_deg", "45, 0", "angle_deg = 0.0: angle_deg must be in (0, 90]", "45"),
-], ids=["rho", "n", "angle_deg"])
+], ids=["rho", "n", "n-fractional", "angle_deg"])
 def test_x_values_are_checked_against_the_toy_config(x_name, bad, msg, good):
     lines = ["[sweep]", f"x_name = {x_name}"]
     with pytest.raises(ConfigError) as err:

@@ -125,12 +125,24 @@ def test_determinism_of_runs():
 
 
 def test_cell_seeds_distinct():
+    # x = 4295.0 needs two 32-bit words, which a fifth entropy entry for a
+    # negative x (-0.032704) would reproduce
     seen = set()
+    xs = (-0.9, -0.5, -0.032704, 0.0, 0.5, 0.9, 4295.0)
     for method in ("jse", "erm", "inlp"):
-        for x in (0.0, 0.5, 0.9):
+        for x in xs:
             for s in range(3):
                 seen.add(derive_seed(7, method, x, s))
-    assert len(seen) == 27
+    assert len(seen) == 3 * len(xs) * 3
+
+
+# seeds of x >= 0 as they were before negative x values were admitted
+@pytest.mark.parametrize("args,seed", [
+    ((0, "jse", 0.0, 0), 3621888797), ((0, "erm", 0.9, 3), 28261348),
+    ((7, "inlp", 0.5, 1), 1039031198), ((12345, "rlace", 200.0, 99), 4089422953),
+])
+def test_derive_seed_pinned(args, seed):
+    assert derive_seed(*args) == seed
 
 
 def test_failures_recorded_not_fatal():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
 import jse
@@ -32,18 +34,28 @@ def test_weighted_diff_constant():
     assert var == 0.0
 
 
-def test_weighted_diff_group_means():
+# the evenly spaced case (seed None), then drawn group sizes and value scales
+# with normal noise; the result must equal numpy's per-group mean() and
+# var(ddof=1) bit for bit
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(2, 60)] * 4), st.floats(1e-3, 1e3),
+       st.integers(0, 2**32 - 1))
+@example((5, 9, 3, 7), 0.5, None)
+def test_weighted_diff_group_means(sizes, scale, seed):
     # unequal groups: each group's mean weighs 1/4 and its variance of the
     # mean 1/16, whatever its size
-    sizes = (5, 9, 3, 7)
-    d = np.concatenate([g + 1.0 + 0.5 * np.arange(m) for g, m in enumerate(sizes)])
     g = groups(*sizes)
+    if seed is None:
+        d = np.concatenate([k + 1.0 + scale * np.arange(m) for k, m in enumerate(sizes)])
+    else:
+        d = scale * (g + np.random.default_rng(seed).standard_normal(len(g)))
     mean, var = weighted_diff(d, g)
     means = [d[g == k].mean() for k in range(1, 5)]
     var_of_means = [d[g == k].var(ddof=1) / m for k, m in zip(range(1, 5), sizes)]
     assert mean == np.mean(means)
     assert var == sum(var_of_means) / 16.0
-    assert mean != d.mean()
+    if len(set(sizes)) > 1:
+        assert mean != d.mean()
 
 
 def test_weighted_diff_brute_force_oracle():
