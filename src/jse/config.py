@@ -26,7 +26,7 @@ import typing
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .evaluate import METHODS, ExperimentConfig
+from .evaluate import METHODS, ExperimentConfig, check_grid
 from .io_files import DataFormatError, read_sections
 
 ConfigError = DataFormatError
@@ -63,8 +63,7 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.methods:
-            raise ValueError("no methods given")
+        check_grid(self.methods, self.x_values)
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")

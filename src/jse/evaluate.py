@@ -8,7 +8,8 @@ bases and/or a linear model) that ``run_single`` and the CLI apply through
 A sweep runs a Cartesian grid of (method, x-value) cells. Every cell draws
 its own data: the per-run seeds are derived from (base seed, method, x value,
 seed index) through a SeedSequence, so no two cells share a draw and reruns
-are reproducible down to the byte.
+are reproducible down to the byte. ``check_grid`` rejects a grid that names
+a cell twice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .algorithm import JseConfig, jse_fit
 from .baselines import InlpConfig, RlaceConfig, erm_fit, gw_erm_fit, inlp_fit, rlace_fit
 from .data import LabeledEmbeddings, project_onto, project_out
 from .pca import pca_apply, pca_fit
-from .sgd import LinearModel, OptimizerConfig, fit_logreg
+from .sgd import LinearModel, OptimizerConfig, child_seed, fit_logreg
 from .stats import MIN_GROUP_SIZE, TestReport
 from .toy import ToyConfig, gen_toy, gen_toy_test
 
@@ -58,14 +59,12 @@ def evaluate(model: LinearModel, test: LabeledEmbeddings) -> EvalSummary:
     """Main-task accuracy at threshold 0.5, per group and overall, in percent."""
     pred = (model.predict(test.Z) >= 0.5).astype(np.int64)
     correct = pred == test.y_mt
-    group_acc = np.empty(4)
-    n_per_group = np.empty(4, dtype=np.int64)
-    for g in range(1, 5):
-        mask = test.group == g
-        n_per_group[g - 1] = int(mask.sum())
-        if n_per_group[g - 1] == 0:
-            raise ValueError(f"empty group {g} in the test data")
-        group_acc[g - 1] = 100.0 * float(np.mean(correct[mask]))
+    # exact integer counts, so hits / n is each group's np.mean(correct) bit for bit
+    n_per_group = np.bincount(test.group, minlength=5)[1:]
+    if not n_per_group.all():
+        raise ValueError(f"empty group {np.argmin(n_per_group) + 1} in the test data")
+    hits = np.bincount(test.group, weights=correct, minlength=5)[1:]
+    group_acc = 100.0 * (hits / n_per_group)
     return EvalSummary(
         group_acc,
         float(group_acc.min()),
@@ -208,10 +207,28 @@ def derive_seed(base_seed: int, method: str, x_value: float, seed_index: int) ->
     keeps its four entries: one more would be read as the second 32-bit word
     of a large x (x = 4295.0 at seed 1 would meet x = -0.032704 at seed 1).
     """
-    x = int(round(x_value * 10**6))
+    x = _micro(x_value)
     tag = zlib.crc32(method.encode() + (b"-" if x < 0 else b""))
-    ss = np.random.SeedSequence([base_seed, tag, abs(x), seed_index])
-    return int(ss.generate_state(1)[0])
+    return child_seed(base_seed, tag, abs(x), seed_index)
+
+
+def _micro(x_value: float) -> int:
+    """The x value in the integer micro-units that ``derive_seed`` draws from."""
+    return int(round(x_value * 10**6))
+
+
+def check_grid(methods: list[str], x_values: list[float]) -> None:
+    """Raise ``ValueError`` unless every (method, x value) cell of a sweep is
+    its own: no empty list, no method twice, and no two x values that
+    ``derive_seed`` reads as the same micro-unit (they would draw the same data)."""
+    micro = [_micro(x) for x in x_values]
+    for what, values, keys, unit in (("method", methods, methods, ""),
+                                     ("x value", x_values, micro, " (equal to 1e-6)")):
+        if not values:
+            raise ValueError(f"empty {what} list")
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"{what} {values[i]!r} repeats {values[keys.index(key)]!r}{unit}")
 
 
 def fit_and_evaluate(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,
@@ -298,8 +315,7 @@ def run_sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Cartesian sweep over methods and x values with per-cell derived seeds."""
-    if not methods:
-        raise ValueError("empty method list")
+    check_grid(methods, x_values)
     tasks = [
         (replace(base, method=m), x_name, x, s)
         for m in methods
@@ -319,17 +335,14 @@ def run_sweep(
     return SweepResult(records, cells)
 
 
-def _run_one(task) -> RunRecord:
-    return run_single(*task)
-
-
 def _run_many(tasks, workers: int) -> list[RunRecord]:
+    workers = min(workers, len(tasks))  # the pool forks all its workers at once
     if workers <= 1:
         records = [run_single(*t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # off the cold-start path
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, tasks, chunksize=4))
+            records = list(pool.map(run_single, *zip(*tasks), chunksize=4))
     records.sort(key=lambda r: (r.method, r.x_value, r.seed))
     return records

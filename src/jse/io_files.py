@@ -332,8 +332,9 @@ def read_results_csv(path: str) -> list[dict]:
     The header must hold every ``RESULTS_COLUMNS`` name, and each row one field
     per header column, and its ``schema_version`` must be ``SCHEMA_VERSION``.
     Numeric fields must be finite numbers (``seed`` and the dimensions
-    integers); a failed run's accuracies are empty. Violations, and a file with
-    no runs, raise ``DataFormatError`` naming the file and line.
+    integers); a failed run's accuracies are empty. No (method, x value, seed)
+    run may appear twice. Violations, and a file with no runs, raise
+    ``DataFormatError`` naming the file and line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -348,6 +349,7 @@ def read_results_csv(path: str) -> list[dict]:
     if missing:
         raise DataFormatError(f"{path}:1: missing columns {', '.join(missing)}")
     rows = []
+    seen: dict[tuple, int] = {}  # (method, x value, seed) -> the line it is first on
     for line_num, fields in lines[1:]:
         if not fields:  # a blank line
             continue
@@ -374,6 +376,9 @@ def read_results_csv(path: str) -> list[dict]:
             except ValueError:
                 raise DataFormatError(
                     f"{where}: {col} is not an integer: {row[col]!r}") from None
+        run = (row["method"], float(row["x_value"]), int(row["seed"]))
+        if seen.setdefault(run, line_num) != line_num:
+            raise DataFormatError(f"{where}: same (method, x_value, seed) as line {seen[run]}")
         rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: no runs")
@@ -415,7 +420,7 @@ def format_report(rows: list[dict]) -> str:
         ("worst_group", "Worst-group"), ("average", "Average"),
     ]
     out = io.StringIO()
-    header = f"{'Method':8s} {'Accuracy':16s}" + "".join(f"{x_name}={x:<12g}" for x in xs)
+    header = f"{'Method':8s} {'Accuracy':16s}" + "".join(f"{x_name}={x:<12.15g}" for x in xs)
     out.write(header.rstrip() + "\n")
     out.write("-" * len(header) + "\n")
     cells: dict[tuple[str, float], list[dict]] = {}

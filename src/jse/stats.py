@@ -2,23 +2,24 @@
 
 The tested quantity is always a per-sample difference of binary
 cross-entropies ``d_i`` evaluated on the validation split. Its mean is
-weighted equally across the four (y_mt, y_sp) groups,
+weighted equally across the G = 4 (y_mt, y_sp) groups,
 
-    d_bar_w = (1/4) sum_g mean(d | group g),
+    d_bar_w = (1/G) sum_g mean(d | group g),
 
-with estimated variance ``(1/16) sum_g s_g^2 / n_g`` (``s_g^2`` the unbiased
-within-group variance). The statistic ``t = (d_bar_w - Delta) / sqrt(var)``
-is compared against the one-sided standard-normal critical value
-``critical_value(alpha)``, the standard library's ``NormalDist.inv_cdf``
-(Wichura's Algorithm AS 241) evaluated at alpha itself.
+with estimated variance ``(1/G^2) sum_g s_g^2 / n_g`` (``s_g^2`` the unbiased
+within-group variance). The unweighted ablation is the same estimator with
+the whole sample as its one group (G = 1). The statistic
+``t = (d_bar_w - Delta) / sqrt(var)`` is compared against the one-sided
+standard-normal critical value ``critical_value(alpha)``, the standard
+library's ``NormalDist.inv_cdf`` (Wichura's Algorithm AS 241) evaluated at
+alpha itself.
 
 This module is the one place that computes a statistic and picks a test's
-side: ``weighted_diff`` gives the (mean, variance of the mean) pair, group
-weighted or plain (the weighting ablation), and ``_report`` turns it into
-every test's statistic and decision. The tests take the models' predicted
-probabilities on the validation split, not the models. Four test kinds are
-used by the subspace-estimation loop, and the first by INLP's stopping rule
-(``baselines.inlp_fit``):
+side: ``weighted_diff`` gives the (mean, variance of the mean) pair, and
+``_report`` turns it into every test's statistic and decision. The tests
+take the models' predicted probabilities on the validation split, not the
+models. Four test kinds are used by the subspace-estimation loop, and the
+first by INLP's stopping rule (``baselines.inlp_fit``):
 
 * ``sp_vs_random`` / ``mt_vs_random``: a candidate direction beats the
   intercept-only classifier on its own label (one-sided, H1: mean < 0);
@@ -76,43 +77,36 @@ class TestReport:
         )
 
 
-# the fewest samples a group may have under the group-weighted tests: its
+# the fewest samples a group (or, unweighted, the whole sample) may have: its
 # variance is estimated with ddof=1
 MIN_GROUP_SIZE = 2
 
 
 def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float, float]:
-    """Mean of the differences d and the estimated variance of that mean:
-    equally weighted over the four groups when ``group`` is given, else the
-    plain sample mean (the weighting ablation)."""
+    """Mean of the differences d and the estimated variance of that mean over
+    G parts: the four groups when ``group`` is given, else the whole sample
+    (the weighting ablation). Each part's mean weighs 1/G and its variance
+    of the mean 1/G^2, so G = 1 is the plain mean and ``var(ddof=1) / n``."""
     d = np.asarray(d, dtype=np.float64)
-    if group is None:
-        if len(d) < 2:
-            raise ValueError("need at least 2 samples")
-        return float(d.mean()), float(d.var(ddof=1) / len(d))
-    group = np.asarray(group)
-    if d.shape != group.shape:
+    if group is not None and np.shape(group) != d.shape:
         raise ValueError("d and group must have equal length")
-    means = np.empty(4)
-    variances = np.empty(4)
-    counts = np.empty(4, dtype=np.int64)
-    for g in range(1, 5):
-        dg = d[group == g]
-        if len(dg) < MIN_GROUP_SIZE:
-            raise ValueError(
-                f"group {g} has {len(dg)} samples; the weighted statistics need every "
-                f"group to have at least {MIN_GROUP_SIZE}"
-            )
+    # every part is a copy: the loop subtracts in place
+    parts = [d.copy()] if group is None else [d[np.asarray(group) == g] for g in range(1, 5)]
+    means, var_of_means = np.empty(len(parts)), np.empty(len(parts))
+    for i, dg in enumerate(parts):
+        m = len(dg)
+        if m < MIN_GROUP_SIZE:
+            raise ValueError(f"group {i + 1} has {m} samples; the statistics need at least "
+                             f"{MIN_GROUP_SIZE} in every group")
         # dg.mean() and dg.var(ddof=1) without their wrappers, in numpy's own
         # operation order: the sum over the count, then the squared
-        # deviations from that mean summed over count - 1
-        m = len(dg)
+        # deviations from that mean summed over count - 1; that over m again
+        # is the variance of the mean
         mean = np.add.reduce(dg) / m
         dev = np.subtract(dg, mean, out=dg)
-        means[g - 1] = mean
-        variances[g - 1] = np.add.reduce(np.multiply(dev, dev, out=dev)) / (m - 1)
-        counts[g - 1] = m
-    return float(means.mean()), float(np.sum(variances / counts) / 16.0)
+        means[i] = mean
+        var_of_means[i] = np.add.reduce(np.multiply(dev, dev, out=dev)) / (m - 1) / m
+    return float(means.mean()), float(np.sum(var_of_means) / len(parts) ** 2)
 
 
 def _report(kind: str, d: np.ndarray, val: LabeledEmbeddings, group_weighted: bool,

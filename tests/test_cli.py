@@ -153,6 +153,24 @@ def test_sweep_and_report(tmp_path, capsys):
     assert "Average" in text and "erm" in text
 
 
+def test_pooled_sweep_writes_the_serial_files(tmp_path):
+    """--workers 2 writes the serial sweep's plot.tsv and, apart from
+    runtime_ms, its results.csv byte for byte."""
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP_CFG.replace("n = 600", "n = 200\nd = 4"))
+    files = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert run_cli("--workers", workers, "--config", str(cfg_path), "--out", str(out),
+                       "sweep") == 0
+        runtime = io_files.RESULTS_COLUMNS.index("runtime_ms")
+        results = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
+        files[workers] = ([f[:runtime] + f[runtime + 1:] for f in results],
+                          (out / "plot.tsv").read_bytes())
+    assert len(files["1"][0]) == 1 + 8
+    assert files["2"] == files["1"]
+
+
 def test_sweep_over_negative_rho(tmp_path):
     # |rho| < 1 admits negative values; their seeds are distinct from the
     # positive ones' (test_evaluate.py::test_cell_seeds_distinct)
@@ -200,6 +218,9 @@ _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
                  ":3: x_name is 'angle_deg', not 'rho'", id="two-grids"),
     pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace(",,1", "," + "x" * 140_000 + ",1")
                  + "\n", 3, ":2: field larger than field limit (131072)", id="long-field"),
+    pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n{_FAILED_ROW}\n"
+                 + _RESULTS_ROW.replace(",0.5,", ",0.50,") + "\n", 3,
+                 ":4: same (method, x_value, seed) as line 2", id="repeated-run"),
 ])
 def test_report_checks_the_results_file(tmp_path, capsys, text, code, msg):
     """A results CSV is checked against RESULTS_COLUMNS and its numeric fields

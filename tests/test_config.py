@@ -206,6 +206,11 @@ BAD_VALUES = [
     ("sweep", "seeds", "0", "sweep"),
     ("sweep", "seeds", "abc", "sweep"),
     ("sweep", "methods", ",", "sweep"),
+    ("sweep", "methods", "erm, erm", "sweep"),  # every cell would run twice
+    ("sweep", "x_values", "", "sweep"),
+    ("sweep", "x_values", "0.5, 0.5", "sweep"),
+    ("sweep", "x_values", "0.0, -0.0", "sweep"),  # one micro-unit, so one data draw
+    ("sweep", "x_values", "0.1, 0.1000001", "sweep"),
     ("sweep", "x_values", "0.5, high", "sweep"),
     ("sweep", "x_values", "0.0, 1.5", "sweep"),  # rho 1.5, checked at load
     ("toy", "n", "1", "sweep"),
@@ -235,7 +240,7 @@ def small_toy(tmp_path_factory):
 
 
 @pytest.mark.parametrize("section,key,value,command", BAD_VALUES,
-                         ids=lambda v: str(v) if v != "," else "empty")
+                         ids=lambda v: {",": "empty", "": "blank"}.get(v, str(v)))
 def test_out_of_range_value_exits_3_naming_key(small_toy, tmp_path, capsys, section, key,
                                                value, command):
     from jse.cli import main

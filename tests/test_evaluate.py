@@ -76,6 +76,21 @@ def test_empty_group_raises():
         evaluate(LinearModel(np.zeros(2), 0.0), test)
 
 
+def test_group_accuracies_match_per_mask_means():
+    """Ragged groups, down to one sample: each group's accuracy is
+    100 * np.mean(correct[mask]) bit for bit, the counts are the mask sizes."""
+    sizes = (1, 2, 37, 1000)
+    rng = np.random.default_rng(6)
+    group = rng.permutation(np.repeat(np.arange(4), sizes))
+    test = LabeledEmbeddings(rng.standard_normal((len(group), 3)), group // 2, group % 2)
+    model = LinearModel(rng.standard_normal(3), 0.2)
+    s = evaluate(model, test)
+    correct = (model.predict(test.Z) >= 0.5).astype(np.int64) == test.y_mt
+    masks = [test.group == g for g in range(1, 5)]
+    assert [int(n) for n in s.n_per_group] == [int(m.sum()) for m in masks] == list(sizes)
+    assert [float(a) for a in s.group_acc] == [100.0 * float(np.mean(correct[m])) for m in masks]
+
+
 def test_transform_argument():
     test = _test_set(5)
     model = LinearModel(np.array([3.0, 0.0, 0.0]), 0.0)
@@ -167,6 +182,55 @@ def test_run_sweep_empty_methods():
     cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=1)
     with pytest.raises(ValueError, match="empty"):
         run_sweep(cfg, [], "rho", [0.0])
+
+
+@pytest.mark.parametrize("methods,x_values,msg", [
+    (["erm", "erm"], [0.5], "method 'erm' repeats 'erm'"),
+    (["erm"], [], "empty x value list"),
+    (["erm"], [0.5, 0.5], "x value 0.5 repeats 0.5 (equal to 1e-6)"),
+    (["erm"], [0.0, -0.0], "x value -0.0 repeats 0.0 (equal to 1e-6)"),
+    (["erm"], [0.1, 0.2, 0.1000001], "x value 0.1000001 repeats 0.1 (equal to 1e-6)"),
+], ids=["method", "no-x", "x", "signed-zero", "same-micro-unit"])
+def test_run_sweep_rejects_repeated_cells(methods, x_values, msg):
+    """Each (method, x value) cell runs once: a repeated method, or two x
+    values derive_seed reads as one, would run or draw a cell twice."""
+    cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=600), seeds=1)
+    with pytest.raises(ValueError) as err:
+        run_sweep(cfg, methods, "rho", x_values)
+    assert str(err.value) == msg
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("seeds,workers,sizes", [(3, 500, [3]), (2, 2, [2]), (1, 500, [])])
+def test_workers_capped_at_the_task_count(monkeypatch, seeds, workers, sizes):
+    """The pool starts no more workers than there are runs (it forks them all
+    at once), and a single run stays in this process."""
+    import concurrent.futures
+
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    cfg = ExperimentConfig(method="erm", toy=ToyConfig(n=200, d=4), seeds=seeds)
+    result = run_sweep(cfg, ["erm"], "rho", [0.5], workers=workers)
+    assert _InProcessPool.sizes == sizes
+    assert [r.seed for r in result.records] == list(range(seeds))
 
 
 def test_run_sweep_small_grid():

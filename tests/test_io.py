@@ -499,6 +499,19 @@ def test_format_report_smoke(tmp_path):
     )
 
 
+def test_report_header_keeps_close_x_values_apart(tmp_path):
+    """Column labels use .15g: n = 1000000 and 1000001 get a column each
+    (``g`` printed both as n=1e+06), and x values a micro-unit apart stay apart."""
+    summary = _sweep_records()[0].summary
+    for xs, labels in [((1000000.0, 1000001.0), ("n=1000000 ", "n=1000001")),
+                       ((0.1, 0.100001), ("n=0.1 ", "n=0.100001"))]:
+        path = tmp_path / "results.csv"
+        write_results_csv(str(path), [RunRecord("erm", "n", x, 0, summary, 0, 0, 1.0)
+                                      for x in xs])
+        header = format_report(read_results_csv(str(path))).splitlines()[0]
+        assert all(label in header for label in labels), header
+
+
 _RESULTS_FIELDS = st.one_of(
     st.sampled_from(["", "erm", "jse", "rho", "angle_deg", "0", "1", "-3", "0.5", "75.0", "nan",
                      "inf", "1e400", "1.5", "abc", "ValueError('x, y')", '"a,b"', '"', "1\n2",
@@ -538,6 +551,7 @@ def test_results_reader_fuzz(text):
         except DataFormatError:
             return
     assert rows and len({r["x_name"] for r in rows}) == 1
+    assert len({(r["method"], float(r["x_value"]), int(r["seed"])) for r in rows}) == len(rows)
 
 
 _CSV_FIELDS = st.one_of(

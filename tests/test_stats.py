@@ -36,7 +36,8 @@ def test_weighted_diff_constant():
 
 # the evenly spaced case (seed None), then drawn group sizes and value scales
 # with normal noise; the result must equal numpy's per-group mean() and
-# var(ddof=1) bit for bit
+# var(ddof=1) bit for bit, and without groups (the whole sample as one group)
+# numpy's mean() and var(ddof=1) / n, leaving d as it was
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(*[st.integers(2, 60)] * 4), st.floats(1e-3, 1e3),
        st.integers(0, 2**32 - 1))
@@ -56,6 +57,9 @@ def test_weighted_diff_group_means(sizes, scale, seed):
     assert var == sum(var_of_means) / 16.0
     if len(set(sizes)) > 1:
         assert mean != d.mean()
+    before = d.copy()
+    assert weighted_diff(d) == (d.mean(), d.var(ddof=1) / len(d))
+    assert np.array_equal(d, before)
 
 
 def test_weighted_diff_brute_force_oracle():
