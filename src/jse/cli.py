@@ -32,22 +32,22 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int = 1) -> int:
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        n = minimum - 1
+    if n < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="jse", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=lambda text: _int_at_least(text, 0), default=0, help="base seed")
     p.add_argument("--config", default=None, help="config file (key = value sections)")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least, default=1,
                    help="parallel worker processes (at least 1)")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--train", required=True)
     f.add_argument("--val", required=True)
     f.add_argument("--artifact", default=None, help="output path (default <out>/<method>.artifact)")
-    f.add_argument("--pca", type=_positive_int, default=None, metavar="K",
+    f.add_argument("--pca", type=_int_at_least, default=None, metavar="K",
                    help="reduce to K dims with train-fitted PCA (includes demeaning)")
     f.set_defaults(run=_cmd_fit)
 

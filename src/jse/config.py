@@ -12,9 +12,10 @@ hint: bool, int, float, str, ``T | None`` (``none``), ``float | str`` (a
 number, else the text) or ``list[T]`` (comma-separated). An unknown key, a
 value of the wrong type, non-finite or out of the dataclass's range, and a
 key in ``RUN_INPUTS`` are ConfigErrors naming section and key; an unknown
-section is one naming the file and line. Keys before the first section are
-ignored. The lines are read by ``io_files.read_sections``, the artifact
-reader's, and ``ConfigError`` is ``io_files.DataFormatError``.
+section, a line that is no statement and a key repeated in its section are
+ones naming the file and line. Keys before the first section are ignored.
+The lines are read by ``io_files.read_sections``, the artifact reader's, and
+``ConfigError`` is ``io_files.DataFormatError``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import typing
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .evaluate import METHODS, ExperimentConfig, check_grid
+from .evaluate import METHODS, ExperimentConfig, check_grid, check_seeds
 from .io_files import DataFormatError, read_sections
 
 ConfigError = DataFormatError
@@ -69,21 +70,12 @@ class SweepSpec:
                 raise ValueError(f"unknown method {m!r}")
         if self.x_name not in ("rho", "n", "angle_deg"):
             raise ValueError("x_name must be rho, n or angle_deg")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
+        check_seeds(self.seeds, self.base_seed)
 
 
 def parse_config_lines(lines: list[str], path: str = "<config>") -> dict[str, dict[str, str]]:
-    _, body = read_sections(path, (raw.split("#", 1)[0] for raw in lines), SECTIONS)
-    sections: dict[str, dict[str, str]] = {}
-    for name, entries in body.items():
-        values = sections[name] = {}
-        for lineno, line in entries:
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value' or '[section]'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return sections
+    _, body = read_sections(path, (raw.split("#", 1)[0] for raw in lines), SECTIONS, SECTIONS)
+    return {name: {key: value for key, (_, value) in keys.items()} for name, keys in body.items()}
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

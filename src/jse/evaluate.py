@@ -96,6 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.test_n is not None and self.test_n < 1:
             raise ValueError(f"test_n must be >= 1 or none, got {self.test_n}")
+        check_seeds(self.seeds, self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,15 @@ def check_grid(methods: list[str], x_values: list[float]) -> None:
         for i, key in enumerate(keys):
             if key in keys[:i]:
                 raise ValueError(f"{what} {values[i]!r} repeats {values[keys.index(key)]!r}{unit}")
+
+
+def check_seeds(seeds: int, base_seed: int) -> None:
+    """Raise ``ValueError`` unless a cell runs at least one seed from a base
+    seed ``SeedSequence`` takes (>= 0)."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
 
 
 def fit_and_evaluate(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbeddings,

@@ -163,19 +163,21 @@ def save_artifact(path: str, art: Artifact) -> None:
             fh.write(f"b = {_fmt(art.model.b)}\n")
 
 
-def read_sections(path: str, lines, sections) -> tuple[dict, dict]:
+def read_sections(path: str, lines, sections, keyed=()) -> tuple[dict, dict]:
     """The grammar configs and artifacts share: ``key = value`` lines, then
     ``[section]`` headers each followed by its lines.
 
-    Returns ``header``, the lines before the first section as key ->
-    (line number, value), and ``body``, each section's non-blank stripped
-    lines as (line number, text); a repeated section continues the first. A
-    section not in ``sections`` and a line before the first section without
-    ``=`` raise ``DataFormatError`` naming ``path`` and the line.
+    Returns ``header``, the lines before the first section, and ``body``, each
+    section's lines; a repeated section continues the first. The header and
+    the sections in ``keyed`` hold ``key = value`` lines, returned as key ->
+    (line number, value); the other sections' non-blank stripped lines are
+    returned as (line number, text). A section not in ``sections``, a keyed
+    line without ``=`` and a key already given in its section (or header)
+    raise ``DataFormatError`` naming ``path`` and the line.
     """
     header: dict[str, tuple[int, str]] = {}
-    body: dict[str, list[tuple[int, str]]] = {}
-    current: list[tuple[int, str]] | None = None
+    body: dict[str, dict | list] = {}
+    current: dict | list = header
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -185,14 +187,16 @@ def read_sections(path: str, lines, sections) -> tuple[dict, dict]:
             if name not in sections:
                 raise DataFormatError(f"{path}:{lineno}: unknown section [{name}]; "
                                       f"expected one of {', '.join(sections)}")
-            current = body.setdefault(name, [])
-        elif current is None:
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected 'key = value' or '[section]'")
-            key, _, value = line.partition("=")
-            header[key.strip()] = (lineno, value.strip())
-        else:
+            current = body.setdefault(name, {} if name in keyed else [])
+        elif isinstance(current, list):
             current.append((lineno, line))
+        else:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise DataFormatError(f"{path}:{lineno}: expected 'key = value' or '[section]'")
+            if key in current:
+                raise DataFormatError(f"{path}:{lineno}: {key!r} repeats line {current[key][0]}")
+            current[key] = (lineno, value)
     return header, body
 
 
@@ -202,7 +206,7 @@ ARTIFACT_SECTIONS = ("pre_mean", "pre_components", "sp_basis", "mt_basis", "test
 
 def load_artifact(path: str) -> Artifact:
     with open(path, "r", encoding="utf-8") as fh:
-        header, sections = read_sections(path, fh, ARTIFACT_SECTIONS)
+        header, sections = read_sections(path, fh, ARTIFACT_SECTIONS, ("model",))
     for key, (lineno, _) in header.items():
         if key not in ARTIFACT_FIELDS:
             raise DataFormatError(f"{path}:{lineno}: unknown header field {key!r}; "
@@ -236,10 +240,8 @@ def load_artifact(path: str) -> Artifact:
     d = at_line(*header["d"], int)
     if d < 1:
         raise DataFormatError(f"{path}:{header['d'][0]}: d must be positive, got {d}")
-    delta = 0.0
-    if "delta" in header:
-        lineno, value = header["delta"]
-        delta = float(floats(lineno, [value])[0])
+    lineno, value = header.get("delta", (0, "0.0"))
+    delta = float(floats(lineno, [value])[0])
 
     # the preprocessing acts on the input coordinates: d of them, or with PCA
     # as many as each component has
@@ -278,14 +280,10 @@ def load_artifact(path: str) -> Artifact:
                              lambda kind: TestReport(kind, t, thr, alpha, test_delta, decision)))
     model = None
     if "model" in sections:
-        entries = {}
-        for lineno, ln in sections["model"]:
-            key, _, value = ln.partition("=")
-            entries[key.strip()] = (lineno, value.split())
-        if "w" not in entries or "b" not in entries:
+        if not {"w", "b"} <= sections["model"].keys():
             raise DataFormatError(f"{path}: [model] needs a 'w' and a 'b' line")
-        (b,) = floats(*entries["b"], 1)
-        model = LinearModel(floats(*entries["w"], d), float(b))
+        (w_line, w), (b_line, b) = sections["model"]["w"], sections["model"]["b"]
+        model = LinearModel(floats(w_line, w.split(), d), float(floats(b_line, b.split(), 1)[0]))
     pre_mean = None
     if "pre_mean" in sections:
         if not sections["pre_mean"]:

@@ -52,6 +52,11 @@ class ToyConfig:
             raise ValueError("split_fraction must be in (0, 1)")
         if not (0.0 < self.angle_deg <= 90.0):
             raise ValueError("angle_deg must be in (0, 90]")
+        for name in ("gamma_sp", "gamma_mt", "b_sp", "b_mt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:  # SeedSequence takes only non-negative integers
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
         """The generating coefficient vectors (w_sp, w_mt)."""

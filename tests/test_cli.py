@@ -255,23 +255,29 @@ def test_bad_paths_are_data_errors(tmp_path, capsys, argv, named):
     assert err.startswith("error: ") and str(paths[named]) in err
 
 
-# --pca above min(n, d) depends on the data, so it stays a data error (exit 3)
-@pytest.mark.parametrize("flag,value", [
-    *(pytest.param("--workers", v, id=v) for v in ("0", "-1", "two")),
-    *(pytest.param("--pca", v, id=f"pca{v}") for v in ("0", "-1")),
+# usage errors (exit 2): --workers and --pca below 1, and --seed below 0, which
+# SeedSequence would reject; --pca above min(n, d) depends on the data, so it
+# stays a data error (exit 3)
+@pytest.mark.parametrize("flag,value,command", [
+    *(pytest.param("--workers", v, "sweep", id=v) for v in ("0", "-1", "two")),
+    *(pytest.param("--pca", v, "fit", id=f"pca{v}") for v in ("0", "-1")),
+    *(pytest.param("--seed", "-1", c, id=f"seed-{c}") for c in ("gen-toy", "fit", "sweep")),
+    pytest.param("--seed", "one", "gen-toy", id="seed-text"),
 ])
-def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, value):
+def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, value, command):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SWEEP_CFG)
     out = tmp_path / "res"
-    if flag == "--workers":
-        argv = ["--workers", value, "--config", str(cfg_path), "--out", str(out), "sweep"]
+    argv = {"gen-toy": ["gen-toy"], "sweep": ["--config", str(cfg_path), "sweep"],
+            "fit": ["fit", "--method", "erm", "--train", str(toy_files / "toy_train.csv"),
+                    "--val", str(toy_files / "toy_val.csv")]}[command]
+    if flag == "--pca":  # a fit option, after the subcommand
+        argv = ["--out", str(out), *argv, flag, value]
     else:
-        argv = ["--out", str(out), "fit", "--method", "erm", "--pca", value,
-                "--train", str(toy_files / "toy_train.csv"),
-                "--val", str(toy_files / "toy_val.csv")]
+        argv = [flag, value, "--out", str(out), *argv]
     assert run_cli(*argv) == 2
-    assert f"{flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+    minimum = 0 if flag == "--seed" else 1
+    assert f"{flag}: expected an integer >= {minimum}, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -294,8 +300,12 @@ def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, v
      "error: {thin}: group-weighted ERM needs all four groups in the training data\n"),
     ("fit --method erm --pca 9 --train {thin} --val {thin}", "",
      "error: --pca 9: k must be in [1, min(n, d)] = [1, 5], got 9\n"),
+    # non-finite flags, which a config rejects as [toy] values
+    ("gen-toy --gamma-sp nan", "", "error: gamma_sp must be finite, got nan\n"),
+    ("gen-toy --gamma-mt inf", "", "error: gamma_mt must be finite, got inf\n"),
 ], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n", "sweep-every-run-data-error",
-        "eval-empty-test-group", "fit-gw-erm-missing-train-group", "fit-pca-above-d"])
+        "eval-empty-test-group", "fit-gw-erm-missing-train-group", "fit-pca-above-d",
+        "gen-toy-gamma-sp-nan", "gen-toy-gamma-mt-inf"])
 def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_text, msg):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(cfg_text)

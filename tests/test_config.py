@@ -15,7 +15,7 @@ from jse.config import (
     load_config,
     parse_config_lines,
 )
-from jse.evaluate import METHODS, ExperimentConfig
+from jse.evaluate import ExperimentConfig
 from jse.sgd import OptimizerConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -115,13 +115,16 @@ def test_load_config_file(tmp_path):
     assert sweep.seeds == 7
 
 
-# (config text, line named in the error, section named): sections outside
-# config.SECTIONS are rejected, not ignored
+# (config text, line named in the error, text named): sections outside
+# config.SECTIONS are rejected, not ignored, and a key given twice in its
+# section is rejected, not overwritten (a repeated section continues the first)
 BAD_SECTIONS = [
     ("[jse.optimizer]\nlearning_rate = 5\n", 1, "[jse.optimizer]"),  # the jse fits have no SGD
     ("[toy]\nn = 300\n[jse.optimiser]\nlearning_rate = 5\n", 3, "[jse.optimiser]"),
     ("# grid\n[bogus]\n", 2, "[bogus]"),
     ("[rlace.optimizer]\nlearning_rate = 0.005\n", 1, "[rlace.optimizer]"),  # keys in [rlace]
+    ("[toy]\nn = 100\nn = 300\n", 3, "'n' repeats line 2"),
+    ("[toy]\nn = 100\n[sweep]\nseeds = 1\n[toy]\nn = 300\n", 6, "'n' repeats line 2"),
 ]
 
 
@@ -205,6 +208,9 @@ BAD_VALUES = [
     ("jse", "delta", "-inf", "fit"),
     ("sweep", "seeds", "0", "sweep"),
     ("sweep", "seeds", "abc", "sweep"),
+    ("sweep", "base_seed", "-3", "sweep"),  # SeedSequence takes no negative seed
+    ("experiment", "seeds", "0", "sweep"),
+    ("experiment", "base_seed", "-2", "sweep"),
     ("sweep", "methods", ",", "sweep"),
     ("sweep", "methods", "erm, erm", "sweep"),  # every cell would run twice
     ("sweep", "x_values", "", "sweep"),
@@ -366,11 +372,28 @@ CONFIGS = sorted(
 )
 
 
+# the grid each shipped config documents: (methods, x_name, x_values, and the
+# attribute path and value of the setting it is named after)
+SHIPPED_GRIDS = {
+    "toy_angle75.cfg": (["jse", "erm", "inlp", "rlace"], "rho", [0.0, 0.3, 0.6, 0.9],
+                        "toy.angle_deg", 75.0),
+    "toy_benchmark.cfg": (["jse", "erm", "inlp", "rlace", "gw-erm"], "rho",
+                          [i / 10 for i in range(10)], "toy.gamma_sp", 3.0),
+    "toy_delta_auto.cfg": (["jse"], "rho", [0.0, 0.5, 0.8, 0.9], "jse.delta", "auto"),
+    "toy_delta_zero.cfg": (["jse"], "rho", [0.0, 0.5, 0.8, 0.9], "jse.delta", 0.0),
+    "toy_size_sweep.cfg": (["jse", "inlp"], "n", [500.0, 1000.0, 2000.0, 5000.0],
+                           "test_n", None),
+}
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
 def test_shipped_configs_load(path):
-    _, sweep = load_config(path)
-    assert sweep.methods and set(sweep.methods) <= set(METHODS)
-    assert sweep.x_values and sweep.seeds >= 1
+    """Each file under configs/ loads to the grid it documents, at 100 seeds."""
+    cfg, sweep = load_config(path)
+    methods, x_name, x_values, setting, value = SHIPPED_GRIDS[os.path.basename(path)]
+    assert (sweep.methods, sweep.x_name, sweep.x_values) == (methods, x_name, x_values)
+    assert sweep.seeds == cfg.seeds == 100 and sweep.base_seed == cfg.base_seed == 0
+    assert functools.reduce(getattr, setting.split("."), cfg) == value
 
 
 def _keys(obj) -> list[str]:

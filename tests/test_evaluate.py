@@ -263,6 +263,24 @@ def test_method_validation():
         ExperimentConfig(method="boosting")
 
 
+@pytest.mark.parametrize("key,value,msg", [
+    ("seeds", 0, "seeds must be >= 1, got 0"),
+    ("base_seed", -1, "base_seed must be >= 0, got -1"),
+])
+def test_seed_range_checked_in_the_library(key, value, msg):
+    """A sweep of no seeds would return no records and no error, and a
+    negative base seed would raise from derive_seed before the run's own
+    error handling."""
+    from jse.config import SweepSpec
+
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(method="erm", **{key: value})
+    assert str(err.value) == msg
+    with pytest.raises(ValueError) as err:
+        SweepSpec(methods=["erm"], **{key: value})
+    assert str(err.value) == msg
+
+
 # run_single records pinned before the five methods shared one dispatch
 # (fit_method): (method, overrides of that method's config, rho, seed index,
 # group accuracies, d_sp_hat, d_mt_hat) at n = 600, d = 6, test_n = 600, rlace

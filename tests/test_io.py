@@ -305,6 +305,8 @@ def _drop_last_value(line: str) -> str:
      "{path}:{lineno}: non-finite value nan"),
     ("tests", lambda line: "sp_vs_random,nan" + line[line.index(",", 13):],
      "{path}:{lineno}: non-finite value nan"),
+    ("model", lambda line: line.replace(" = ", " ", 1),
+     "{path}:{lineno}: expected 'key = value' or '[section]'"),
 ])
 def test_malformed_artifact_exits_3_naming_line(tmp_path, capsys, section, edit, msg):
     _assert_edit_exits_3(tmp_path, capsys, f"[{section}]", 1, edit, msg)
@@ -334,10 +336,14 @@ _FIELDS = "schema_version, method, d, termination, delta"
     pytest.param("method = erm", "mehtod = erm",
                  "{path}:{lineno}: unknown header field 'mehtod'; expected one of " + _FIELDS,
                  id="header-field-required"),
+    pytest.param("delta = 0.0", "d = 6", "{path}:{lineno}: 'd' repeats line 3",
+                 id="header-field-repeated"),
+    pytest.param("b = 0.5", "w = 0.5", "{path}:{lineno}: 'w' repeats line {prev}",
+                 id="model-key-repeated"),
 ])
 def test_misspelled_artifact_name_exits_3_naming_line(tmp_path, capsys, anchor, edit, msg):
     """A misspelled section or header field is an error, not an empty basis or
-    a default value."""
+    a default value, and a repeated key is one, not the last value."""
     _assert_edit_exits_3(tmp_path, capsys, anchor, 0, lambda line: edit, msg)
 
 
@@ -385,7 +391,8 @@ def test_pca_component_count_other_than_d_rejected_naming_line(tmp_path):
 
 def _assert_edit_exits_3(tmp_path, capsys, anchor, offset, edit, msg):
     """Save an erm artifact, apply edit to the line ``offset`` after the line
-    ``anchor``, and check that ``jse eval`` exits 3 printing msg."""
+    ``anchor``, and check that ``jse eval`` exits 3 printing msg, formatted
+    with the edited line's number as ``lineno`` and the one before as ``prev``."""
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     tests = [TestReport("sp_vs_random", -4.25, 1.6448536269514722, 0.05, 0.0, True)]
@@ -401,7 +408,7 @@ def _assert_edit_exits_3(tmp_path, capsys, anchor, offset, edit, msg):
     save_embeddings(str(data), LabeledEmbeddings(rng.standard_normal((8, 6)),
                                                  np.arange(8) % 2, np.arange(8) // 4))
     assert main(["eval", "--model", str(path), "--test-file", str(data)]) == 3
-    assert msg.format(path=path, lineno=i + 1) in capsys.readouterr().err
+    assert msg.format(path=path, lineno=i + 1, prev=i) in capsys.readouterr().err
 
 
 def _records():
