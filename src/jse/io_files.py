@@ -305,10 +305,15 @@ def load_artifact(path: str) -> Artifact:
     )
 
 
-RESULTS_COLUMNS = [
-    "method", "x_name", "x_value", "seed", *ACCURACIES,
-    "d_sp_hat", "d_mt_hat", "runtime_ms", "error", "schema_version",
-]
+# every results.csv column in file order, and its kind: "text", "number" (a
+# finite float), "integer", or "accuracy" (a number, blank in a failed run's row)
+RESULTS_TABLE = (
+    ("method", "text"), ("x_name", "text"), ("x_value", "number"), ("seed", "integer"),
+    *((name, "accuracy") for name in ACCURACIES),
+    ("d_sp_hat", "integer"), ("d_mt_hat", "integer"), ("runtime_ms", "number"),
+    ("error", "text"), ("schema_version", "integer"),
+)
+RESULTS_COLUMNS = [name for name, _ in RESULTS_TABLE]
 
 
 def write_results_csv(path: str, records: list[RunRecord]) -> None:
@@ -316,12 +321,11 @@ def write_results_csv(path: str, records: list[RunRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
         for r in records:
-            accs = ([""] * len(ACCURACIES) if r.summary is None
-                    else map(_fmt, r.summary.accuracies()))
-            writer.writerow(
-                [r.method, r.x_name, _fmt(r.x_value), r.seed, *accs,
-                 r.d_sp_hat, r.d_mt_hat, _fmt(r.runtime_ms), r.error, SCHEMA_VERSION]
-            )
+            # a failed run has no summary, so its accuracies are missing and written blank
+            fields = {**vars(r), "schema_version": SCHEMA_VERSION,
+                      **dict(zip(ACCURACIES, r.summary.accuracies() if r.summary else ()))}
+            writer.writerow([_fmt(fields[name]) if kind in ("number", "accuracy") and name in fields
+                             else fields.get(name, "") for name, kind in RESULTS_TABLE])
 
 
 def read_results_csv(path: str) -> list[dict]:
@@ -329,10 +333,10 @@ def read_results_csv(path: str) -> list[dict]:
 
     The header must hold every ``RESULTS_COLUMNS`` name, and each row one field
     per header column, and its ``schema_version`` must be ``SCHEMA_VERSION``.
-    Numeric fields must be finite numbers (``seed`` and the dimensions
-    integers); a failed run's accuracies are empty. No (method, x value, seed)
-    run may appear twice. Violations, and a file with no runs, raise
-    ``DataFormatError`` naming the file and line.
+    Each field must be of its ``RESULTS_TABLE`` kind; a failed run's
+    accuracies are empty. No (method, x value, seed) run may appear twice.
+    Violations, and a file with no runs, raise ``DataFormatError`` naming the
+    file and line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -359,21 +363,16 @@ def read_results_csv(path: str) -> list[dict]:
         if rows and row["x_name"] != rows[0]["x_name"]:
             raise DataFormatError(
                 f"{where}: x_name is {row['x_name']!r}, not {rows[0]['x_name']!r}")
-        for col in ("x_value", "runtime_ms", *ACCURACIES):
-            if col in ACCURACIES and row["error"] and not row[col]:
-                continue  # a failed run has no accuracies
+        for col, kind in RESULTS_TABLE:
+            if kind == "text" or (kind == "accuracy" and row["error"] and not row[col]):
+                continue
             try:
-                value = float(row[col])
+                value = int(row[col]) if kind == "integer" else float(row[col])
             except ValueError:
-                raise DataFormatError(f"{where}: {col} is not a number: {row[col]!r}") from None
-            if not np.isfinite(value):
+                what = "an integer" if kind == "integer" else "a number"
+                raise DataFormatError(f"{where}: {col} is not {what}: {row[col]!r}") from None
+            if kind != "integer" and not math.isfinite(value):  # an int of any size is finite
                 raise DataFormatError(f"{where}: non-finite value {row[col]} in {col}")
-        for col in ("seed", "d_sp_hat", "d_mt_hat"):
-            try:
-                int(row[col])
-            except ValueError:
-                raise DataFormatError(
-                    f"{where}: {col} is not an integer: {row[col]!r}") from None
         run = (row["method"], float(row["x_value"]), int(row["seed"]))
         if seen.setdefault(run, line_num) != line_num:
             raise DataFormatError(f"{where}: same (method, x_value, seed) as line {seen[run]}")
