@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .evaluate import METHODS, ExperimentConfig, check_grid, check_seeds
-from .io_files import DataFormatError, read_sections
+from .io_files import DataFormatError, open_text, read_sections
 
 ConfigError = DataFormatError
 
@@ -174,6 +174,6 @@ def build_experiment(
 
 
 def load_config(path: str, base: ExperimentConfig | None = None):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         sections = parse_config_lines(fh.readlines(), path)
     return build_experiment(sections, base)

@@ -170,12 +170,18 @@ def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbe
 
 
 def check_val_groups(cfg: ExperimentConfig, val: LabeledEmbeddings, name: str) -> None:
-    """Before any fit, raise ``ValueError`` naming ``name`` and the first
-    (y_mt, y_sp) group of ``val`` with fewer samples than the group-weighted
-    tests need, when ``cfg.method`` runs those tests (jse by default, inlp with
-    ``group_weighted_test``)."""
-    if not ((cfg.method == "jse" and cfg.jse.group_weighted_tests)
-            or (cfg.method == "inlp" and cfg.inlp.group_weighted_test)):
+    """Before any fit, raise ``ValueError`` naming ``name`` when ``val`` is too
+    small for the tests ``cfg.method`` runs: the first (y_mt, y_sp) group with
+    fewer than ``MIN_GROUP_SIZE`` samples for the group-weighted tests (jse by
+    default, inlp with ``group_weighted_test``), else, for the unweighted ones
+    (inlp by default, jse without ``group_weighted_tests``), a split with fewer."""
+    weighted = {"jse": cfg.jse.group_weighted_tests, "inlp": cfg.inlp.group_weighted_test}
+    if cfg.method not in weighted:
+        return
+    if not weighted[cfg.method]:
+        if val.n < MIN_GROUP_SIZE:
+            raise ValueError(f"{name}: the validation split has {val.n} samples; the tests "
+                             f"need at least {MIN_GROUP_SIZE}")
         return
     counts = np.bincount(val.group, minlength=5)
     for g in range(1, 5):  # the encoding group = 1 + 2 * y_mt + y_sp

@@ -12,10 +12,14 @@ bracketed sections holding basis vectors (one vector per line), test-report
 CSV rows, and model coefficients. All floats use repr precision so a
 round-trip is bit-exact. Artifacts and config files share one reader,
 ``read_sections``.
+
+Every reader, the config's included, opens its file with ``open_text``, so a
+byte that is not UTF-8 is a data error naming the file and line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -37,6 +41,27 @@ SCHEMA_VERSION = 1
 class DataFormatError(ValueError):
     """Malformed input: a data, artifact or config file, or a config value;
     the message names the file and line, or the config section and key."""
+
+
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None):
+    """``path`` opened to read as UTF-8 text. A byte that is not UTF-8, met
+    anywhere in the ``with`` block, raises ``DataFormatError`` naming the file
+    and the line that holds it."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder's offset is into its buffer, not the file: find the line
+            # again, split as above; latin-1 maps each byte to one character
+            with open(path, "r", encoding="latin-1", newline=newline) as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.encode("latin-1").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text "
+                                              f"(byte {ord(line[exc.start]):#04x})") from None
+            raise
 
 
 def _fmt(x: float) -> str:
@@ -110,7 +135,7 @@ def _raise_at_bad_line(path: str, d: int, exc: ValueError) -> NoReturn:
 
 
 def load_embeddings(path: str) -> LabeledEmbeddings:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split(",")
         if cols[:2] != ["y_mt", "y_sp"] or len(cols) < 3:
@@ -205,7 +230,7 @@ ARTIFACT_SECTIONS = ("pre_mean", "pre_components", "sp_basis", "mt_basis", "test
 
 
 def load_artifact(path: str) -> Artifact:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header, sections = read_sections(path, fh, ARTIFACT_SECTIONS, ("model",))
     for key, (lineno, _) in header.items():
         if key not in ARTIFACT_FIELDS:
@@ -338,7 +363,7 @@ def read_results_csv(path: str) -> list[dict]:
     Violations, and a file with no runs, raise ``DataFormatError`` naming the
     file and line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             lines = [(reader.line_num, fields) for fields in reader]
@@ -365,7 +390,7 @@ def read_results_csv(path: str) -> list[dict]:
                 f"{where}: x_name is {row['x_name']!r}, not {rows[0]['x_name']!r}")
         for col, kind in RESULTS_TABLE:
             if kind == "text" or (kind == "accuracy" and row["error"] and not row[col]):
-                continue
+                continue  # a failed run has no accuracies
             try:
                 value = int(row[col]) if kind == "integer" else float(row[col])
             except ValueError:

@@ -209,6 +209,10 @@ _FAILED_ROW = "erm,rho,0.5,1,,,,,,,,0,0,3.0,\"ValueError('x, y')\",1"
                  ":2: acc_g1 is not a number: ''", id="empty-accuracy-without-error"),
     pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace(",0,0,", ",1.5,0,") + "\n",
                  3, ":2: d_sp_hat is not an integer: '1.5'", id="fractional-dimension"),
+    pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace(",0.5,0,", ",0.5,0.5,") + "\n",
+                 3, ":2: seed is not an integer: '0.5'", id="fractional-seed"),
+    pytest.param(f"{_RESULTS_HEADER}\n" + _RESULTS_ROW.replace(",12.5,", ",inf,") + "\n",
+                 3, ":2: non-finite value inf in runtime_ms", id="infinite-runtime"),
     pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW},extra\n", 3,
                  ":2: expected 16 fields, got 17", id="extra-field"),
     pytest.param(f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n{_RESULTS_ROW[:-1]}99\n", 3,
@@ -322,17 +326,26 @@ def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_tex
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method,cfg_text", [
-    ("jse", ""),
-    ("inlp", "[inlp]\ngroup_weighted_test = true\n"),
-], ids=["jse", "inlp-group-weighted"])
+_THIN_GROUP = ("validation group (y_mt=0, y_sp=1) has 1 samples; the group-weighted tests "
+               "need at least 2 in every group")
+_ONE_ROW = "the validation split has 1 samples; the tests need at least 2"
+
+
+@pytest.mark.parametrize("method,cfg_text,seed,n,msg", [
+    ("jse", "", 1, 40, _THIN_GROUP),
+    ("inlp", "[inlp]\ngroup_weighted_test = true\n", 1, 40, _THIN_GROUP),
+    ("inlp", "", 3, 5, _ONE_ROW),
+    ("jse", "[jse]\ngroup_weighted_tests = false\n", 3, 5, _ONE_ROW),
+], ids=["jse", "inlp-group-weighted", "inlp-one-row", "jse-unweighted-one-row"])
 def test_thin_validation_group_exits_3_before_any_fit(tmp_path, capsys, monkeypatch,
-                                                      method, cfg_text):
-    """A validation group too small for the group-weighted tests is a data
-    error naming the --val file and the (y_mt, y_sp) group, raised before
-    any fit; seed 1's 8-row validation split has one (y_mt=0, y_sp=1) row."""
+                                                      method, cfg_text, seed, n, msg):
+    """A validation split too small for the method's tests is a data error
+    naming the --val file, raised before any fit: for the group-weighted
+    tests a (y_mt, y_sp) group (seed 1's 8-row split at n = 40 has one
+    (y_mt=0, y_sp=1) row), for the unweighted ones the whole split (seed 3's
+    at n = 5 has one row)."""
     data = tmp_path / "data"
-    assert run_cli("--seed", "1", "--out", str(data), "gen-toy", "--n", "40",
+    assert run_cli("--seed", str(seed), "--out", str(data), "gen-toy", "--n", str(n),
                    "--rho", "0.9", "--test-n", "100") == 0
     capsys.readouterr()
     val = str(data / "toy_val.csv")
@@ -340,13 +353,42 @@ def test_thin_validation_group_exits_3_before_any_fit(tmp_path, capsys, monkeypa
     cfg_path.write_text(cfg_text)
     fits = []
     monkeypatch.setattr(evaluate, "fit_method", lambda *a, **k: fits.append(a))
-    assert run_cli("--seed", "1", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+    assert run_cli("--seed", str(seed), "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                    "fit", "--method", method, "--train", str(data / "toy_train.csv"),
                    "--val", val) == 3
-    assert capsys.readouterr().err == (
-        f"error: {val}: validation group (y_mt=0, y_sp=1) has 1 samples; the "
-        "group-weighted tests need at least 2 in every group\n")
+    assert capsys.readouterr().err == f"error: {val}: {msg}\n"
     assert fits == []
+
+
+_FIT_TRAIN = ["fit", "--method", "erm", "--train", "{bad}", "--val", "{val}"]
+
+
+@pytest.mark.parametrize("argv,source,line,eol", [
+    (["--config", "{bad}", "--out", "{out}", "sweep"],
+     b"[experiment]\nseeds = 1\n# a comment\n[sweep]\nmethods = erm\n", 3, b"\n"),
+    (_FIT_TRAIN, "toy_train.csv", 3, b"\n"),
+    (_FIT_TRAIN, "toy_train.csv", 3, b"\r"),
+    (["report", "--results", "{bad}"], f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n".encode(), 2,
+     b"\n"),
+    (["eval", "--model", "{bad}", "--test-file", "{val}"], "erm.artifact", 4, b"\n"),
+], ids=["config", "embeddings", "embeddings-cr-line-ends", "results", "artifact"])
+def test_non_utf8_input_exits_3_naming_file_and_line(tmp_path, capsys, argv, source, line, eol):
+    """A byte that is not UTF-8 in a file a command reads exits 3 naming the
+    file, the line and the byte, not the decoder's offset into its buffer;
+    lines are counted as the reader splits them, at CR line ends too."""
+    assert run_cli("--seed", "1", "--out", str(tmp_path), "gen-toy", "--n", "60",
+                   "--test-n", "40") == 0
+    val = tmp_path / "toy_val.csv"
+    assert run_cli("--out", str(tmp_path), "fit", "--method", "erm",
+                   "--train", str(tmp_path / "toy_train.csv"), "--val", str(val)) == 0
+    capsys.readouterr()
+    lines = (source if isinstance(source, bytes) else (tmp_path / source).read_bytes()).split(b"\n")
+    lines[line - 1] += b"\xe9"  # an accented Latin-1 letter
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(eol.join(lines))
+    files = {"bad": str(bad), "val": str(val), "out": str(tmp_path / "out")}
+    assert run_cli(*(arg.format(**files) for arg in argv)) == 3
+    assert capsys.readouterr().err == f"error: {bad}:{line}: not UTF-8 text (byte 0xe9)\n"
 
 
 def test_gen_toy_rejects_config(tmp_path, capsys):

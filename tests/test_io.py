@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from jse.cli import main
 from jse.data import LabeledEmbeddings
-from jse.evaluate import EvalSummary, RunRecord
+from jse.evaluate import ACCURACIES, EvalSummary, RunRecord
 from jse.io_files import (
     RESULTS_COLUMNS,
     Artifact,
@@ -429,6 +429,26 @@ def test_results_csv_round_trip(tmp_path):
     assert float(rows[0]["average"]) == 81.5
     assert rows[0]["error"] == ""
     assert rows[1]["error"] != "" and rows[1]["average"] == ""
+
+
+def test_results_columns_follow_the_run_record():
+    """RESULTS_COLUMNS is RunRecord's fields in order, the accuracies in place
+    of the summary, without data_error, and schema_version last: a field
+    added to the record without a column fails here."""
+    from dataclasses import fields
+
+    names = [f.name for f in fields(RunRecord) if f.name != "data_error"]
+    i = names.index("summary")
+    assert RESULTS_COLUMNS == [*names[:i], *ACCURACIES, *names[i + 1:], "schema_version"]
+
+
+def test_results_csv_writes_an_integer_x_value_as_a_float(tmp_path):
+    path = tmp_path / "results.csv"
+    write_results_csv(str(path), [RunRecord("erm", "n", 1000, 0, _records()[0].summary,
+                                            0, 0, 1.0)])
+    (row,) = read_results_csv(str(path))
+    assert row["x_value"] == "1000.0"
+    assert path.read_text().splitlines()[1].startswith("erm,n,1000.0,0,")
 
 
 def _sweep_records():
