@@ -2,21 +2,22 @@
 
 The outer loop proposes spurious directions, the inner loop proposes
 main-task directions. Each proposal comes from a fresh joint orthogonal fit
-on the currently projected training embeddings. A proposed direction is
-accepted only if two validation-split tests both pass: it beats the
-intercept-only classifier on its own label (``stats.t_vs_random``, the test
-INLP's rounds stop on), and it is more predictive of its own concept than of
-the other one, offset by delta (``stats.t_relative``). Both loops run the two
-tests from one step, so either concept's candidates are tested alike; each
-report's side follows from its kind (``stats.SIDES``). Accepted main-task
-directions are projected out of the inner working copy; accepted spurious
-directions are projected out of everything, and the inner loop restarts.
-Validation embeddings mirror every training projection.
+on the currently projected training embeddings: every inner step's fit tests
+its main-task direction at once, and when the inner loop stops, the outer
+step tests the spurious direction of its latest fit that left one. A proposed
+direction is accepted only if two validation-split tests both pass: it beats
+the intercept-only classifier on its own label (``stats.t_vs_random``, the
+test INLP's rounds stop on), and it is more predictive of its own concept
+than of the other one, offset by delta (``stats.t_relative``). Both loops run
+the two tests from one step, so either concept's candidates are tested alike;
+each report's side follows from its kind (``stats.SIDES``). Accepted
+main-task directions are projected out of the inner working copy; accepted
+spurious directions are projected out of everything, and the inner loop
+restarts. Validation embeddings mirror every training projection.
 
-``loop_order='sp-inner'`` swaps the roles of the two concepts. The fitted
-bases are applied by ``evaluate.Artifact.transform``, which either removes the
-spurious subspace (``transform_mode = remove-sp``, the default) or keeps only
-the main-task subspace (``keep-mt``).
+The fitted bases are applied by ``evaluate.Artifact.transform``, which either
+removes the spurious subspace (``transform_mode = remove-sp``, the default)
+or keeps only the main-task subspace (``keep-mt``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class JseConfig:
     # rejecting a direction as main-task and accepting it as spurious.
     delta: float | str = DELTA_AUTO
     max_dim: int | None = None  # defaults to d
-    loop_order: str = "mt-inner"  # mt-inner | sp-inner
     transform_mode: str = "remove-sp"  # remove-sp | keep-mt
     group_weighted_tests: bool = True
     # denominator of the relative-test statistic; 'variance' reproduces the
@@ -57,8 +57,6 @@ class JseConfig:
             raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.max_dim is not None and self.max_dim < 1:
             raise ValueError("max_dim must be >= 1 or none")
-        if self.loop_order not in ("mt-inner", "sp-inner"):
-            raise ValueError(f"unknown loop_order {self.loop_order!r}")
         if self.transform_mode not in ("remove-sp", "keep-mt"):
             raise ValueError(f"unknown transform_mode {self.transform_mode!r}")
         if self.relative_test_scale not in ("se", "variance"):
@@ -103,14 +101,12 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
     d = train.d
     max_dim = d if cfg.max_dim is None else min(cfg.max_dim, d)
 
-    outer_t, inner_t = ("sp", "mt") if cfg.loop_order == "mt-inner" else ("mt", "sp")
     random_models = {t: fit_intercept_only(train, t) for t in ("sp", "mt")}
     gw = cfg.group_weighted_tests
     # None until the first joint solve measures it (delta = "auto")
     delta = None if cfg.delta == DELTA_AUTO else float(cfg.delta)
-    # per concept: the outer concept's accepted directions, the inner concept's
-    # from the latest inner pass; and the test reports of every proposal
-    vecs: dict[str, list[np.ndarray]] = {"sp": [], "mt": []}
+    sp_vecs: list[np.ndarray] = []  # accepted spurious directions
+    mt_vecs: list[np.ndarray] = []  # main-task directions of the latest inner pass
     reports: dict[str, list[tuple[TestReport, TestReport]]] = {"sp": [], "mt": []}
 
     def tests(target: str, v: np.ndarray, gamma: float, b: float, Ztr: np.ndarray,
@@ -129,51 +125,49 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         reports[target].append((rep_rnd, rep_rel))
         return rep_rnd.decision and rep_rel.decision
 
-    Ztr_outer = train.Z  # outer-accepted directions projected out
-    Zval_outer = val.Z
+    Ztr_sp = train.Z  # accepted spurious directions projected out
+    Zval_sp = val.Z
     termination = "max-iterations"
 
     for i in range(1, max_dim + 1):
-        Ztr_in, Zval_in = Ztr_outer, Zval_outer
-        vecs[inner_t] = []
-        outer_candidate: tuple[np.ndarray, float, float] | None = None
+        Ztr_in, Zval_in = Ztr_sp, Zval_sp
+        mt_vecs = []
+        sp_candidate: tuple[np.ndarray, float, float] | None = None
 
         for j in range(1, max_dim + 1):
             sp_m, mt_m = fit_joint_orthogonal(train.with_Z(Ztr_in), child_seed(seed, i, j))
             val_in = val.with_Z(Zval_in)
-            out_m, in_m = (sp_m, mt_m) if outer_t == "sp" else (mt_m, sp_m)
 
-            removed = vecs[outer_t] + vecs[inner_t]
-            cand_out = normalize_against(out_m.w, removed)
-            cand_in = normalize_against(in_m.w, removed)
-            if cand_out is not None:
-                outer_candidate = (*cand_out, out_m.b)
+            removed = sp_vecs + mt_vecs
+            cand_sp = normalize_against(sp_m.w, removed)
+            cand_mt = normalize_against(mt_m.w, removed)
+            if cand_sp is not None:
+                sp_candidate = (*cand_sp, sp_m.b)
 
             if delta is None:
-                # heuristic from the very first joint solve, held fixed afterwards; a
-                # vanished w keeps its norm as the scale along e1
+                # heuristic from the very first joint solve, where nothing is removed
+                # yet, held fixed afterwards; a vanished w keeps its norm as the scale
+                # along e1
                 own = [
-                    predict_1d(val_in.Z, *(normalize_against(m.w, [])
-                                           or (np.eye(d)[0], np.linalg.norm(m.w))), m.b)
-                    for m in (sp_m, mt_m)
+                    predict_1d(val_in.Z, *(cand or (np.eye(d)[0], np.linalg.norm(m.w))), m.b)
+                    for cand, m in ((cand_sp, sp_m), (cand_mt, mt_m))
                 ]
                 delta = delta_heuristic(*own, val_in, gw)
 
-            if cand_in is None or not tests(inner_t, *cand_in, in_m.b, Ztr_in, val_in):
+            if cand_mt is None or not tests("mt", *cand_mt, mt_m.b, Ztr_in, val_in):
                 break
-            vecs[inner_t].append(cand_in[0])
-            V_in = np.column_stack(vecs[inner_t])
-            Ztr_in = project_out(Ztr_outer, V_in)
-            Zval_in = project_out(Zval_outer, V_in)
+            mt_vecs.append(cand_mt[0])
+            V_mt = np.column_stack(mt_vecs)
+            Ztr_in = project_out(Ztr_sp, V_mt)
+            Zval_in = project_out(Zval_sp, V_mt)
 
-        if outer_candidate is None or not tests(outer_t, *outer_candidate, Ztr_outer,
-                                                val.with_Z(Zval_outer)):
+        if sp_candidate is None or not tests("sp", *sp_candidate, Ztr_sp, val.with_Z(Zval_sp)):
             termination = "test-rejected"
             break
-        vecs[outer_t].append(outer_candidate[0])
-        V_out = np.column_stack(vecs[outer_t])
-        Ztr_outer = project_out(train.Z, V_out)
-        Zval_outer = project_out(val.Z, V_out)
+        sp_vecs.append(sp_candidate[0])
+        V_sp = np.column_stack(sp_vecs)
+        Ztr_sp = project_out(train.Z, V_sp)
+        Zval_sp = project_out(val.Z, V_sp)
         if i == max_dim:
             termination = "dimension-exhausted" if max_dim == d else "max-iterations"
 
@@ -182,8 +176,8 @@ def jse_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: JseConfig,
         return SubspaceBasis(V)
 
     return SubspaceResult(
-        basis(vecs["sp"]),
-        basis(vecs["mt"]),
+        basis(sp_vecs),
+        basis(mt_vecs),
         reports["sp"],
         reports["mt"],
         termination,

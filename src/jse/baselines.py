@@ -205,9 +205,8 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
 
     def probe_accuracy(Ucur: np.ndarray) -> float:
         """Accuracy on val of a freshly converged spurious classifier on projected data."""
-        P = np.eye(d) - Ucur @ Ucur.T
-        wp, bp = _newton_logreg(X @ P, y)
-        return float(np.mean((sigmoid((val.Z @ P) @ wp + bp) >= 0.5) == val.y_sp))
+        wp, bp = _newton_logreg(project_out(X, Ucur), y)
+        return float(np.mean((sigmoid(project_out(val.Z, Ucur) @ wp + bp) >= 0.5) == val.y_sp))
 
     lr, mom, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
     while it < cfg.max_iters:

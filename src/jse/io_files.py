@@ -150,6 +150,8 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
                 # an empty body is reported below as "no samples"
                 warnings.simplefilter("ignore", UserWarning)
                 rows = _parse_rows(line for line in fh if not line.isspace())
+        except UnicodeDecodeError:
+            raise  # a ValueError too, but open_text names its line without re-parsing
         except ValueError as exc:
             _raise_at_bad_line(path, d, exc)
     if rows.shape[0] == 0:

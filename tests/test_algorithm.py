@@ -87,21 +87,6 @@ def test_removal_oracle(toy_rho08):
     assert abs(acc - majority) <= 0.02
 
 
-def test_loop_order_robustness():
-    d_sp_a, d_sp_b, acc_a, acc_b = [], [], [], []
-    for seed in range(20):
-        cfg = ToyConfig(n=2000, rho=0.8, seed=2000 + seed)
-        train, val = gen_toy(cfg)
-        test = gen_toy_test(cfg)
-        for order, dsp, accs in (("mt-inner", d_sp_a, acc_a), ("sp-inner", d_sp_b, acc_b)):
-            art, model, summary = _pipeline(train, val, test, JseConfig(loop_order=order), seed)
-            dsp.append(art.sp_basis.shape[1])
-            accs.append(summary.average)
-    agree = np.mean([a == b for a, b in zip(d_sp_a, d_sp_b)])
-    assert agree >= 0.8
-    assert abs(np.mean(acc_a) - np.mean(acc_b)) <= 1.5
-
-
 def test_monotone_safety():
     """Removing the spurious subspace never costs more than 2 points of
     main-task validation accuracy at moderate correlation."""
@@ -174,8 +159,6 @@ def test_config_validation():
         JseConfig(alpha=0.0)
     with pytest.raises(ValueError):
         JseConfig(delta="sometimes")
-    with pytest.raises(ValueError):
-        JseConfig(loop_order="inside-out")
     with pytest.raises(ValueError):
         JseConfig(transform_mode="remove-everything")
     with pytest.raises(ValueError):

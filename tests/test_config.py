@@ -32,7 +32,7 @@ gamma_mt = 2
 [jse]
 alpha = 0.05
 delta = auto
-loop_order = sp-inner
+transform_mode = keep-mt
 
 [inlp.optimizer]
 learning_rate = 0.005
@@ -60,7 +60,7 @@ def test_parse_and_build():
     cfg, sweep = build_experiment(sections)
     assert cfg.toy.n == 2000 and cfg.toy.gamma_sp == 6.0
     assert cfg.jse.delta == "auto"
-    assert cfg.jse.loop_order == "sp-inner"
+    assert cfg.jse.transform_mode == "keep-mt"
     assert cfg.inlp.optimizer.learning_rate == 0.005  # overrides [optimizer]
     assert cfg.inlp.optimizer.momentum == 0.5  # [optimizer] propagates
     assert cfg.inlp.optimizer.balance_sampling == "none"  # and keeps INLP's own values
@@ -311,6 +311,7 @@ IGNORED_KEYS = [
     ("experiment", "method", "erm"),  # set by --method or [sweep] methods
     ("jse", "seed", "3"),
     ("jse", "estimate_mt_basis", "false"),  # removed: the mt basis is always estimated
+    ("jse", "loop_order", "sp-inner"),  # removed: the inner loop always proposes main-task
     ("optimizer", "seed", "3"),
     ("inlp.optimizer", "seed", "3"),
     ("downstream.optimizer", "seed", "3"),

@@ -318,10 +318,6 @@ GOLDEN_RUNS = [
     ('jse', {'transform_mode': 'keep-mt'}, 0.0, 1, [84.89208633093526, 82.51748251748252, 85.79881656804734, 81.87919463087249], 1, 1),
     ('jse', {'transform_mode': 'keep-mt'}, 0.9, 0, [0.0, 0.0, 100.0, 100.0], 1, 0),
     ('jse', {'transform_mode': 'keep-mt'}, 0.9, 1, [0.0, 0.0, 100.0, 100.0], 1, 0),
-    ('jse', {'loop_order': 'sp-inner'}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
-    ('jse', {'loop_order': 'sp-inner'}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
-    ('jse', {'loop_order': 'sp-inner'}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 0),
-    ('jse', {'loop_order': 'sp-inner'}, 0.9, 1, [76.0233918128655, 78.343949044586, 84.21052631578947, 88.48920863309353], 1, 0),
     ('jse', {'group_weighted_tests': False}, 0.0, 0, [83.89261744966443, 81.04575163398692, 84.27672955974843, 77.6978417266187], 1, 1),
     ('jse', {'group_weighted_tests': False}, 0.0, 1, [84.89208633093526, 83.21678321678321, 83.4319526627219, 79.19463087248322], 1, 1),
     ('jse', {'group_weighted_tests': False}, 0.9, 0, [83.63636363636363, 78.87323943661971, 85.41666666666666, 84.56375838926175], 1, 1),

@@ -169,6 +169,26 @@ def test_bad_line_is_named(tmp_path, bad, msg):
         load_embeddings(path)
 
 
+def test_non_utf8_byte_is_named_without_reparsing(tmp_path, monkeypatch):
+    """A byte that is not UTF-8 past the decoder's first 8 KB is named by the
+    opener after the one whole-body parse, not after a parse of every earlier
+    line."""
+    import jse.io_files as io_files
+
+    calls = []
+    real = io_files._parse_rows
+    monkeypatch.setattr(io_files, "_parse_rows", lambda lines: calls.append(1) or real(lines))
+    lines = ["y_mt,y_sp,z_0,z_1"] + ["0,1,0.5,-1.25"] * 3000
+    lines[2500] = "0,1,0.5\xe9,-1.25"
+    path = tmp_path / "late.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    assert path.stat().st_size > 3 * 8192
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2501: not UTF-8 text "
+                                              r"\(byte 0xe9\)$"):
+        load_embeddings(str(path))
+    assert len(calls) == 1
+
+
 def test_every_row_one_field_too_many(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y_mt,y_sp,z_0\n\n0,1,0.5,1.0\n1,0,0.5,1.0\n")
