@@ -6,16 +6,18 @@ Grammar (one statement per line):
     [section]                      one of SECTIONS
     key = value
 
-``TARGETS`` maps each section to the parts of ``ExperimentConfig`` its keys
-set; ``[sweep]`` sets the ``SweepSpec``. A value is parsed by its field's type
-hint: bool, int, float, str, ``T | None`` (``none``), ``float | str`` (a
-number, else the text) or ``list[T]`` (comma-separated). An unknown key, a
-value of the wrong type, non-finite or out of the dataclass's range, and a
-key in ``RUN_INPUTS`` are ConfigErrors naming section and key; an unknown
-section, a line that is no statement and a key repeated in its section are
-ones naming the file and line. Keys before the first section are ignored.
-The lines are read by ``io_files.read_sections``, the artifact reader's, and
-``ConfigError`` is ``io_files.DataFormatError``.
+``TARGETS`` maps each section to the one part of ``ExperimentConfig`` its
+keys set, so each value has one key: each SGD fit has its own optimizer
+section, and ``[sweep]`` sets the ``SweepSpec``, its seeds included (they
+start from ``--seed``; ``[experiment]`` sets none). A value is parsed by its
+field's type hint: bool, int, float, str, ``T | None`` (``none``),
+``float | str`` (a number, else the text) or ``list[T]`` (comma-separated).
+An unknown key, a value of the wrong type, non-finite or out of the
+dataclass's range, and a key in ``RUN_INPUTS`` are ConfigErrors naming
+section and key; an unknown section, a line that is no statement and a key
+repeated in its section are ones naming the file and line. Keys before the
+first section are ignored. The lines are read by ``io_files.read_sections``,
+the artifact reader's, and ``ConfigError`` is ``io_files.DataFormatError``.
 """
 
 from __future__ import annotations
@@ -33,18 +35,15 @@ from .io_files import DataFormatError, open_text, read_sections
 ConfigError = DataFormatError
 
 
-# section -> the attribute paths in ExperimentConfig its keys set, in the order
-# the sections apply: [optimizer] sets its keys on both SGD configs, each
-# keeping its other values, and the per-target sections after it win
-TARGETS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "toy": (("toy",),),
-    "experiment": ((),),
-    "jse": (("jse",),),
-    "inlp": (("inlp",),),
-    "rlace": (("rlace",),),
-    "optimizer": (("downstream",), ("inlp", "optimizer")),
-    "inlp.optimizer": (("inlp", "optimizer"),),
-    "downstream.optimizer": (("downstream",),),
+# section -> the attribute path in ExperimentConfig its keys set
+TARGETS: dict[str, tuple[str, ...]] = {
+    "toy": ("toy",),
+    "experiment": (),
+    "jse": ("jse",),
+    "inlp": ("inlp",),
+    "rlace": ("rlace",),
+    "inlp.optimizer": ("inlp", "optimizer"),
+    "downstream.optimizer": ("downstream",),
 }
 SECTIONS = (*TARGETS, "sweep")
 
@@ -52,6 +51,8 @@ SECTIONS = (*TARGETS, "sweep")
 RUN_INPUTS = {
     ("toy", "seed"): "set by --seed or the sweep's derived run seeds, not by the config",
     ("experiment", "method"): "set by --method or [sweep] methods, not by the config",
+    ("experiment", "seeds"): "set by [sweep] seeds, not by [experiment]",
+    ("experiment", "base_seed"): "set by --seed or [sweep] base_seed, not by [experiment]",
 }
 
 
@@ -146,18 +147,17 @@ def build_experiment(
 ) -> tuple[ExperimentConfig, SweepSpec]:
     """Assemble an ExperimentConfig plus sweep grid from parsed sections.
 
-    The sweep's ``seeds`` and ``base_seed`` start from the experiment's (the
-    ``base`` config, then ``[experiment]``); ``[sweep]`` overrides them. The
-    ``[toy]`` field named by the sweep's ``x_name`` is set by each run's x
-    value, so setting it in ``[toy]`` is an error, and an x value the
-    ``ToyConfig`` rejects is one here.
+    The sweep's ``seeds`` and ``base_seed`` start from the ``base`` config's
+    (the CLI's ``--seed``); ``[sweep]`` overrides them. The ``[toy]`` field
+    named by the sweep's ``x_name`` is set by each run's x value, so setting
+    it in ``[toy]`` is an error, and an x value the ``ToyConfig`` rejects is
+    one here.
     """
     cfg = base or ExperimentConfig(method="jse")
-    for section, paths in TARGETS.items():
+    for section, path in TARGETS.items():
         if section in sections:
-            for path in paths:
-                sub = functools.reduce(getattr, path, cfg)
-                cfg = _set(cfg, path, _apply(sub, section, sections[section]))
+            sub = functools.reduce(getattr, path, cfg)
+            cfg = _set(cfg, path, _apply(sub, section, sections[section]))
 
     sweep = SweepSpec(seeds=cfg.seeds, base_seed=cfg.base_seed)
     sweep = _apply(sweep, "sweep", sections.get("sweep", {}))

@@ -5,7 +5,8 @@ labels as 0/1, coordinates as decimal text with full float64 precision.
 Both directions keep per-token work in C: the writer formats blocks of rows
 with ``repr`` and streams them out; the reader parses the whole body with
 numpy's ``loadtxt`` (each token converts exactly as ``float()`` converts it)
-and only when that fails re-reads the file line by line to name the line.
+and only when that fails re-reads the file in blocks, and the first failing
+block line by line, to name the line.
 
 Artifact files are line-oriented ``key = value`` headers followed by
 bracketed sections holding basis vectors (one vector per line), test-report
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -105,33 +107,44 @@ def _parse_rows(lines) -> np.ndarray:
                       converters=_LABEL_CONVERTERS, encoding="utf-8")
 
 
-def _raise_at_bad_line(path: str, d: int, exc: ValueError) -> NoReturn:
-    """Re-read the body line by line to name the first line that does not
-    parse or holds a non-finite value."""
+def _raise_at_bad_line(path: str, d: int, exc: ValueError, skip: int = 0) -> NoReturn:
+    """Re-read the body to name the first line that does not parse or holds a
+    non-finite value: ``_BLOCK_ROWS`` lines at a time, and the first block
+    that fails line by line. The first ``skip`` non-blank lines are known to
+    hold finite rows and are not parsed again."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}"
-                )
-            if parts[0] not in _LABELS or parts[1] not in _LABELS:
-                raise DataFormatError(
-                    f"{path}:{lineno}: labels must be 0 or 1, got {parts[0]!r},{parts[1]!r}"
-                )
-            try:
-                (row,) = _parse_rows([line]).tolist()
-            except ValueError as err:
-                # numpy counts rows of the one line it was given; the line is named above
-                msg = re.sub(r" at row \d+,", " at", str(err))
-                raise DataFormatError(f"{path}:{lineno}: {msg}") from err
-            for j, value in enumerate(row[2:]):
-                if not math.isfinite(value):
-                    raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} in z_{j}")
+        body = ((n, line) for n, line in enumerate(fh, start=2) if not line.isspace())
+        numbered = itertools.islice(body, skip, None)
+        while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
+            with contextlib.suppress(ValueError):
+                rows = _parse_rows([line for _, line in block])
+                if rows.shape[1] == d + 2 and np.isfinite(rows).all():
+                    continue
+            for lineno, line in block:
+                _check_line(path, d, lineno, line)
     raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _check_line(path: str, d: int, lineno: int, line: str) -> None:
+    """Raise naming ``lineno`` if the body line does not parse or holds a
+    non-finite value."""
+    parts = line.split(",")
+    if len(parts) != d + 2:
+        raise DataFormatError(f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}")
+    if parts[0] not in _LABELS or parts[1] not in _LABELS:
+        raise DataFormatError(
+            f"{path}:{lineno}: labels must be 0 or 1, got {parts[0]!r},{parts[1]!r}"
+        )
+    try:
+        (row,) = _parse_rows([line]).tolist()
+    except ValueError as err:
+        # numpy counts rows of the one line it was given; the line is named above
+        msg = re.sub(r" at row \d+,", " at", str(err))
+        raise DataFormatError(f"{path}:{lineno}: {msg}") from err
+    for j, value in enumerate(row[2:]):
+        if not math.isfinite(value):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value {value!r} in z_{j}")
 
 
 def load_embeddings(path: str) -> LabeledEmbeddings:
@@ -156,8 +169,11 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
             _raise_at_bad_line(path, d, exc)
     if rows.shape[0] == 0:
         raise DataFormatError(f"{path}: no samples")
-    if rows.shape[1] != d + 2 or not np.isfinite(rows).all():
+    if rows.shape[1] != d + 2:
         _raise_at_bad_line(path, d, ValueError(f"expected {d + 2} fields, got {rows.shape[1]}"))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        _raise_at_bad_line(path, d, ValueError("non-finite value"), skip=int(finite.argmin()))
     return LabeledEmbeddings(
         rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     )

@@ -365,7 +365,7 @@ _FIT_TRAIN = ["fit", "--method", "erm", "--train", "{bad}", "--val", "{val}"]
 
 @pytest.mark.parametrize("argv,source,line,eol", [
     (["--config", "{bad}", "--out", "{out}", "sweep"],
-     b"[experiment]\nseeds = 1\n# a comment\n[sweep]\nmethods = erm\n", 3, b"\n"),
+     b"[experiment]\ntest_n = 40\n# a comment\n[sweep]\nmethods = erm\n", 3, b"\n"),
     (_FIT_TRAIN, "toy_train.csv", 3, b"\n"),
     (_FIT_TRAIN, "toy_train.csv", 3, b"\r"),
     (["report", "--results", "{bad}"], f"{_RESULTS_HEADER}\n{_RESULTS_ROW}\n".encode(), 2,

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from jse.config import (
     parse_config_lines,
 )
 from jse.evaluate import ExperimentConfig
-from jse.sgd import OptimizerConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -36,8 +34,9 @@ transform_mode = keep-mt
 
 [inlp.optimizer]
 learning_rate = 0.005
+momentum = 0.5
 
-[optimizer]
+[downstream.optimizer]
 learning_rate = 0.2
 momentum = 0.5
 
@@ -61,14 +60,14 @@ def test_parse_and_build():
     assert cfg.toy.n == 2000 and cfg.toy.gamma_sp == 6.0
     assert cfg.jse.delta == "auto"
     assert cfg.jse.transform_mode == "keep-mt"
-    assert cfg.inlp.optimizer.learning_rate == 0.005  # overrides [optimizer]
-    assert cfg.inlp.optimizer.momentum == 0.5  # [optimizer] propagates
-    assert cfg.inlp.optimizer.balance_sampling == "none"  # and keeps INLP's own values
+    assert cfg.inlp.optimizer.learning_rate == 0.005
+    assert cfg.inlp.optimizer.momentum == 0.5
+    assert cfg.inlp.optimizer.balance_sampling == "none"  # INLP keeps its own other values
     assert cfg.downstream.learning_rate == 0.2 and cfg.downstream.momentum == 0.5
     assert cfg.downstream.balance_sampling == "class-balanced"
     assert cfg.rlace.rank == 2 and cfg.rlace.stop_accuracy == 0.52
     assert cfg.rlace.learning_rate == 0.05
-    assert cfg.rlace.momentum == 0.9  # [optimizer] does not reach RLACE
+    assert cfg.rlace.momentum == 0.9  # no optimizer section reaches RLACE
     assert sweep.methods == ["jse", "erm", "rlace"]
     assert sweep.x_values == [0.0, 0.5, 0.9]
     assert cfg.seeds == 7 and cfg.base_seed == 11
@@ -115,6 +114,16 @@ def test_load_config_file(tmp_path):
     assert sweep.seeds == 7
 
 
+def test_key_lines_before_the_first_section_are_ignored(tmp_path):
+    """perfbench's cli-files pass writes a stray ``base_seed = N ...`` line
+    into its config's header comment; such a line before the first section
+    loads to the config without it."""
+    plain, stray = tmp_path / "plain.cfg", tmp_path / "stray.cfg"
+    plain.write_text(GOOD)
+    stray.write_text("base_seed = 5 for each pass it runs.\n" + GOOD)
+    assert load_config(str(stray)) == load_config(str(plain))
+
+
 # (config text, line named in the error, text named): sections outside
 # config.SECTIONS are rejected, not ignored, and a key given twice in its
 # section is rejected, not overwritten (a repeated section continues the first)
@@ -123,6 +132,7 @@ BAD_SECTIONS = [
     ("[toy]\nn = 300\n[jse.optimiser]\nlearning_rate = 5\n", 3, "[jse.optimiser]"),
     ("# grid\n[bogus]\n", 2, "[bogus]"),
     ("[rlace.optimizer]\nlearning_rate = 0.005\n", 1, "[rlace.optimizer]"),  # keys in [rlace]
+    ("[toy]\nn = 300\n[optimizer]\nmomentum = 0.5\n", 3, "[optimizer]"),  # one section per fit
     ("[toy]\nn = 100\nn = 300\n", 3, "'n' repeats line 2"),
     ("[toy]\nn = 100\n[sweep]\nseeds = 1\n[toy]\nn = 300\n", 6, "'n' repeats line 2"),
 ]
@@ -142,16 +152,13 @@ def test_unknown_section_exits_3_naming_file_and_line(tmp_path, capsys, text, li
 
 # (config lines, --seed of the CLI, expected seeds, expected base_seed)
 SEED_SOURCES = [
-    (["[experiment]", "seeds = 3", "base_seed = 9"], 0, 3, 9),
-    (["[experiment]", "seeds = 3", "base_seed = 9", "[sweep]", "seeds = 4", "base_seed = 2"],
-     0, 4, 2),  # [sweep] wins
     (["[toy]", "n = 300"], 5, 100, 5),  # --seed reaches the sweep
-    (["[sweep]", "base_seed = 7"], 5, 100, 7),
+    (["[sweep]", "base_seed = 7"], 5, 100, 7),  # [sweep] base_seed overrides --seed
 ]
 
 
 @pytest.mark.parametrize("lines,cli_seed,seeds,base_seed", SEED_SOURCES)
-def test_sweep_seeds_follow_experiment_and_cli(lines, cli_seed, seeds, base_seed):
+def test_sweep_seeds_follow_cli_and_sweep(lines, cli_seed, seeds, base_seed):
     from jse.evaluate import ExperimentConfig
 
     base = ExperimentConfig(method="jse", base_seed=cli_seed)
@@ -209,7 +216,7 @@ BAD_VALUES = [
     ("sweep", "seeds", "0", "sweep"),
     ("sweep", "seeds", "abc", "sweep"),
     ("sweep", "base_seed", "-3", "sweep"),  # SeedSequence takes no negative seed
-    ("experiment", "seeds", "0", "sweep"),
+    ("experiment", "seeds", "0", "sweep"),  # a run input: exits 3 before any range check
     ("experiment", "base_seed", "-2", "sweep"),
     ("sweep", "methods", ",", "sweep"),
     ("sweep", "methods", "erm, erm", "sweep"),  # every cell would run twice
@@ -221,8 +228,8 @@ BAD_VALUES = [
     ("sweep", "x_values", "0.0, 1.5", "sweep"),  # rho 1.5, checked at load
     ("toy", "n", "1", "sweep"),
     ("experiment", "test_n", "0", "sweep"),
-    ("optimizer", "max_epochs", "3", "sweep"),  # below the default patience 5
-    ("optimizer", "momentum", "1.5", "sweep"),
+    ("downstream.optimizer", "max_epochs", "3", "sweep"),  # below the default patience 5
+    ("inlp.optimizer", "momentum", "1.5", "sweep"),
     ("downstream.optimizer", "momentum", "-0.1", "sweep"),
     ("inlp.optimizer", "batch_size", "0", "sweep"),
     ("rlace", "momentum", "1", "fit"),
@@ -231,7 +238,7 @@ BAD_VALUES = [
     ("rlace", "weight_decay", "-1", "fit"),
     ("rlace", "subspace_lr", "0", "fit"),
     ("toy", "gamma_sp", "nan", "sweep"),  # non-finite numbers: no range check catches them
-    ("optimizer", "learning_rate", "nan", "sweep"),
+    ("downstream.optimizer", "learning_rate", "nan", "sweep"),
     ("rlace", "learning_rate", "inf", "fit"),
 ]
 
@@ -271,7 +278,8 @@ def test_out_of_range_value_exits_3_naming_key(small_toy, tmp_path, capsys, sect
     ["early_stop_patience = 80", "max_epochs = 100"],
 ])
 def test_dependent_keys_load_in_either_order(lines):
-    cfg, _ = build_experiment(parse_config_lines(["[optimizer]", *lines]))
+    sections = ["[downstream.optimizer]", *lines, "[inlp.optimizer]", *lines]
+    cfg, _ = build_experiment(parse_config_lines(sections))
     expected = dict(line.split(" = ") for line in lines)
     for opt in (cfg.downstream, cfg.inlp.optimizer):
         assert opt.max_epochs == int(expected["max_epochs"])
@@ -280,28 +288,10 @@ def test_dependent_keys_load_in_either_order(lines):
 
 def test_keys_only_bad_together_are_all_named():
     # each is valid against the defaults (patience 5, max_epochs 50); together 10 > 8
-    lines = ["[optimizer]", "early_stop_patience = 10", "max_epochs = 8"]
-    with pytest.raises(ConfigError, match=r"^\[optimizer\] early_stop_patience, max_epochs: "
+    lines = ["[inlp.optimizer]", "early_stop_patience = 10", "max_epochs = 8"]
+    with pytest.raises(ConfigError, match=r"^\[inlp\.optimizer\] early_stop_patience, max_epochs: "
                                           r"early_stop_patience must be <= max_epochs"):
         build_experiment(parse_config_lines(lines))
-
-
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(OptimizerConfig)])
-def test_optimizer_section_sets_only_its_own_keys(name):
-    """[optimizer] <key> = <OptimizerConfig default> sets that key on the
-    downstream and INLP configs and nothing else, so at every key but
-    balance_sampling (the downstream default is class-balanced) the config is
-    the one built without a file."""
-    value = getattr(OptimizerConfig(), name)
-    cfg, _ = build_experiment(parse_config_lines(["[optimizer]", f"{name} = {value}"]))
-    base, _ = build_experiment({})
-    assert cfg == replace(
-        base,
-        downstream=replace(base.downstream, **{name: value}),
-        inlp=replace(base.inlp, optimizer=replace(base.inlp.optimizer, **{name: value})),
-    )
-    if name != "balance_sampling":
-        assert cfg == base
 
 
 # (section, key, value): keys a run would overwrite or never read; each exits
@@ -309,13 +299,14 @@ def test_optimizer_section_sets_only_its_own_keys(name):
 IGNORED_KEYS = [
     ("toy", "seed", "3"),  # set by --seed or the sweep's derived run seeds
     ("experiment", "method", "erm"),  # set by --method or [sweep] methods
+    ("experiment", "seeds", "3"),  # set by [sweep] seeds
+    ("experiment", "base_seed", "9"),  # set by --seed or [sweep] base_seed
     ("jse", "seed", "3"),
     ("jse", "estimate_mt_basis", "false"),  # removed: the mt basis is always estimated
     ("jse", "loop_order", "sp-inner"),  # removed: the inner loop always proposes main-task
-    ("optimizer", "seed", "3"),
     ("inlp.optimizer", "seed", "3"),
     ("downstream.optimizer", "seed", "3"),
-    ("optimizer", "early_stop_metric", "bce"),  # always validation accuracy
+    ("downstream.optimizer", "early_stop_metric", "bce"),  # always validation accuracy
     ("toy", "rho", "0.5"),  # set by the sweep's x values (x_name defaults to rho)
 ]
 
@@ -402,8 +393,8 @@ def _keys(obj) -> list[str]:
 
 
 # each section's keys: the fields of the dataclass it sets
-_FIELDS = {section: _keys(functools.reduce(getattr, paths[0], ExperimentConfig("jse")))
-           for section, paths in TARGETS.items()} | {"sweep": _keys(SweepSpec)}
+_FIELDS = {section: _keys(functools.reduce(getattr, path, ExperimentConfig("jse")))
+           for section, path in TARGETS.items()} | {"sweep": _keys(SweepSpec)}
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
                 max_size=12)
 _VALUES = st.one_of(

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ KEYS = config_keys.settable_keys()
 def _owner(section: str):
     if section == "sweep":
         return SweepSpec()
-    return functools.reduce(getattr, TARGETS[section][0], ExperimentConfig(method="jse"))
+    return functools.reduce(getattr, TARGETS[section], ExperimentConfig(method="jse"))
 
 
 def _text(value) -> str:
@@ -67,3 +68,9 @@ def test_prints_sections_and_total(capsys):
     assert len(lines) == len(SECTIONS) + 1
     assert lines[-1].split() == [str(sum(map(len, KEYS.values()))), "total"]
     assert lines[2].split()[:2] == ["6", "[jse]"]
+
+
+def test_readme_states_the_total():
+    readme = (TOOL.parents[1] / "README.md").read_text(encoding="utf-8")
+    (stated,) = re.findall(r"and\s+their\s+total\s+\((\d+)\)", readme)
+    assert int(stated) == sum(map(len, KEYS.values()))

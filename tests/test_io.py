@@ -169,15 +169,21 @@ def test_bad_line_is_named(tmp_path, bad, msg):
         load_embeddings(path)
 
 
-def test_non_utf8_byte_is_named_without_reparsing(tmp_path, monkeypatch):
-    """A byte that is not UTF-8 past the decoder's first 8 KB is named by the
-    opener after the one whole-body parse, not after a parse of every earlier
-    line."""
+def _count_parses(monkeypatch) -> list:
+    """The list that gets one entry per ``_parse_rows`` call."""
     import jse.io_files as io_files
 
     calls = []
     real = io_files._parse_rows
     monkeypatch.setattr(io_files, "_parse_rows", lambda lines: calls.append(1) or real(lines))
+    return calls
+
+
+def test_non_utf8_byte_is_named_without_reparsing(tmp_path, monkeypatch):
+    """A byte that is not UTF-8 past the decoder's first 8 KB is named by the
+    opener after the one whole-body parse, not after a parse of every earlier
+    line."""
+    calls = _count_parses(monkeypatch)
     lines = ["y_mt,y_sp,z_0,z_1"] + ["0,1,0.5,-1.25"] * 3000
     lines[2500] = "0,1,0.5\xe9,-1.25"
     path = tmp_path / "late.csv"
@@ -187,6 +193,27 @@ def test_non_utf8_byte_is_named_without_reparsing(tmp_path, monkeypatch):
                                               r"\(byte 0xe9\)$"):
         load_embeddings(str(path))
     assert len(calls) == 1
+
+
+# (bad line, message, most parses): one whole-body parse, then 256-line
+# blocks and the failing block line by line; the rows before a non-finite
+# value parsed, so its line is the first one parsed again
+@pytest.mark.parametrize("bad,msg,most", [
+    ("0,1,0.5,zebra", "could not convert string 'zebra' to float64 at column 4.", 300),
+    ("0,1,0.5,inf", "non-finite value inf in z_1", 3),
+    ("0,1,0.5", "expected 4 fields, got 3", 300),
+], ids=["zebra", "inf", "field-short"])
+def test_late_bad_line_is_named_in_few_parses(tmp_path, monkeypatch, bad, msg, most):
+    """A bad line after 3000 good ones is named without a parse of every
+    earlier line."""
+    calls = _count_parses(monkeypatch)
+    lines = ["y_mt,y_sp,z_0,z_1"] + ["0,1,0.5,-1.25"] * 3000 + [bad, "1,0,2.0,3.0"]
+    path = tmp_path / "late.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:3002: {msg}"
+    assert len(calls) <= most
 
 
 def test_every_row_one_field_too_many(tmp_path):

@@ -1,8 +1,7 @@
 """Count the keys a config file can set: per section, then their total.
 
 A section's keys are the fields of the dataclass ``config.TARGETS`` names
-for it (its first target; ``[optimizer]`` sets the same keys on each of its
-targets), less the fields that hold a dataclass of their own (those have
+for it, less the fields that hold a dataclass of their own (those have
 their own section) and less ``config.RUN_INPUTS`` (set by each run, so the
 loader rejects them). ``[sweep]`` sets the fields of ``config.SweepSpec``.
 The ``[toy]`` key that ``[sweep] x_name`` names counts: another x name
@@ -26,8 +25,8 @@ from jse.evaluate import ExperimentConfig
 def settable_keys() -> dict[str, list[str]]:
     """Section -> the keys a config file can set in it, in field order."""
     base = ExperimentConfig(method="jse")
-    owners = {section: type(functools.reduce(getattr, paths[0], base))
-              for section, paths in TARGETS.items()} | {"sweep": SweepSpec}
+    owners = {section: type(functools.reduce(getattr, path, base))
+              for section, path in TARGETS.items()} | {"sweep": SweepSpec}
     keys = {}
     for section, owner in owners.items():
         hints = typing.get_type_hints(owner)
