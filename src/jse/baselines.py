@@ -48,6 +48,7 @@ from .sgd import (
     OptimizerConfig,
     _newton_logreg,
     check_sgd,
+    check_two_classes,
     child_seed,
     fit_intercept_only,
     fit_logreg,
@@ -188,6 +189,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
     d = train.d
     if cfg.rank >= d:
         raise ValueError(f"rlace rank {cfg.rank} must be below the embedding dimension d = {d}")
+    check_two_classes(train, ("sp",))  # else no removal can bring the probe below chance
     X, y = train.Z, train.y_sp.astype(np.float64)
     n, bs = train.n, cfg.batch_size
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))

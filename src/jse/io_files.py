@@ -2,11 +2,12 @@
 
 Embedding CSV: header ``y_mt,y_sp,z_0,...,z_{d-1}``, one sample per line,
 labels as 0/1, coordinates as decimal text with full float64 precision.
-Both directions keep per-token work in C: the writer formats blocks of rows
-with ``repr`` and streams them out; the reader parses the whole body with
-numpy's ``loadtxt`` (each token converts exactly as ``float()`` converts it)
-and only when that fails re-reads the file in blocks, and the first failing
-block line by line, to name the line.
+Both directions keep per-token work in C and stream ``_BLOCK_ROWS`` rows at a
+time: the writer formats each block with ``repr``; the reader parses each
+block of non-blank lines once with numpy's ``loadtxt`` (each token converts
+exactly as ``float()`` converts it), and checks a block that fails, or holds
+a row of the wrong width or a non-finite value, line by line to name the
+first bad line.
 
 Artifact files are line-oriented ``key = value`` headers followed by
 bracketed sections holding basis vectors (one vector per line), test-report
@@ -27,8 +28,6 @@ import itertools
 import json
 import math
 import re
-import warnings
-from typing import NoReturn
 
 import numpy as np
 
@@ -75,8 +74,9 @@ def _check_schema_version(path: str, lineno: int, value: str) -> None:
         raise DataFormatError(f"{path}:{lineno}: schema_version is {value!r}, not {SCHEMA_VERSION}")
 
 
-# rows per writelines call when saving: large enough to amortise the call,
-# small enough that a file's text is never held in memory at once
+# rows per writelines call when saving and per loadtxt call when loading: large
+# enough to amortise the call, small enough that a file's text is never held in
+# memory at once
 _BLOCK_ROWS = 256
 
 
@@ -105,25 +105,6 @@ def _parse_rows(lines) -> np.ndarray:
     (numpy < 2.0 defaults to ``encoding="bytes"``)."""
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
                       converters=_LABEL_CONVERTERS, encoding="utf-8")
-
-
-def _raise_at_bad_line(path: str, d: int, exc: ValueError, skip: int = 0) -> NoReturn:
-    """Re-read the body to name the first line that does not parse or holds a
-    non-finite value: ``_BLOCK_ROWS`` lines at a time, and the first block
-    that fails line by line. The first ``skip`` non-blank lines are known to
-    hold finite rows and are not parsed again."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        body = ((n, line) for n, line in enumerate(fh, start=2) if not line.isspace())
-        numbered = itertools.islice(body, skip, None)
-        while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
-            with contextlib.suppress(ValueError):
-                rows = _parse_rows([line for _, line in block])
-                if rows.shape[1] == d + 2 and np.isfinite(rows).all():
-                    continue
-            for lineno, line in block:
-                _check_line(path, d, lineno, line)
-    raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _check_line(path: str, d: int, lineno: int, line: str) -> None:
@@ -158,22 +139,23 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
         d = len(cols) - 2
         if cols[2:] != [f"z_{j}" for j in range(d)]:
             raise DataFormatError(f"{path}:1: malformed embedding column names")
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below as "no samples"
-                warnings.simplefilter("ignore", UserWarning)
-                rows = _parse_rows(line for line in fh if not line.isspace())
-        except UnicodeDecodeError:
-            raise  # a ValueError too, but open_text names its line without re-parsing
-        except ValueError as exc:
-            _raise_at_bad_line(path, d, exc)
-    if rows.shape[0] == 0:
+        # non-blank lines numbered as read, parsed _BLOCK_ROWS at a time; a block
+        # that fails is checked line by line to name the first bad line
+        body = ((n, line) for n, line in enumerate(fh, start=2) if not line.isspace())
+        blocks = []
+        while block := list(itertools.islice(body, _BLOCK_ROWS)):
+            with contextlib.suppress(ValueError):
+                rows = _parse_rows([line for _, line in block])
+                if rows.shape[1] == d + 2 and np.isfinite(rows).all():
+                    blocks.append(rows)
+                    continue
+            for lineno, line in block:
+                _check_line(path, d, lineno, line)
+            raise DataFormatError(f"{path}:{block[0][0]}: lines {block[0][0]}-{block[-1][0]} "
+                                  "do not parse together")
+    if not blocks:
         raise DataFormatError(f"{path}: no samples")
-    if rows.shape[1] != d + 2:
-        _raise_at_bad_line(path, d, ValueError(f"expected {d + 2} fields, got {rows.shape[1]}"))
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        _raise_at_bad_line(path, d, ValueError("non-finite value"), skip=int(finite.argmin()))
+    rows = np.concatenate(blocks)
     return LabeledEmbeddings(
         rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     )

@@ -519,6 +519,14 @@ def joint_objective(X: np.ndarray, y_sp: np.ndarray, y_mt: np.ndarray, ridge: fl
     return fun
 
 
+def check_two_classes(train: LabeledEmbeddings, targets: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` if a label in ``targets`` takes one value in ``train``."""
+    for target in targets:
+        y = train.labels(target)
+        if y.min() == y.max():
+            raise ValueError(f"target {target!r} has a single class in the training data")
+
+
 def fit_joint_orthogonal(train: LabeledEmbeddings, seed: int) -> tuple[LinearModel, LinearModel]:
     """Jointly fit the spurious and main-task logistic regressions with
     orthogonal coefficient vectors.
@@ -528,10 +536,7 @@ def fit_joint_orthogonal(train: LabeledEmbeddings, seed: int) -> tuple[LinearMod
     main-task model stores the already-projected effective weights, so
     ``sp.w`` is orthogonal to ``mt.w``.
     """
-    for target in ("sp", "mt"):
-        y = train.labels(target)
-        if y.min() == y.max():
-            raise ValueError(f"target {target!r} has a single class in the training data")
+    check_two_classes(train, ("sp", "mt"))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = train.d
     # packed [w_sp (d), w_mt (d), b_sp, b_mt], as in joint_objective; the

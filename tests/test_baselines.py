@@ -119,6 +119,15 @@ def test_rlace_config_validation():
         RlaceConfig(rank=0)
 
 
+def test_rlace_rejects_a_single_class_spurious_label(toy_rho08):
+    """With one y_sp class the probe is always right, so no removal converges;
+    rlace raises as the joint fit does instead of returning a random direction."""
+    _, train, val, _ = toy_rho08
+    one = LabeledEmbeddings(train.Z, train.y_mt, np.zeros_like(train.y_sp))
+    with pytest.raises(ValueError, match="^target 'sp' has a single class in the training data$"):
+        rlace_fit(one, val, RlaceConfig(max_iters=40, eval_every=20), 9)
+
+
 def test_rlace_nonconvergence_flag(toy_rho08):
     _, train, val, _ = toy_rho08
     res = rlace_fit(train, val, RlaceConfig(max_iters=40, eval_every=20), 9)

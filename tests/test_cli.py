@@ -99,6 +99,35 @@ def test_fit_stdout_is_built_from_the_artifact(toy_files, tmp_path, capsys, meth
     assert load_artifact(str(art_path)).termination == termination
 
 
+@pytest.mark.parametrize("method", ["inlp", "rlace", "erm", "gw-erm"])
+def test_keep_mt_needs_a_jse_artifact(toy_files, tmp_path, capsys, method):
+    """Only jse estimates a main-task basis; keep-mt on another method's
+    artifact exits 3 naming it instead of writing zeros."""
+    removal = method in ("inlp", "rlace")
+    art_path = tmp_path / f"{method}.artifact"
+    save_artifact(str(art_path), Artifact(method, 20, np.eye(20)[:, :int(removal)],
+                                          np.zeros((20, 0)), [],
+                                          None if removal else LinearModel(np.ones(20), 0.0)))
+    out_file = tmp_path / "kept.csv"
+    assert run_cli("transform", "--artifact", str(art_path), "--in",
+                   str(toy_files / "toy_val.csv"), "--out-file", str(out_file),
+                   "--mode", "keep-mt") == 3
+    assert capsys.readouterr().err == (f"error: {art_path}: method {method} estimates no "
+                                       "main-task basis; --mode keep-mt needs a jse artifact\n")
+    assert not out_file.exists()
+
+
+def test_keep_mt_on_a_jse_artifact_without_a_main_task_basis_writes_zeros(toy_files, tmp_path):
+    art_path = tmp_path / "jse.artifact"
+    save_artifact(str(art_path), Artifact("jse", 20, np.eye(20)[:, :1], np.zeros((20, 0)), [],
+                                          None, termination="test-rejected"))
+    out_file = tmp_path / "kept.csv"
+    assert run_cli("transform", "--artifact", str(art_path), "--in",
+                   str(toy_files / "toy_val.csv"), "--out-file", str(out_file),
+                   "--mode", "keep-mt") == 0
+    assert not load_embeddings(str(out_file)).Z.any()
+
+
 def test_fit_erm_follows_downstream_balance_sampling(toy_files, tmp_path):
     arts = {}
     for sampling in ("none", "class-balanced"):
@@ -288,7 +317,8 @@ def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, v
 # sizes below what one run can split or test on: exit 3 naming the value, file
 # or cell, before any file is written ([toy] n and [experiment] test_n are rows
 # of tests/test_config.py's BAD_VALUES); {thin} is a d = 5 file with no
-# (y_mt=0, y_sp=1) rows, {model} an erm artifact of width 5
+# (y_mt=0, y_sp=1) rows, {val} one with three rows in each group, {one_sp} and
+# {one_mt} that file with y_sp or y_mt set to 0, {model} an erm artifact of width 5
 @pytest.mark.parametrize("command,cfg_text,msg", [
     ("gen-toy --n 1", "", "error: n must be >= 2, got 1\n"),
     ("gen-toy --test-n 0", "", "error: test set size must be >= 1, got 0\n"),
@@ -302,22 +332,34 @@ def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, v
      "error: {thin}: empty group 2 in the test data\n"),
     ("fit --method gw-erm --train {thin} --val {thin}", "",
      "error: {thin}: group-weighted ERM needs all four groups in the training data\n"),
+    ("fit --method jse --train {one_sp} --val {val}", "",
+     "error: {one_sp}: target 'sp' has a single class in the training data\n"),
+    ("fit --method jse --train {one_mt} --val {val}", "",
+     "error: {one_mt}: target 'mt' has a single class in the training data\n"),
+    ("fit --method rlace --train {one_sp} --val {val}", "",
+     "error: {one_sp}: target 'sp' has a single class in the training data\n"),
     ("fit --method erm --pca 9 --train {thin} --val {thin}", "",
      "error: --pca 9: k must be in [1, min(n, d)] = [1, 5], got 9\n"),
     # non-finite flags, which a config rejects as [toy] values
     ("gen-toy --gamma-sp nan", "", "error: gamma_sp must be finite, got nan\n"),
     ("gen-toy --gamma-mt inf", "", "error: gamma_mt must be finite, got inf\n"),
 ], ids=["gen-toy-n", "gen-toy-test-n", "sweep-x-values-n", "sweep-every-run-data-error",
-        "eval-empty-test-group", "fit-gw-erm-missing-train-group", "fit-pca-above-d",
+        "eval-empty-test-group", "fit-gw-erm-missing-train-group", "fit-jse-single-sp-class",
+        "fit-jse-single-mt-class", "fit-rlace-single-sp-class", "fit-pca-above-d",
         "gen-toy-gamma-sp-nan", "gen-toy-gamma-mt-inf"])
 def test_size_below_minimum_exits_3_naming_it(tmp_path, capsys, command, cfg_text, msg):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(cfg_text)
     out = tmp_path / "out"
     y_mt, y_sp = np.array([0, 1, 1] * 4), np.array([0, 0, 1] * 4)  # groups 1, 3 and 4
-    files = {"thin": str(tmp_path / "thin.csv"), "model": str(tmp_path / "erm.artifact")}
-    io_files.save_embeddings(files["thin"], LabeledEmbeddings(
-        np.random.default_rng(0).standard_normal((12, 5)), y_mt, y_sp))
+    files = {name: str(tmp_path / f"{name}.csv") for name in ("thin", "val", "one_sp", "one_mt")}
+    files["model"] = str(tmp_path / "erm.artifact")
+    Z = np.random.default_rng(0).standard_normal((12, 5))
+    io_files.save_embeddings(files["thin"], LabeledEmbeddings(Z, y_mt, y_sp))
+    all_mt, all_sp, zeros = np.array([0, 0, 1, 1] * 3), np.array([0, 1, 0, 1] * 3), np.zeros(12, int)
+    io_files.save_embeddings(files["val"], LabeledEmbeddings(Z, all_mt, all_sp))
+    io_files.save_embeddings(files["one_sp"], LabeledEmbeddings(Z, all_mt, zeros))
+    io_files.save_embeddings(files["one_mt"], LabeledEmbeddings(Z, zeros, all_sp))
     save_artifact(files["model"], Artifact("erm", 5, np.zeros((5, 0)), np.zeros((5, 0)), [],
                                            LinearModel(np.ones(5), 0.0)))
     config = ["--config", str(cfg_path)] if cfg_text else []  # gen-toy rejects --config

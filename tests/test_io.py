@@ -13,6 +13,7 @@ from jse.cli import main
 from jse.data import LabeledEmbeddings
 from jse.evaluate import ACCURACIES, EvalSummary, RunRecord
 from jse.io_files import (
+    _BLOCK_ROWS,
     RESULTS_COLUMNS,
     Artifact,
     DataFormatError,
@@ -155,34 +156,78 @@ def _thousand_rows_with(tmp_path, lineno: int, bad: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("bad,msg", [
+_BAD_LINES = [
     ("2,0,0.5,1.0", "labels must be 0 or 1, got '2','0'"),
     ("1.0,0,0.5,1.0", "labels must be 0 or 1, got '1.0','0'"),
     ("0,1,0.5", "expected 4 fields, got 3"),
     ("0,1,0.5,1.0,", "expected 4 fields, got 5"),
     ("0,1,0.5,zebra", "'zebra'"),
     ("0,1,1_0,1.0", "'1_0'"),  # float() accepts digit separators; the codec does not
+]
+
+
+# the bad line at the first and last line of the first block of 256 body
+# lines, the first of the second, mid-file (ids without a line) and last
+@pytest.mark.parametrize("lineno,bad,msg", [
+    pytest.param(lineno, bad, msg, id=f"{bad}-{msg}" + ("" if lineno == 700 else f"-line{lineno}"))
+    for lineno in (2, 257, 258, 700, 1001) for bad, msg in _BAD_LINES
 ])
-def test_bad_line_is_named(tmp_path, bad, msg):
-    path = _thousand_rows_with(tmp_path, 700, bad)
-    with pytest.raises(DataFormatError, match=":700: .*" + re.escape(msg)):
+def test_bad_line_is_named(tmp_path, lineno, bad, msg):
+    path = _thousand_rows_with(tmp_path, lineno, bad)
+    with pytest.raises(DataFormatError, match=f":{lineno}: .*" + re.escape(msg)):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("bad_row", [_BLOCK_ROWS, _BLOCK_ROWS + 2])
+def test_blank_lines_across_a_block_edge_count_in_the_named_line(tmp_path, bad_row):
+    """Blank lines inside the first block and between it and the second are
+    numbered; the bad line is the last row of the first block or the second
+    of the next."""
+    rows = ["0,1,0.5,-1.25"] * (_BLOCK_ROWS + 3)
+    rows[bad_row - 1] = "0,1,0.5,zebra"
+    lines = ["y_mt,y_sp,z_0,z_1", *rows[:200], "", "  ", *rows[200:_BLOCK_ROWS], "", "\t", "",
+             *rows[_BLOCK_ROWS:]]
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(lines) + "\n")
+    lineno = lines.index("0,1,0.5,zebra") + 1
+    assert lineno == bad_row + 1 + (2 if bad_row <= _BLOCK_ROWS else 5)
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:{lineno}: .*'zebra'"):
+        load_embeddings(str(path))
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_block_sized_files_round_trip(tmp_path, n):
+    rng = np.random.default_rng(n)
+    data = LabeledEmbeddings(rng.standard_normal((n, 3)), rng.integers(0, 2, n),
+                             rng.integers(0, 2, n))
+    path = tmp_path / "e.csv"
+    save_embeddings(str(path), data)
+    got = load_embeddings(str(path))
+    assert got.Z.tobytes() == data.Z.tobytes()
+    assert got.y_mt.tobytes() == data.y_mt.tobytes()
+    assert got.y_sp.tobytes() == data.y_sp.tobytes()
+
+
 def _count_parses(monkeypatch) -> list:
-    """The list that gets one entry per ``_parse_rows`` call."""
+    """The list that gets the number of lines handed to each ``_parse_rows`` call."""
     import jse.io_files as io_files
 
     calls = []
     real = io_files._parse_rows
-    monkeypatch.setattr(io_files, "_parse_rows", lambda lines: calls.append(1) or real(lines))
+
+    def counted(lines):
+        lines = list(lines)
+        calls.append(len(lines))
+        return real(lines)
+
+    monkeypatch.setattr(io_files, "_parse_rows", counted)
     return calls
 
 
 def test_non_utf8_byte_is_named_without_reparsing(tmp_path, monkeypatch):
     """A byte that is not UTF-8 past the decoder's first 8 KB is named by the
-    opener after the one whole-body parse, not after a parse of every earlier
-    line."""
+    opener with no line parsed twice: at most the body lines before it, plus
+    two blocks, reach the parser."""
     calls = _count_parses(monkeypatch)
     lines = ["y_mt,y_sp,z_0,z_1"] + ["0,1,0.5,-1.25"] * 3000
     lines[2500] = "0,1,0.5\xe9,-1.25"
@@ -192,20 +237,17 @@ def test_non_utf8_byte_is_named_without_reparsing(tmp_path, monkeypatch):
     with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2501: not UTF-8 text "
                                               r"\(byte 0xe9\)$"):
         load_embeddings(str(path))
-    assert len(calls) == 1
+    assert sum(calls) <= 2500 + 2 * _BLOCK_ROWS
 
 
-# (bad line, message, most parses): one whole-body parse, then 256-line
-# blocks and the failing block line by line; the rows before a non-finite
-# value parsed, so its line is the first one parsed again
-@pytest.mark.parametrize("bad,msg,most", [
-    ("0,1,0.5,zebra", "could not convert string 'zebra' to float64 at column 4.", 300),
-    ("0,1,0.5,inf", "non-finite value inf in z_1", 3),
-    ("0,1,0.5", "expected 4 fields, got 3", 300),
+@pytest.mark.parametrize("bad,msg", [
+    ("0,1,0.5,zebra", "could not convert string 'zebra' to float64 at column 4."),
+    ("0,1,0.5,inf", "non-finite value inf in z_1"),
+    ("0,1,0.5", "expected 4 fields, got 3"),
 ], ids=["zebra", "inf", "field-short"])
-def test_late_bad_line_is_named_in_few_parses(tmp_path, monkeypatch, bad, msg, most):
-    """A bad line after 3000 good ones is named without a parse of every
-    earlier line."""
+def test_late_bad_line_is_named_in_few_parses(tmp_path, monkeypatch, bad, msg):
+    """A bad line after 3000 good ones is named with the blocks before it parsed
+    once, and its own block once whole and once line by line."""
     calls = _count_parses(monkeypatch)
     lines = ["y_mt,y_sp,z_0,z_1"] + ["0,1,0.5,-1.25"] * 3000 + [bad, "1,0,2.0,3.0"]
     path = tmp_path / "late.csv"
@@ -213,7 +255,7 @@ def test_late_bad_line_is_named_in_few_parses(tmp_path, monkeypatch, bad, msg, m
     with pytest.raises(DataFormatError) as err:
         load_embeddings(str(path))
     assert str(err.value) == f"{path}:3002: {msg}"
-    assert len(calls) <= most
+    assert sum(calls) <= 3001 + 2 * _BLOCK_ROWS
 
 
 def test_every_row_one_field_too_many(tmp_path):
