@@ -1,16 +1,18 @@
 """Baseline removal and training methods: INLP, RLACE, ERM, group-weighted ERM.
 
 INLP repeatedly fits a spurious-concept classifier, projects its coefficient
-direction out of the embeddings, and stops once the classifier is no longer
-significantly better than the intercept-only classifier: the one-sided
-``sp_vs_random`` test on validation BCE, the same ``stats.t_vs_random`` call
-jse's candidates go through (its side follows from the kind).
+direction out of the embeddings, and stops after d rounds or once the
+classifier is no longer significantly better than the intercept-only
+classifier: the one-sided ``sp_vs_random`` test on validation BCE, the same
+``stats.t_vs_random`` call jse's candidates go through (its side follows
+from the kind).
 
 RLACE plays an alternating minimax game: a linear classifier minimizes the
 spurious-concept BCE on projected embeddings, one ``sgd.sgd_step`` per
-iteration (the step of ``fit_logreg``), while a rank-k removal subspace
-takes gradient steps to maximize it, re-orthonormalized after every step by
-eigendecomposition truncation. It stops when a freshly trained probe's
+iteration (the step of ``fit_logreg``, at rate ``RLACE_LR`` and momentum
+``sgd.MOMENTUM``), while a rank-k removal subspace takes gradient steps of
+size ``RLACE_SUBSPACE_LR`` to maximize it, re-orthonormalized after every
+step by eigendecomposition truncation. It stops when a freshly trained probe's
 validation accuracy drops below the target (51% by default).
 
 The adversary's step matrix ``M = U U^T - (lr/2)(g w^T + w g^T)`` lies on
@@ -57,19 +59,19 @@ from .sgd import (
 )
 from .stats import t_vs_random
 
+RLACE_SUBSPACE_LR = 0.01  # the adversary's step size on the removal matrix
+RLACE_LR = 0.1  # the classifier's
+
 
 @dataclass(frozen=True)
 class InlpConfig:
     alpha: float = 0.05
-    max_rounds: int | None = None  # defaults to d
     group_weighted_test: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1 or none")
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,12 @@ class RlaceConfig:
     max_iters: int = 50000
     stop_accuracy: float = 0.51
     eval_every: int = 250
-    subspace_lr: float = 0.01
     # the classifier step's momentum SGD on one random batch per iteration
-    learning_rate: float = 0.1
-    momentum: float = 0.9
     batch_size: int = 128
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        check_sgd(self.learning_rate, self.momentum, self.batch_size, self.weight_decay)
-        if self.subspace_lr <= 0:
-            raise ValueError("subspace_lr must be positive")
+        check_sgd(self.batch_size, self.weight_decay)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1:
@@ -111,12 +108,11 @@ def inlp_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: InlpConfig,
     """Iterative nullspace projection for the spurious concept; round r's
     classifier is seeded with ``child_seed(seed, r)``."""
     d = train.d
-    max_rounds = d if cfg.max_rounds is None else min(cfg.max_rounds, d)
     random_model = fit_intercept_only(train, "sp")
     Ztr, Zval = train.Z, val.Z
     accepted: list[np.ndarray] = []
 
-    for r in range(max_rounds):
+    for r in range(d):
         val_r = val.with_Z(Zval)
         model = fit_logreg(train.with_Z(Ztr), "sp", val_r, cfg.optimizer, child_seed(seed, r))
         if not t_vs_random(model.predict(val_r.Z), random_model.predict(val_r.Z), val_r, "sp",
@@ -196,7 +192,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
 
     M = 0.1 * rng.standard_normal((d, d))
     U = _top_k_projection(M, cfg.rank)  # removed-subspace basis
-    adversary_top_k = _span_solver(d, cfg.rank, cfg.subspace_lr)
+    adversary_top_k = _span_solver(d, cfg.rank, RLACE_SUBSPACE_LR)
     w = np.zeros(d)
     b = 0.0
     vw = np.zeros(d)
@@ -210,7 +206,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
         wp, bp = _newton_logreg(project_out(X, Ucur), y)
         return float(np.mean((sigmoid(project_out(val.Z, Ucur) @ wp + bp) >= 0.5) == val.y_sp))
 
-    lr, mom, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
+    wd = cfg.weight_decay
     while it < cfg.max_iters:
         # one draw for the batches of every step up to the next probe; nothing
         # else draws from rng in this loop (see the module docstring)
@@ -222,7 +218,7 @@ def rlace_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: RlaceConfig
             Xp = Xb - np.dot(np.dot(Xb, U), U.T)
 
             # classifier step: descend the BCE
-            b, vb = sgd_step(Xp, yb, w, vw, b, vb, lr, mom, wd)
+            b, vb = sgd_step(Xp, yb, w, vw, b, vb, RLACE_LR, wd)
 
             # adversary step on the symmetric removal matrix, then truncate back to
             # a hard rank-k projection; the BCE gradient w.r.t. M = U U^T is

@@ -71,6 +71,8 @@ LBFGS_MAX_ITER = 60
 LBFGS_GTOL = 1e-5  # stop once max |gradient| falls below this
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search
 
+MOMENTUM = 0.9  # of every minibatch step, fit_logreg's and RLACE's classifier's
+
 
 def child_seed(seed: int, *entropy: int) -> int:
     """A seed that is a deterministic function of (seed, *entropy)."""
@@ -81,28 +83,27 @@ def child_seed(seed: int, *entropy: int) -> int:
 class OptimizerConfig:
     learning_rate: float = 0.1
     weight_decay: float = 0.0
-    momentum: float = 0.9
     batch_size: int = 128
     max_epochs: int = 50
     early_stop_patience: int = 5
     balance_sampling: str = "none"  # none | class-balanced | group-balanced
 
     def __post_init__(self) -> None:
-        check_sgd(self.learning_rate, self.momentum, self.batch_size, self.weight_decay)
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        check_sgd(self.batch_size, self.weight_decay)
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
+        if self.early_stop_patience < 1:  # 0 or less would stop after the first epoch
+            raise ValueError("early_stop_patience must be >= 1")
         if self.early_stop_patience > self.max_epochs:
             raise ValueError("early_stop_patience must be <= max_epochs")
         if self.balance_sampling not in ("none", "class-balanced", "group-balanced"):
             raise ValueError(f"unknown balance_sampling {self.balance_sampling!r}")
 
 
-def check_sgd(learning_rate: float, momentum: float, batch_size: int, weight_decay: float) -> None:
+def check_sgd(batch_size: int, weight_decay: float) -> None:
     """Range checks shared by every config that sets a momentum-SGD step."""
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must be in [0, 1)")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if weight_decay < 0:
@@ -271,17 +272,18 @@ def _val_score(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def sgd_step(Xb: np.ndarray, yb: np.ndarray, w: np.ndarray, vw: np.ndarray, b: float,
-             vb: float, lr: float, mom: float, wd: float) -> tuple[float, float]:
-    """One momentum-SGD step of logistic regression on the batch ``(Xb, yb)``:
-    updates ``w`` and its velocity ``vw`` in place and returns the new ``(b, vb)``."""
+             vb: float, lr: float, wd: float) -> tuple[float, float]:
+    """One momentum-SGD step of logistic regression on the batch ``(Xb, yb)``,
+    at momentum ``MOMENTUM``: updates ``w`` and its velocity ``vw`` in place
+    and returns the new ``(b, vb)``."""
     nb = len(yb)
     r = sigmoid(np.dot(Xb, w) + b) - yb
     gw = np.dot(Xb.T, r) / nb
     if wd:
         gw += wd * w
-    vw *= mom
+    vw *= MOMENTUM
     vw += gw
-    vb = mom * vb + float(np.add.reduce(r) / nb)
+    vb = MOMENTUM * vb + float(np.add.reduce(r) / nb)
     w -= lr * vw
     return b - lr * vb, vb
 
@@ -306,7 +308,7 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
     b = 0.0
     vw = np.zeros(train.d)
     vb = 0.0
-    bs, lr, mom, wd = cfg.batch_size, cfg.learning_rate, cfg.momentum, cfg.weight_decay
+    bs, lr, wd = cfg.batch_size, cfg.learning_rate, cfg.weight_decay
     # every epoch's order has the same length (n, or whole batches when
     # balanced), so its rows are gathered into one buffer reused across epochs;
     # mode="clip" skips take's bounds-check copy, and the order is always in range
@@ -319,7 +321,7 @@ def fit_logreg(train: LabeledEmbeddings, target: str, val: LabeledEmbeddings,
         np.take(X, order, axis=0, out=Xo, mode="clip")
         np.take(y, order, out=yo, mode="clip")
         for i in range(0, rows, bs):
-            b, vb = sgd_step(Xo[i : i + bs], yo[i : i + bs], w, vw, b, vb, lr, mom, wd)
+            b, vb = sgd_step(Xo[i : i + bs], yo[i : i + bs], w, vw, b, vb, lr, wd)
         # a finite earlier snapshot must not hide a divergence
         if not (np.isfinite(w).all() and np.isfinite(b)):
             raise FloatingPointError(f"fit_logreg: non-finite parameters after epoch {epoch}")

@@ -34,16 +34,16 @@ transform_mode = keep-mt
 
 [inlp.optimizer]
 learning_rate = 0.005
-momentum = 0.5
+batch_size = 64
 
 [downstream.optimizer]
 learning_rate = 0.2
-momentum = 0.5
+weight_decay = 0.001
 
 [rlace]
 rank = 2
 stop_accuracy = 0.52
-learning_rate = 0.05
+batch_size = 32
 
 [sweep]
 methods = jse, erm, rlace
@@ -61,13 +61,15 @@ def test_parse_and_build():
     assert cfg.jse.delta == "auto"
     assert cfg.jse.transform_mode == "keep-mt"
     assert cfg.inlp.optimizer.learning_rate == 0.005
-    assert cfg.inlp.optimizer.momentum == 0.5
-    assert cfg.inlp.optimizer.balance_sampling == "none"  # INLP keeps its own other values
-    assert cfg.downstream.learning_rate == 0.2 and cfg.downstream.momentum == 0.5
+    assert cfg.inlp.optimizer.batch_size == 64
+    assert cfg.inlp.optimizer.weight_decay == 0.0  # INLP keeps its own other values
+    assert cfg.inlp.optimizer.balance_sampling == "none"
+    assert cfg.downstream.learning_rate == 0.2 and cfg.downstream.weight_decay == 0.001
+    assert cfg.downstream.batch_size == 128
     assert cfg.downstream.balance_sampling == "class-balanced"
     assert cfg.rlace.rank == 2 and cfg.rlace.stop_accuracy == 0.52
-    assert cfg.rlace.learning_rate == 0.05
-    assert cfg.rlace.momentum == 0.9  # no optimizer section reaches RLACE
+    assert cfg.rlace.batch_size == 32
+    assert cfg.rlace.weight_decay == 0.0  # no optimizer section reaches RLACE
     assert sweep.methods == ["jse", "erm", "rlace"]
     assert sweep.x_values == [0.0, 0.5, 0.9]
     assert cfg.seeds == 7 and cfg.base_seed == 11
@@ -180,7 +182,7 @@ def test_max_dim_none():
 
 
 @pytest.mark.parametrize("section,key", [
-    ("jse", "max_dim"), ("inlp", "max_rounds"), ("experiment", "test_n"),
+    ("jse", "max_dim"), ("experiment", "test_n"),
 ])
 def test_optional_int_keys_name_section_and_key(section, key):
     with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: invalid literal for int"):
@@ -204,7 +206,6 @@ def test_bad_optional_int_exits_3(tmp_path, capsys):
 BAD_VALUES = [
     ("inlp", "alpha", "1.5", "fit"),
     ("inlp", "alpha", "0", "fit"),
-    ("inlp", "max_rounds", "0", "fit"),
     ("rlace", "eval_every", "0", "fit"),
     ("rlace", "max_iters", "0", "fit"),
     ("rlace", "stop_accuracy", "2", "fit"),
@@ -229,17 +230,15 @@ BAD_VALUES = [
     ("toy", "n", "1", "sweep"),
     ("experiment", "test_n", "0", "sweep"),
     ("downstream.optimizer", "max_epochs", "3", "sweep"),  # below the default patience 5
-    ("inlp.optimizer", "momentum", "1.5", "sweep"),
-    ("downstream.optimizer", "momentum", "-0.1", "sweep"),
+    ("downstream.optimizer", "early_stop_patience", "0", "sweep"),  # would stop after epoch 1
+    ("inlp.optimizer", "early_stop_patience", "-1", "sweep"),
+    ("inlp.optimizer", "learning_rate", "0", "sweep"),
     ("inlp.optimizer", "batch_size", "0", "sweep"),
-    ("rlace", "momentum", "1", "fit"),
-    ("rlace", "learning_rate", "0", "fit"),
     ("rlace", "batch_size", "0", "fit"),
     ("rlace", "weight_decay", "-1", "fit"),
-    ("rlace", "subspace_lr", "0", "fit"),
     ("toy", "gamma_sp", "nan", "sweep"),  # non-finite numbers: no range check catches them
     ("downstream.optimizer", "learning_rate", "nan", "sweep"),
-    ("rlace", "learning_rate", "inf", "fit"),
+    ("rlace", "weight_decay", "inf", "fit"),
 ]
 
 
@@ -308,6 +307,16 @@ IGNORED_KEYS = [
     ("downstream.optimizer", "seed", "3"),
     ("downstream.optimizer", "early_stop_metric", "bce"),  # always validation accuracy
     ("toy", "rho", "0.5"),  # set by the sweep's x values (x_name defaults to rho)
+    # removed: each had one value in use, now a constant
+    ("toy", "b_sp", "0.5"),  # the toy's labels have no intercepts
+    ("toy", "b_mt", "0.5"),
+    ("toy", "split_fraction", "0.7"),  # toy.SPLIT_FRACTION
+    ("inlp", "max_rounds", "3"),  # INLP runs at most d rounds
+    ("rlace", "subspace_lr", "0.02"),  # baselines.RLACE_SUBSPACE_LR
+    ("rlace", "learning_rate", "0.05"),  # baselines.RLACE_LR
+    ("rlace", "momentum", "0.5"),  # sgd.MOMENTUM
+    ("inlp.optimizer", "momentum", "0.5"),
+    ("downstream.optimizer", "momentum", "0.5"),
 ]
 
 

@@ -41,10 +41,26 @@ def _load(section: str, key: str):
     return build_experiment(parse_config_lines(lines))
 
 
+# every settable key, pinned: adding or removing one is a reviewed edit here
+# (and of README's total)
+OPTIMIZER_KEYS = ["learning_rate", "weight_decay", "batch_size", "max_epochs",
+                  "early_stop_patience", "balance_sampling"]
+PINNED = {
+    "toy": ["n", "d", "rho", "gamma_sp", "gamma_mt", "angle_deg"],
+    "experiment": ["test_n", "demean"],
+    "jse": ["alpha", "delta", "max_dim", "transform_mode", "group_weighted_tests",
+            "relative_test_scale"],
+    "inlp": ["alpha", "group_weighted_test"],
+    "rlace": ["rank", "max_iters", "stop_accuracy", "eval_every", "batch_size", "weight_decay"],
+    "inlp.optimizer": OPTIMIZER_KEYS,
+    "downstream.optimizer": OPTIMIZER_KEYS,
+    "sweep": ["methods", "x_name", "x_values", "seeds", "base_seed"],
+}
+
+
 def test_sections_follow_the_loader():
     assert list(KEYS) == list(SECTIONS)
-    assert KEYS["jse"] == ["alpha", "delta", "max_dim", "transform_mode", "group_weighted_tests",
-                           "relative_test_scale"]
+    assert KEYS == PINNED
 
 
 @pytest.mark.parametrize("section,key", [(s, k) for s, keys in KEYS.items() for k in keys])

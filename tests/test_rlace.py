@@ -134,7 +134,7 @@ def _abs_sigmoid(x):
 def _per_step_rlace(train, val, cfg, seed):
     from scipy.linalg import lapack
 
-    d, k, lr = train.d, cfg.rank, cfg.subspace_lr
+    d, k, lr = train.d, cfg.rank, 0.01
     X, y = train.Z, train.y_sp.astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     U = _top_k_projection(0.1 * rng.standard_normal((d, d)), k)
@@ -168,10 +168,10 @@ def _per_step_rlace(train, val, cfg, seed):
         gw = Xp.T @ r / len(idx)
         if cfg.weight_decay:
             gw = gw + cfg.weight_decay * w
-        vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + float(r.sum() / len(idx))
-        w = w - cfg.learning_rate * vw
-        b = b - cfg.learning_rate * vb
+        vw = 0.9 * vw + gw
+        vb = 0.9 * vb + float(r.sum() / len(idx))
+        w = w - 0.1 * vw
+        b = b - 0.1 * vb
         r = (_abs_sigmoid(Xp @ w + b) - yb) / len(idx)
         U = top_k(U, Xb.T @ r, w)
         if it % cfg.eval_every == 0:

@@ -331,10 +331,11 @@ def test_config_validation():
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(early_stop_patience=100, max_epochs=50)
+    for patience in (0, -3):  # since >= patience would hold after epoch 1
+        with pytest.raises(ValueError, match="^early_stop_patience must be >= 1$"):
+            OptimizerConfig(early_stop_patience=patience)
     with pytest.raises(ValueError):
         OptimizerConfig(balance_sampling="bogus")
-    with pytest.raises(ValueError, match="momentum"):
-        OptimizerConfig(momentum=1.0)
 
 
 def test_linear_model_finite():
@@ -375,7 +376,7 @@ def _oracle_sgd(cfg, rng, n, probs, params, grad_fn, score_fn):
     for _ in range(cfg.max_epochs):
         for idx in _oracle_batches(rng, n, cfg.batch_size, probs):
             grads = grad_fn(params, idx)
-            vel = [cfg.momentum * v + g for v, g in zip(vel, grads)]
+            vel = [0.9 * v + g for v, g in zip(vel, grads)]
             params = [p - cfg.learning_rate * v for p, v in zip(params, vel)]
         score = score_fn(params)
         if score < best_score:

@@ -100,14 +100,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ToyConfig(d=1)
     with pytest.raises(ValueError):
-        ToyConfig(split_fraction=1.0)
-    with pytest.raises(ValueError):
         ToyConfig(angle_deg=0.0)
 
-    # a non-finite scale or offset would draw all-0 or all-1 labels, and
-    # SeedSequence takes no negative seed
-    for key, value in (("gamma_sp", np.nan), ("gamma_mt", np.inf), ("b_sp", -np.inf),
-                       ("b_mt", np.nan)):
+    # a non-finite scale would draw all-0 or all-1 labels, and SeedSequence
+    # takes no negative seed
+    for key, value in (("gamma_sp", np.nan), ("gamma_mt", np.inf)):
         with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
             ToyConfig(**{key: value})
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
