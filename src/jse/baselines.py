@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledEmbeddings, SubspaceBasis, normalize_against, project_out
+from .data import LabeledEmbeddings, SubspaceBasis, group_counts, normalize_against, project_out
 from .sgd import (
     LinearModel,
     OptimizerConfig,
@@ -252,8 +252,8 @@ def erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConf
 
 def gw_erm_fit(train: LabeledEmbeddings, val: LabeledEmbeddings, cfg: OptimizerConfig,
                seed: int) -> LinearModel:
-    """Group-weighted ERM: batches sampled so the four groups are equally likely."""
-    counts = np.bincount(train.group, minlength=5)[1:]
-    if (counts == 0).any():
-        raise ValueError("group-weighted ERM needs all four groups in the training data")
+    """Group-weighted ERM: batches sampled so the four groups are equally likely.
+    Raises ``ValueError``, naming ``train.source``, when a group is empty."""
+    if not group_counts(train.group).all():
+        raise train.error("group-weighted ERM needs all four groups in the training data")
     return fit_logreg(train, "mt", val, replace(cfg, balance_sampling="group-balanced"), seed)

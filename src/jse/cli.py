@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import config, evaluate, io_files, sgd, toy
+from . import config, evaluate, io_files, toy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,19 +119,11 @@ def _cmd_fit(args) -> int:
     val = io_files.load_embeddings(args.val)
     cfg, _ = _experiment_config(args)
     cfg = replace(cfg, method=args.method)
-    evaluate.check_val_groups(cfg, val, args.val)
-    # pca_fit's, gw_erm_fit's, and jse's and rlace's single-class checks, made
-    # first to name the flag or file
+    evaluate.check_val_groups(cfg, val)
+    # pca_fit's check, made first to name the flag
     if args.pca is not None and args.pca > min(train.n, train.d):
         raise ValueError(f"--pca {args.pca}: k must be in [1, min(n, d)] = "
                          f"[1, {min(train.n, train.d)}], got {args.pca}")
-    if args.method == "gw-erm" and len(np.unique(train.group)) < 4:
-        raise ValueError(f"{args.train}: group-weighted ERM needs all four groups in the "
-                         "training data")
-    try:
-        sgd.check_two_classes(train, {"jse": ("sp", "mt"), "rlace": ("sp",)}.get(args.method, ()))
-    except ValueError as exc:
-        raise ValueError(f"{args.train}: {exc}") from None
     art = evaluate.fit_method(cfg, train, val, args.seed, pca=args.pca)
     if art.model is None:  # a removal method: report the dimensions it found
         line = f"d_sp_hat={art.sp_basis.shape[1]} d_mt_hat={art.mt_basis.shape[1]}"

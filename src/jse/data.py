@@ -4,9 +4,12 @@ Conventions used throughout the package:
 
 * samples are rows, so an embedding matrix ``Z`` has shape ``(n, d)``;
 * both labels are binary in {0, 1};
-* each sample belongs to one of four groups derived from the label pair
-  ``(y_mt, y_sp)`` via the fixed encoding
-  ``(0,0) -> 1, (0,1) -> 2, (1,0) -> 3, (1,1) -> 4``;
+* each sample belongs to one of four groups. ``GROUPS`` lists their label
+  pairs ``(y_mt, y_sp)`` in code order and is the package's one spelling of
+  the encoding: group ``g = 1 + 2 * y_mt + y_sp`` has the pair
+  ``GROUPS[g - 1]``. ``group_counts`` counts a split's groups in that order;
+* a split read from a file carries its path as ``source``, so the library's
+  checks on its contents name the file themselves (``LabeledEmbeddings.error``);
 * a basis is a ``(d, k)`` matrix with orthonormal columns, where ``k = 0``
   is legal and means "no removal".
 """
@@ -19,6 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ORTHO_TOL = 1e-6
+GROUPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def group_counts(group: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-group counts of the group codes ``group`` (sums of ``weights`` if
+    given), in ``GROUPS`` order."""
+    return np.bincount(group, weights=weights, minlength=len(GROUPS) + 1)[1:]
 
 
 def _binary_labels(y, name: str) -> np.ndarray:
@@ -33,11 +43,13 @@ def _binary_labels(y, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledEmbeddings:
-    """n x d embedding matrix plus main-task / spurious binary labels."""
+    """n x d embedding matrix plus main-task / spurious binary labels, and the
+    file they were read from (``""`` for a split built in memory)."""
 
     Z: np.ndarray
     y_mt: np.ndarray
     y_sp: np.ndarray
+    source: str = ""
     group: np.ndarray = field(init=False)  # 1..4, from the label pair
 
     def __post_init__(self) -> None:
@@ -46,7 +58,7 @@ class LabeledEmbeddings:
         y_sp = _binary_labels(self.y_sp, "y_sp")
         if y_mt.shape != (Z.shape[0],) or y_sp.shape != (Z.shape[0],):
             raise ValueError("labels must match the number of rows of Z")
-        group = 1 + 2 * y_mt + y_sp  # the module docstring's encoding, on checked labels
+        group = 1 + 2 * y_mt + y_sp
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "y_mt", y_mt)
         object.__setattr__(self, "y_sp", y_sp)
@@ -67,8 +79,12 @@ class LabeledEmbeddings:
             return self.y_sp
         raise ValueError(f"target must be 'mt' or 'sp', got {target!r}")
 
+    def error(self, message: str) -> ValueError:
+        """A ``ValueError`` with ``message``, prefixed by ``source`` when there is one."""
+        return ValueError(f"{self.source}: {message}" if self.source else message)
+
     def with_Z(self, Z: np.ndarray) -> "LabeledEmbeddings":
-        """Same labels, different embedding matrix (e.g. after a projection).
+        """Same labels and source, different embedding matrix (e.g. after a projection).
 
         The label arrays are shared with this already-validated instance, not
         checked again; only ``Z`` is converted and its shape checked.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithm import JseConfig, jse_fit
 from .baselines import InlpConfig, RlaceConfig, erm_fit, gw_erm_fit, inlp_fit, rlace_fit
-from .data import LabeledEmbeddings, project_onto, project_out
+from .data import GROUPS, LabeledEmbeddings, group_counts, project_onto, project_out
 from .pca import pca_apply, pca_fit
 from .sgd import LinearModel, OptimizerConfig, child_seed, fit_logreg
 from .stats import MIN_GROUP_SIZE, TestReport
@@ -30,12 +30,13 @@ from .toy import ToyConfig, gen_toy, gen_toy_test
 
 METHODS = ("jse", "erm", "gw-erm", "inlp", "rlace")
 # a run's accuracies, in results.csv order
-ACCURACIES = ("acc_g1", "acc_g2", "acc_g3", "acc_g4", "worst_group", "average", "macro_average")
+ACCURACIES = (*(f"acc_g{g}" for g, _ in enumerate(GROUPS, 1)),
+              "worst_group", "average", "macro_average")
 
 
 @dataclass(frozen=True)
 class EvalSummary:
-    group_acc: np.ndarray  # 4 accuracies in percent, groups 1..4
+    group_acc: np.ndarray  # accuracies in percent, in GROUPS order
     worst_group: float
     average: float
     macro_average: float
@@ -60,10 +61,10 @@ def evaluate(model: LinearModel, test: LabeledEmbeddings) -> EvalSummary:
     pred = (model.predict(test.Z) >= 0.5).astype(np.int64)
     correct = pred == test.y_mt
     # exact integer counts, so hits / n is each group's np.mean(correct) bit for bit
-    n_per_group = np.bincount(test.group, minlength=5)[1:]
+    n_per_group = group_counts(test.group)
     if not n_per_group.all():
         raise ValueError(f"empty group {np.argmin(n_per_group) + 1} in the test data")
-    hits = np.bincount(test.group, weights=correct, minlength=5)[1:]
+    hits = group_counts(test.group, correct)
     group_acc = 100.0 * (hits / n_per_group)
     return EvalSummary(
         group_acc,
@@ -169,8 +170,8 @@ def fit_method(cfg: ExperimentConfig, train: LabeledEmbeddings, val: LabeledEmbe
     return replace(art, model=fit(train, val, cfg.downstream, seed))
 
 
-def check_val_groups(cfg: ExperimentConfig, val: LabeledEmbeddings, name: str) -> None:
-    """Before any fit, raise ``ValueError`` naming ``name`` when ``val`` is too
+def check_val_groups(cfg: ExperimentConfig, val: LabeledEmbeddings) -> None:
+    """Before any fit, raise ``ValueError`` naming ``val.source`` when ``val`` is too
     small for the tests ``cfg.method`` runs: the first (y_mt, y_sp) group with
     fewer than ``MIN_GROUP_SIZE`` samples for the group-weighted tests (jse by
     default, inlp with ``group_weighted_test``), else, for the unweighted ones
@@ -180,16 +181,14 @@ def check_val_groups(cfg: ExperimentConfig, val: LabeledEmbeddings, name: str) -
         return
     if not weighted[cfg.method]:
         if val.n < MIN_GROUP_SIZE:
-            raise ValueError(f"{name}: the validation split has {val.n} samples; the tests "
-                             f"need at least {MIN_GROUP_SIZE}")
+            raise val.error(f"the validation split has {val.n} samples; the tests need at "
+                            f"least {MIN_GROUP_SIZE}")
         return
-    counts = np.bincount(val.group, minlength=5)
-    for g in range(1, 5):  # the encoding group = 1 + 2 * y_mt + y_sp
-        if counts[g] < MIN_GROUP_SIZE:
-            raise ValueError(
-                f"{name}: validation group (y_mt={(g - 1) // 2}, y_sp={(g - 1) % 2}) has "
-                f"{counts[g]} samples; the group-weighted tests need at least "
-                f"{MIN_GROUP_SIZE} in every group")
+    for (y_mt, y_sp), count in zip(GROUPS, group_counts(val.group)):
+        if count < MIN_GROUP_SIZE:
+            raise val.error(f"validation group (y_mt={y_mt}, y_sp={y_sp}) has {count} samples; "
+                            f"the group-weighted tests need at least {MIN_GROUP_SIZE} in every "
+                            "group")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import re
 
 import numpy as np
 
-from .data import ORTHO_TOL, LabeledEmbeddings, orthonormal_check
+from .data import GROUPS, ORTHO_TOL, LabeledEmbeddings, orthonormal_check
 from .evaluate import ACCURACIES, METHODS, Artifact, CellAggregate, EvalSummary, RunRecord, mean_se
 from .sgd import LinearModel
 from .stats import TestReport
@@ -157,7 +157,7 @@ def load_embeddings(path: str) -> LabeledEmbeddings:
         raise DataFormatError(f"{path}: no samples")
     rows = np.concatenate(blocks)
     return LabeledEmbeddings(
-        rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+        rows[:, 2:], rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), path
     )
 
 
@@ -436,11 +436,9 @@ def format_report(rows: list[dict]) -> str:
     methods = sorted({r["method"] for r in rows})
     xs = sorted({float(r["x_value"]) for r in rows})
     x_name = rows[0]["x_name"] if rows else "x"
-    metrics = [
-        ("acc_g1", "y_mt=0, y_sp=0"), ("acc_g2", "y_mt=0, y_sp=1"),
-        ("acc_g3", "y_mt=1, y_sp=0"), ("acc_g4", "y_mt=1, y_sp=1"),
-        ("worst_group", "Worst-group"), ("average", "Average"),
-    ]
+    # the group columns lead ACCURACIES, in GROUPS order
+    metrics = [*zip(ACCURACIES, (f"y_mt={y_mt}, y_sp={y_sp}" for y_mt, y_sp in GROUPS)),
+               ("worst_group", "Worst-group"), ("average", "Average")]
     out = io.StringIO()
     header = f"{'Method':8s} {'Accuracy':16s}" + "".join(f"{x_name}={x:<12.15g}" for x in xs)
     out.write(header.rstrip() + "\n")
@@ -459,7 +457,7 @@ def format_report(rows: list[dict]) -> str:
                 mean, se = mean_se(vals)
                 se_text = "nan" if se is None else f"{se:.2f}"
                 cellstr.append(f"{mean:6.2f} ({se_text}) ")
-            name = method if metric == "acc_g1" else ""
+            name = method if metric == ACCURACIES[0] else ""
             out.write(f"{name:8s} {label:16s}" + "".join(cellstr).rstrip() + "\n")
         out.write("\n")
     return out.getvalue()

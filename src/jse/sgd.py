@@ -522,11 +522,12 @@ def joint_objective(X: np.ndarray, y_sp: np.ndarray, y_mt: np.ndarray, ridge: fl
 
 
 def check_two_classes(train: LabeledEmbeddings, targets: tuple[str, ...]) -> None:
-    """Raise ``ValueError`` if a label in ``targets`` takes one value in ``train``."""
+    """Raise ``ValueError``, naming ``train.source``, if a label in ``targets``
+    takes one value in ``train``."""
     for target in targets:
         y = train.labels(target)
         if y.min() == y.max():
-            raise ValueError(f"target {target!r} has a single class in the training data")
+            raise train.error(f"target {target!r} has a single class in the training data")
 
 
 def fit_joint_orthogonal(train: LabeledEmbeddings, seed: int) -> tuple[LinearModel, LinearModel]:

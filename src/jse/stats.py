@@ -38,7 +38,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import LabeledEmbeddings
+from .data import GROUPS, LabeledEmbeddings
 from .sgd import bce
 
 T_SENTINEL = 1e12  # stand-in for +/- infinity when the variance estimate is zero
@@ -91,7 +91,8 @@ def weighted_diff(d: np.ndarray, group: np.ndarray | None = None) -> tuple[float
     if group is not None and np.shape(group) != d.shape:
         raise ValueError("d and group must have equal length")
     # every part is a copy: the loop subtracts in place
-    parts = [d.copy()] if group is None else [d[np.asarray(group) == g] for g in range(1, 5)]
+    parts = ([d.copy()] if group is None
+             else [d[np.asarray(group) == g] for g, _ in enumerate(GROUPS, 1)])
     means, var_of_means = np.empty(len(parts)), np.empty(len(parts))
     for i, dg in enumerate(parts):
         m = len(dg)

@@ -10,7 +10,7 @@ from jse.baselines import (
     rlace_fit,
 )
 from jse.data import LabeledEmbeddings
-from jse.evaluate import evaluate
+from jse.evaluate import ExperimentConfig, evaluate, fit_method
 from jse.sgd import OptimizerConfig
 from jse.toy import ToyConfig, gen_toy, gen_toy_test
 
@@ -107,11 +107,19 @@ def test_gw_erm_matches_erm_without_correlation():
 
 
 def test_gw_erm_requires_all_groups():
+    """The message names the split's source when it has one, also after
+    fit_method's preprocessing (the training mean, or PCA) has replaced Z."""
     rng = np.random.default_rng(8)
     y = rng.integers(0, 2, 100)
-    data = LabeledEmbeddings(rng.standard_normal((100, 3)), y, y)  # groups 2,3 missing
-    with pytest.raises(ValueError, match="four groups"):
-        gw_erm_fit(data, data, OptimizerConfig(), 0)
+    for source, prefix in (("", ""), ("train.csv", "train.csv: ")):
+        data = LabeledEmbeddings(rng.standard_normal((100, 3)), y, y, source)  # no groups 2, 3
+        for fit in (lambda: gw_erm_fit(data, data, OptimizerConfig(), 0),
+                    lambda: fit_method(ExperimentConfig("gw-erm"), data, data, 0),
+                    lambda: fit_method(ExperimentConfig("gw-erm"), data, data, 0, pca=2)):
+            with pytest.raises(ValueError) as exc:
+                fit()
+            assert str(exc.value) == (prefix + "group-weighted ERM needs all four groups in "
+                                      "the training data")
 
 
 def test_rlace_config_validation():
@@ -121,11 +129,14 @@ def test_rlace_config_validation():
 
 def test_rlace_rejects_a_single_class_spurious_label(toy_rho08):
     """With one y_sp class the probe is always right, so no removal converges;
-    rlace raises as the joint fit does instead of returning a random direction."""
+    rlace raises as the joint fit does instead of returning a random direction,
+    naming the split's source when it has one."""
     _, train, val, _ = toy_rho08
-    one = LabeledEmbeddings(train.Z, train.y_mt, np.zeros_like(train.y_sp))
-    with pytest.raises(ValueError, match="^target 'sp' has a single class in the training data$"):
-        rlace_fit(one, val, RlaceConfig(max_iters=40, eval_every=20), 9)
+    for source, prefix in (("", ""), ("train.csv", "train.csv: ")):
+        one = LabeledEmbeddings(train.Z, train.y_mt, np.zeros_like(train.y_sp), source)
+        with pytest.raises(ValueError) as exc:
+            rlace_fit(one, val, RlaceConfig(max_iters=40, eval_every=20), 9)
+        assert str(exc.value) == prefix + "target 'sp' has a single class in the training data"
 
 
 def test_rlace_nonconvergence_flag(toy_rho08):

@@ -330,7 +330,7 @@ def test_workers_below_one_is_a_usage_error(toy_files, tmp_path, capsys, flag, v
      "data\")\n"),
     ("eval --model {model} --test-file {thin}", "",
      "error: {thin}: empty group 2 in the test data\n"),
-    ("fit --method gw-erm --train {thin} --val {thin}", "",
+    ("fit --method gw-erm --train {thin} --val {val}", "",
      "error: {thin}: group-weighted ERM needs all four groups in the training data\n"),
     ("fit --method jse --train {one_sp} --val {val}", "",
      "error: {one_sp}: target 'sp' has a single class in the training data\n"),

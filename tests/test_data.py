@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jse.data import (
+    GROUPS,
     LabeledEmbeddings,
     SubspaceBasis,
+    group_counts,
     orthonormal_check,
     project_onto,
     project_out,
@@ -37,6 +39,26 @@ def test_group_counts_partition():
     assert int(np.bincount(g, minlength=5)[1:].sum()) == 1000
 
 
+def test_groups_table_names_each_group_code():
+    """GROUPS[g - 1] is the label pair of group g, for all four pairs."""
+    y_mt, y_sp = (np.array(col) for col in zip(*GROUPS))
+    assert group_ids(y_mt, y_sp).tolist() == [1, 2, 3, 4]
+    assert sorted(GROUPS) == [(a, b) for a in (0, 1) for b in (0, 1)]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_group_counts_equal_the_mask_sums(weighted):
+    rng = np.random.default_rng(3)
+    g = group_ids(rng.integers(0, 2, 500), rng.integers(0, 2, 500))
+    # 0/1 weights, as evaluate's hit counts pass, so every sum is exact
+    w = rng.random(500) < 0.7 if weighted else np.ones(500, bool)
+    got = group_counts(g, w if weighted else None)
+    assert len(got) == len(GROUPS)
+    for i, (y_mt, y_sp) in enumerate(GROUPS):
+        assert got[i] == np.sum(w[g == 1 + 2 * y_mt + y_sp])
+    assert group_counts(np.array([4, 4, 1])).tolist() == [1, 0, 0, 2]
+
+
 @given(st.integers(0, 1), st.integers(0, 1))
 def test_group_encoding_bijection(a, b):
     g = group_ids(np.array([a]), np.array([b]))[0]
@@ -64,6 +86,7 @@ def test_labeled_embeddings_validation():
     data = LabeledEmbeddings(np.eye(2), np.array([0, 1]), np.array([1, 1]))
     assert data.group.tolist() == [2, 4]
     assert data.n == 2 and data.d == 2
+    assert data.source == ""  # built in memory, not read from a file
 
 
 @pytest.mark.parametrize("y_mt,y_sp,msg", [
@@ -99,7 +122,7 @@ def test_labeled_embeddings_casts_binary_labels_to_int64(y_mt, y_sp):
 def test_with_Z_equals_a_fresh_instance_bit_for_bit():
     rng = np.random.default_rng(5)
     data = LabeledEmbeddings(rng.standard_normal((30, 4)), rng.integers(0, 2, 30),
-                             rng.integers(0, 2, 30))
+                             rng.integers(0, 2, 30), "train.csv")
     # a strided int view: with_Z must convert it to C-contiguous float64; d may change
     Z = rng.integers(-5, 5, (30, 12))[:, ::2]
     got = data.with_Z(Z)
@@ -109,6 +132,7 @@ def test_with_Z_equals_a_fresh_instance_bit_for_bit():
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.Z.flags.c_contiguous and got.d == 6
     assert got.group is data.group  # the labels are shared, not validated again
+    assert got.source == "train.csv"  # with_Z keeps the source
     with pytest.raises(ValueError, match="rows"):
         data.with_Z(np.zeros((29, 4)))
     with pytest.raises(ValueError, match="2-d"):

@@ -9,6 +9,7 @@ from jse.data import LabeledEmbeddings
 from jse.evaluate import (
     ExperimentConfig,
     aggregate_cell,
+    check_val_groups,
     derive_seed,
     evaluate,
     run_single,
@@ -74,6 +75,22 @@ def test_empty_group_raises():
     test = LabeledEmbeddings(rng.standard_normal((50, 2)), y, y)
     with pytest.raises(ValueError, match="empty group"):
         evaluate(LinearModel(np.zeros(2), 0.0), test)
+
+
+@pytest.mark.parametrize("source", ["", "val.csv"])
+@pytest.mark.parametrize("method,n,msg", [
+    ("jse", 6, "validation group (y_mt=0, y_sp=1) has 1 samples; the group-weighted tests need "
+               "at least 2 in every group"),
+    ("inlp", 1, "the validation split has 1 samples; the tests need at least 2"),
+])
+def test_check_val_groups_names_the_split_source(source, method, n, msg):
+    """A split built in memory raises the bare message; one with a source
+    names it first, as a file read by load_embeddings does."""
+    y_mt, y_sp = np.array([0, 0, 0, 1, 1, 1])[:n], np.array([0, 0, 1, 0, 1, 1])[:n]
+    val = LabeledEmbeddings(np.zeros((n, 2)), y_mt, y_sp, source)
+    with pytest.raises(ValueError) as exc:
+        check_val_groups(ExperimentConfig(method), val)
+    assert str(exc.value) == (f"{source}: " if source else "") + msg
 
 
 def test_group_accuracies_match_per_mask_means():

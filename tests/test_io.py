@@ -42,6 +42,7 @@ def test_embeddings_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.y_sp, train.y_sp)
     np.testing.assert_array_equal(loaded.Z, train.Z)  # repr round-trips float64 exactly
     np.testing.assert_array_equal(loaded.group, train.group)
+    assert (train.source, loaded.source) == ("", str(path))  # drawn in memory, then read
 
 
 def test_small_file(tmp_path):

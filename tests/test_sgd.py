@@ -216,10 +216,15 @@ def test_joint_identical_labels_single_axis():
 
 
 def test_joint_single_class_error():
-    data = LabeledEmbeddings(np.random.default_rng(0).standard_normal((20, 3)),
-                             np.ones(20, int), np.arange(20) % 2)
-    with pytest.raises(ValueError, match="single class"):
-        fit_joint_orthogonal(data, 0)
+    """check_two_classes names the split's source when it has one."""
+    for source, prefix in (("", ""), ("train.csv", "train.csv: ")):
+        data = LabeledEmbeddings(np.random.default_rng(0).standard_normal((20, 3)),
+                                 np.ones(20, int), np.arange(20) % 2, source)
+        for check in (lambda: fit_joint_orthogonal(data, 0),
+                      lambda: sgd.check_two_classes(data, ("sp", "mt"))):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == prefix + "target 'mt' has a single class in the training data"
 
 
 def test_gradient_check_against_finite_differences():

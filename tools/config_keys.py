@@ -6,7 +6,7 @@ their own section) and less ``config.RUN_INPUTS`` (set by each run, so the
 loader rejects them). ``[sweep]`` sets the fields of ``config.SweepSpec``.
 The ``[toy]`` key that ``[sweep] x_name`` names counts: another x name
 leaves it settable. Prints one line per section, its key count and its
-keys, then the total (with the package installed, or ``PYTHONPATH=src``):
+keys, then the total. It imports ``jse`` from ``src/`` of the same checkout:
 
     python tools/config_keys.py
 """
@@ -17,9 +17,12 @@ import dataclasses
 import functools
 import sys
 import typing
+from pathlib import Path
 
-from jse.config import RUN_INPUTS, TARGETS, SweepSpec
-from jse.evaluate import ExperimentConfig
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from jse.config import RUN_INPUTS, TARGETS, SweepSpec  # noqa: E402
+from jse.evaluate import ExperimentConfig  # noqa: E402
 
 
 def settable_keys() -> dict[str, list[str]]:
